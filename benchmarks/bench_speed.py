@@ -6,14 +6,15 @@ performance trajectory is tracked across PRs:
 1. **Serial harness time** — Figure 5 + Figure 6 with ``jobs=1``.
 2. **Parallel harness time** — the same sweep with ``--jobs N``
    (default: all CPUs), which must produce bit-identical results.
+   Each timed sweep runs on a fresh ``JobRunner`` whose result memo is
+   empty, so it simulates every job.
 3. **Inner-loop throughput** — trace records simulated per second by a
    single ``Machine.run`` on a pre-generated TLS workload.
 4. **Speculative scenario** — the same workload under the Figure-5
-   TLS sub-thread (baseline) mode, timed five ways: journaled
-   speculative batches with both columnar kernels on (the default),
-   the store kernel off, both columnar kernels off, batching
-   restricted to non-speculative epochs (``speculative_batches=
-   False``), and fully interpreted (``compile_traces=False``).  The
+   TLS sub-thread (baseline) mode, timed three ways: journaled
+   speculative batches (the default), batching restricted to
+   non-speculative epochs (``speculative_batches=False``), and fully
+   interpreted (``compile_traces=False``).  The
    variants are interleaved per repetition so thermal/frequency drift
    cannot skew the ratios.  All throughputs land in the trajectory
    entry; ``--spec-min-vs-interpreted`` turns the compiled-vs-
@@ -36,9 +37,10 @@ Unlike the pytest-benchmark files next to it this is a plain script
 
     PYTHONPATH=src python benchmarks/bench_speed.py --tiny
 
-Traces are pre-generated (and the in-memory memo shared) before the
-timed harness runs so both configurations measure simulation fan-out,
-not workload generation.
+Traces are pre-generated by an untimed warm sweep, which also writes
+them to a temporary trace cache, before the timed harness runs.  The
+timed sweeps then measure simulation fan-out, not workload generation;
+under ``--jobs N`` the workers load their traces from that cache.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import pathlib
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 sys.path.insert(
@@ -89,9 +92,8 @@ def count_records(trace: WorkloadTrace) -> int:
     return total
 
 
-def make_context(args, jobs: int) -> ExperimentContext:
+def make_context(args, runner: JobRunner) -> ExperimentContext:
     scale = TPCCScale.tiny() if args.tiny else None
-    runner = JobRunner(jobs=jobs, trace_cache=None)
     return ExperimentContext(
         n_transactions=args.transactions, seed=args.seed, scale=scale,
         runner=runner,
@@ -102,26 +104,27 @@ def run_sweep(ctx: ExperimentContext):
     return run_figure5(ctx), run_figure6(ctx)
 
 
-def time_harness(args, jobs: int, spec_keys: set):
-    """Time figure5+figure6 once with the given fan-out.
+def time_harness(args, warm: JobRunner, jobs: int, spec_keys: set):
+    """Time one figure5+figure6 sweep with the given fan-out.
 
-    Every trace the runner materializes is recorded into ``spec_keys``
-    so the manifest's ``trace_spec_keys`` provenance survives the bench
-    bypassing the harness CLI.
+    The sweep runs on a fresh runner seeded with the traces of the
+    untimed ``warm`` runner.  Its result memo is empty, so every job is
+    simulated rather than answered from a memo.  Every trace the runner
+    touches is recorded into ``spec_keys`` so the manifest's
+    ``trace_spec_keys`` provenance survives the bench bypassing the
+    harness CLI.
     """
-    ctx = make_context(args, jobs)
-    # Warm the trace memo outside the timed region: both the serial and
-    # the parallel configuration then measure pure simulation time.
-    run_sweep(ctx)
+    runner = JobRunner(jobs=jobs, trace_cache=warm.trace_cache)
+    runner._memo.update(warm._memo)
+    ctx = make_context(args, runner)
     t0 = time.perf_counter()
     results = run_sweep(ctx)
     elapsed = time.perf_counter() - t0
-    spec_keys.update(ctx.runner.trace_spec_keys())
+    spec_keys.update(runner.trace_spec_keys())
     return elapsed, results
 
 
-def time_inner_loop(args, compile_traces: bool = True,
-                    columnar: bool = True):
+def time_inner_loop(args, compile_traces: bool = True):
     """Per-repetition seconds of one Machine.run on a TLS workload.
 
     ``--warmup`` repetitions run first and are excluded from the
@@ -132,9 +135,7 @@ def time_inner_loop(args, compile_traces: bool = True,
     """
     trace = materialize(_bench_spec(args), cache_dir=None)
     records = count_records(trace)
-    config = MachineConfig(
-        compile_traces=compile_traces, columnar=columnar
-    )
+    config = MachineConfig(compile_traces=compile_traces)
     for _ in range(max(0, args.warmup)):
         Machine(config).run(trace)
     samples = []
@@ -182,13 +183,11 @@ def _bench_spec(args) -> TraceSpec:
 
 
 def time_speculative_scenario(args):
-    """Figure-5 TLS sub-thread (baseline) mode, five ways.
+    """Figure-5 TLS sub-thread (baseline) mode, three ways.
 
     Returns ``(records, samples)`` where ``samples`` maps ``spec_on``
-    (the default: journaled batches + columnar bulk loads and stores),
-    ``columnar_stores_off`` (bulk loads without the store kernel),
-    ``columnar_off`` (batches without either columnar resolver),
-    ``spec_off`` (batching restricted to non-speculative epochs), and
+    (the default: journaled batches), ``spec_off`` (batching restricted
+    to non-speculative epochs), and
     ``interpreted`` to per-repetition seconds lists.  One Machine per
     timing (compile caches are process-wide, so compilation cost is
     amortized exactly as in the harness); the variants run interleaved
@@ -199,18 +198,8 @@ def time_speculative_scenario(args):
     trace = materialize(_bench_spec(args), cache_dir=None)
     records = count_records(trace)
     base = MachineConfig.for_mode(ExecutionMode.BASELINE)
-    if args.no_columnar:
-        base = dataclasses.replace(base, columnar=False)
-    if args.no_columnar_stores:
-        base = dataclasses.replace(base, columnar_stores=False)
     variants = {
         "spec_on": base,
-        "columnar_stores_off": dataclasses.replace(
-            base, columnar_stores=False
-        ),
-        "columnar_off": dataclasses.replace(
-            base, columnar=False, columnar_stores=False
-        ),
         "spec_off": dataclasses.replace(base, speculative_batches=False),
         "interpreted": dataclasses.replace(base, compile_traces=False),
     }
@@ -283,8 +272,9 @@ def append_trajectory(path: pathlib.Path, entries, min_ratio: float) -> int:
 
     The regression gate is per scenario: each new entry is compared
     against the most recent previous entry with the same runner class,
-    scale, and ``scenario`` ("inner_loop" when absent — the field
-    predates the speculative scenario).  Returns 1 when any scenario's
+    scale, ``scenario`` ("inner_loop" when absent — the field predates
+    the speculative scenario) and ``records`` (a different input size is
+    a different measurement, not a regression).  Returns 1 when any scenario's
     records/second fell below ``min_ratio`` times its previous entry,
     else 0.  The file is never rewritten — entries only accumulate,
     preserving the full performance history.
@@ -302,6 +292,7 @@ def append_trajectory(path: pathlib.Path, entries, min_ratio: float) -> int:
                 old.get("runner") == entry["runner"]
                 and old.get("scale") == entry["scale"]
                 and old.get("scenario", "inner_loop") == scenario
+                and old.get("records") == entry["records"]
             ):
                 previous = old
                 break
@@ -355,17 +346,6 @@ def main(argv=None) -> int:
         "--no-compile-traces", action="store_true",
         help=("time only the interpreted simulator path (skip the "
               "compiled-path measurement)"),
-    )
-    parser.add_argument(
-        "--no-columnar", action="store_true",
-        help=("disable the columnar bulk load resolver in the timed "
-              "configurations (the speculative scenario then times "
-              "spec_on with columnar off too)"),
-    )
-    parser.add_argument(
-        "--no-columnar-stores", action="store_true",
-        help=("disable the columnar bulk store resolver in the timed "
-              "configurations"),
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -427,8 +407,6 @@ def main(argv=None) -> int:
             "repeat": args.repeat,
             "warmup": args.warmup,
             "compile_traces": not args.no_compile_traces,
-            "columnar": not args.no_columnar,
-            "columnar_stores": not args.no_columnar_stores,
         },
         seed=args.seed,
     )
@@ -437,14 +415,21 @@ def main(argv=None) -> int:
     # manifest this run writes.
     spec_keys: set = {spec_key(_bench_spec(args))}
 
+    trace_dir = tempfile.TemporaryDirectory(prefix="bench-traces-")
+    print("warming traces (untimed figure5+figure6 sweep) ...")
+    warm = JobRunner(jobs=1, trace_cache=trace_dir.name)
+    run_sweep(make_context(args, warm))
+
     print("timing serial harness (figure5+figure6, jobs=1) ...")
-    serial_s, serial_results = time_harness(args, jobs=1, spec_keys=spec_keys)
+    serial_s, serial_results = time_harness(
+        args, warm, jobs=1, spec_keys=spec_keys
+    )
     print(f"  {serial_s:.2f}s")
 
     if jobs > 1:
         print(f"timing parallel harness (jobs={jobs}) ...")
         parallel_s, parallel_results = time_harness(
-            args, jobs=jobs, spec_keys=spec_keys
+            args, warm, jobs=jobs, spec_keys=spec_keys
         )
         print(f"  {parallel_s:.2f}s")
         identical = (
@@ -470,13 +455,13 @@ def main(argv=None) -> int:
             "serial_seconds": round(serial_s, 3),
             "parallel_comparison": "skipped_single_core",
         }
+    trace_dir.cleanup()
 
     print("timing simulator inner loop (compiled traces) ..."
           if not args.no_compile_traces
           else "timing simulator inner loop (interpreted) ...")
     records, inner_samples = time_inner_loop(
-        args, compile_traces=not args.no_compile_traces,
-        columnar=not args.no_columnar,
+        args, compile_traces=not args.no_compile_traces
     )
     inner = summarize(records, inner_samples)
     records_per_s = inner["records_per_second"]
@@ -488,7 +473,6 @@ def main(argv=None) -> int:
     inner_loop = dict(inner)
     inner_loop["records"] = records
     inner_loop["compile_traces"] = not args.no_compile_traces
-    inner_loop["columnar"] = not args.no_columnar
     if not args.no_compile_traces:
         print("timing simulator inner loop (interpreted, for reference) ...")
         records_i, interp_samples = time_inner_loop(
@@ -503,8 +487,7 @@ def main(argv=None) -> int:
         )
 
     print("timing speculative scenario (TLS sub-thread mode, "
-          "columnar on / stores off / off, batches off, "
-          "interpreted) ...")
+          "batches on / off, interpreted) ...")
     spec_records, spec_samples = time_speculative_scenario(args)
     spec = {
         name: summarize(spec_records, samples)
@@ -522,38 +505,20 @@ def main(argv=None) -> int:
         spec_rps["spec_on"] / spec_rps["interpreted"]
         if spec_rps["interpreted"] else None
     )
-    ratio_vs_columnar_off = (
-        spec_rps["spec_on"] / spec_rps["columnar_off"]
-        if spec_rps["columnar_off"] else None
-    )
-    ratio_vs_stores_off = (
-        spec_rps["spec_on"] / spec_rps["columnar_stores_off"]
-        if spec_rps["columnar_stores_off"] else None
-    )
-    for name in ("spec_on", "columnar_stores_off", "columnar_off",
-                 "spec_off", "interpreted"):
-        print(f"  {name:<19} {spec_records} records in "
+    for name in ("spec_on", "spec_off", "interpreted"):
+        print(f"  {name:<11} {spec_records} records in "
               f"{spec[name]['seconds']:.2f}s "
               f"({spec_rps[name]:,.0f} records/s, median "
               f"{spec[name]['median_records_per_second']:,.0f} "
               f"± {spec[name]['stdev_records_per_second']:,.0f})")
-    print(f"  on/stores_off {ratio_vs_stores_off:.2f}x   "
-          f"on/columnar_off {ratio_vs_columnar_off:.2f}x   "
-          f"on/off {ratio_vs_off:.2f}x   on/interpreted "
+    print(f"  on/off {ratio_vs_off:.2f}x   on/interpreted "
           f"{ratio_vs_interp:.2f}x")
     speculative = dict(spec["spec_on"])
     speculative["mode"] = ExecutionMode.BASELINE
     speculative["records"] = spec_records
     speculative.update({
-        "columnar_stores_off_records_per_second":
-            spec_rps["columnar_stores_off"],
-        "columnar_off_records_per_second": spec_rps["columnar_off"],
         "spec_off_records_per_second": spec_rps["spec_off"],
         "interpreted_records_per_second": spec_rps["interpreted"],
-        "ratio_vs_columnar_stores_off": round(ratio_vs_stores_off, 3)
-        if ratio_vs_stores_off else None,
-        "ratio_vs_columnar_off": round(ratio_vs_columnar_off, 3)
-        if ratio_vs_columnar_off else None,
         "ratio_vs_spec_off": round(ratio_vs_off, 3)
         if ratio_vs_off else None,
         "ratio_vs_interpreted": round(ratio_vs_interp, 3)
@@ -664,7 +629,6 @@ def main(argv=None) -> int:
                 "stdev_records_per_second":
                     inner["stdev_records_per_second"],
                 "compile_traces": not args.no_compile_traces,
-                "columnar": not args.no_columnar,
                 "python": platform.python_version(),
                 "manifest": final_manifest,
             },
@@ -679,18 +643,10 @@ def main(argv=None) -> int:
                     speculative["median_records_per_second"],
                 "stdev_records_per_second":
                     speculative["stdev_records_per_second"],
-                "columnar_stores_off_records_per_second":
-                    speculative["columnar_stores_off_records_per_second"],
-                "columnar_off_records_per_second":
-                    speculative["columnar_off_records_per_second"],
                 "spec_off_records_per_second":
                     speculative["spec_off_records_per_second"],
                 "interpreted_records_per_second":
                     speculative["interpreted_records_per_second"],
-                "ratio_vs_columnar_stores_off":
-                    speculative["ratio_vs_columnar_stores_off"],
-                "ratio_vs_columnar_off":
-                    speculative["ratio_vs_columnar_off"],
                 "ratio_vs_spec_off": speculative["ratio_vs_spec_off"],
                 "ratio_vs_interpreted":
                     speculative["ratio_vs_interpreted"],

@@ -256,26 +256,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "disable the columnar bulk load resolver (repro.memory."
-            "columnar) and dispatch every compiled load through the "
-            "scalar reference path; escape hatch — results are "
-            "byte-identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--no-columnar-stores",
-        action="store_true",
-        help=(
-            "disable the columnar bulk store resolver (repro.memory."
-            "columnar) and dispatch every compiled store through the "
-            "scalar reference path; escape hatch — results are "
-            "byte-identical either way"
-        ),
-    )
-    parser.add_argument(
         "--profile-out",
         type=pathlib.Path,
         default=None,
@@ -379,10 +359,6 @@ def main(argv=None) -> int:
         overrides["check_invariants"] = True
     if args.no_compile_traces:
         overrides["compile_traces"] = False
-    if args.no_columnar:
-        overrides["columnar"] = False
-    if args.no_columnar_stores:
-        overrides["columnar_stores"] = False
     result_store = None
     if args.result_store is not None:
         from ..service.store import ResultStore
@@ -520,8 +496,6 @@ def main(argv=None) -> int:
         "scale": args.scale or ("tiny" if args.tiny else "default"),
         "jobs": runner.jobs,
         "compile_traces": not args.no_compile_traces,
-        "columnar": not args.no_columnar,
-        "columnar_stores": not args.no_columnar_stores,
         "check_invariants": args.check_invariants,
     }
     if result_store is not None:

@@ -54,14 +54,6 @@ class L1Cache:
         #: the epoch-boundary sweeps touch only marked lines instead of
         #: walking every set.
         self._spec_tags: set = set()
-        #: Tags of lines whose ``notified`` flag is set — the columnar
-        #: mirror of the per-line flag, kept exactly in sync by every
-        #: mutation site (fill/mark_spec/invalidate/flash/clear and the
-        #: machine's inlined notify) so the bulk load resolver
-        #: (repro.memory.columnar) tests eligibility with one set
-        #: membership instead of chasing the L1Line object.  Always a
-        #: subset of ``_spec_tags``.
-        self._notified_tags: set = set()
         #: Tags of all resident lines (lets inclusion/invalidation walks
         #: reject absent lines — the overwhelmingly common case — with
         #: one set-membership test instead of a per-set lookup).
@@ -132,7 +124,6 @@ class L1Cache:
                 self._spec_tags.add(line_addr)
                 if notified:
                     existing.notified = True
-                    self._notified_tags.add(line_addr)
             return None
         evicted = None
         if len(by_tag) >= self._assoc:
@@ -142,8 +133,6 @@ class L1Cache:
             self.resident.discard(victim_tag)
             if evicted.spec:
                 self._spec_tags.discard(victim_tag)
-                if evicted.notified:
-                    self._notified_tags.discard(victim_tag)
         line = L1Line(tag=line_addr, spec=spec, notified=notified,
                       subidx=subidx if spec else -1)
         by_tag[line_addr] = line
@@ -151,8 +140,6 @@ class L1Cache:
         self.resident.add(line_addr)
         if spec:
             self._spec_tags.add(line_addr)
-            if notified:
-                self._notified_tags.add(line_addr)
         return evicted
 
     def mark_spec(self, line_addr: int, notified: bool,
@@ -164,10 +151,12 @@ class L1Cache:
             self._spec_tags.add(line_addr)
             if notified:
                 line.notified = True
-                self._notified_tags.add(line_addr)
 
     def is_notified(self, line_addr: int) -> bool:
-        return line_addr in self._notified_tags
+        if line_addr not in self.resident:
+            return False
+        cset = self._sets[(line_addr >> self._set_shift) & self._set_mask]
+        return cset._by_tag[line_addr].notified
 
     # ------------------------------------------------------------------
     # Invalidation (violations, epoch boundaries, L2 inclusion)
@@ -183,8 +172,6 @@ class L1Cache:
         self.resident.discard(line_addr)
         if removed.spec:
             self._spec_tags.discard(line_addr)
-            if removed.notified:
-                self._notified_tags.discard(line_addr)
         return True
 
     def flash_invalidate_spec(self, from_subidx: int = None) -> int:
@@ -210,7 +197,6 @@ class L1Cache:
                 continue
             cset.remove(tag)
             self.resident.discard(tag)
-            self._notified_tags.discard(tag)
             count += 1
         self._spec_tags = survivors if survivors is not None else set()
         self.spec_invalidations += count
@@ -225,25 +211,18 @@ class L1Cache:
                 entry.notified = False
                 entry.subidx = -1
         self._spec_tags.clear()
-        self._notified_tags.clear()
 
     def check_mirrors(self) -> None:
         """Assert the tag-set mirrors match the per-line flags exactly."""
         spec = set()
-        notified = set()
         resident = set()
         for cset in self._sets.values():
             for line in cset.entries():
                 resident.add(line.tag)
                 if line.spec:
                     spec.add(line.tag)
-                if line.notified:
-                    notified.add(line.tag)
         assert resident == self.resident, "L1 resident mirror diverged"
         assert spec == self._spec_tags, "L1 spec-tag mirror diverged"
-        assert notified == self._notified_tags, (
-            "L1 notified-tag mirror diverged"
-        )
 
     # ------------------------------------------------------------------
     # Introspection (tests)

@@ -232,7 +232,7 @@ class SpeculativeL2:
         self._offset_mask = geometry.offset_mask
         self._full_line_mask = full_mask(self.n_words)
         self.victim = VictimCache(capacity=victim_entries)
-        #: Columnar mirror of the on-chip tag state: line tag -> every
+        #: Index of the on-chip tag state: line tag -> every
         #: on-chip version of the line (its set's ways plus the victim
         #: cache), in installation order.  Maintained transactionally at
         #: the three points where an entry joins or leaves the chip

@@ -47,9 +47,6 @@ TOTAL_COUNTERS = (
     "compile.fastpath_loads",
     "compile.fastpath_stores",
     "compile.private_line_stores",
-    "compile.columnar_batches",
-    "compile.columnar_accesses",
-    "compile.columnar_residue",
 )
 
 

@@ -53,8 +53,9 @@ from ..sim import SimulationStats
 STORE_FORMAT = "repro-result-store"
 #: Bump whenever serialized ``SimulationStats`` change meaning without
 #: any keyed field changing; old entries then stop matching and are
-#: re-simulated.
-STORE_VERSION = 1
+#: re-simulated.  Version 2 dropped six bulk-kernel telemetry fields
+#: from the serialized stats.
+STORE_VERSION = 2
 
 
 def stats_to_doc(stats: SimulationStats) -> Dict[str, Any]:

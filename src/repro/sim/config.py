@@ -87,26 +87,6 @@ class MachineConfig:
     #: is the baseline the speculative bench_speed scenario compares
     #: against.  Byte-identical either way.
     speculative_batches: bool = True
-    #: Columnar bulk resolution of compiled load runs
-    #: (repro.memory.columnar): the chained dispatch loop resolves the
-    #: bulk-eligible prefix of each precompiled run of single-line loads
-    #: — L1-resident hits the L2 already knows about — in one call
-    #: against the caches' columnar tag mirrors, leaving misses and
-    #: exposed loads to the scalar reference path.  Requires
-    #: ``speculative_batches``; byte-identical either way.
-    #: ``--no-columnar`` on the harness CLI (or False here) is the
-    #: escape hatch / differential-testing axis.
-    columnar: bool = True
-    #: Columnar bulk resolution of compiled *store* runs: the chained
-    #: dispatch loop commits the bulk-eligible prefix of each
-    #: precompiled run of single-line private-line stores — resident
-    #: only in the storing L1, hitting an epoch-owned L2 version — in
-    #: one call, leaving installs, shared lines, and cross-L1
-    #: invalidations to the scalar reference path.  Requires
-    #: ``speculative_batches``; byte-identical either way.
-    #: ``--no-columnar-stores`` on the harness CLI (or False here) is
-    #: the escape hatch / differential-testing axis.
-    columnar_stores: bool = True
     #: Opt-in cycle-level invariant checking (repro.verify.invariants):
     #: the machine validates protocol and memory-system invariants as it
     #: runs.  Costs simulation time; off for all paper numbers.

@@ -1,10 +1,9 @@
 """The event-loop hot path, split out for optional AOT compilation.
 
 This module holds ``Machine._run_region``'s per-record event loop — the
-single hottest code in the simulator (every heap event, every chained
-record dispatch, and both columnar bulk arms flow through
-:func:`run_event_loop`).  It is deliberately written in the
-mypyc/Cython-compilable subset of Python so the ``[speed]`` install
+single hottest code in the simulator (every heap event and every
+chained record dispatch flows through :func:`run_event_loop`).  It is
+deliberately written in the mypyc/Cython-compilable subset of Python so the ``[speed]`` install
 extra can AOT-compile it (see :mod:`repro.sim.engine` for how the
 compiled twin is selected and ``REPRO_NO_COMPILED_ENGINE=1`` kills it):
 
@@ -40,8 +39,6 @@ from heapq import heappush as _heappush
 
 from ..core.accounting import Category
 from ..core.epoch import EpochStatus
-from ..memory.columnar import resolve_loads, resolve_stores
-from ..memory.l2 import COMMITTED
 from ..trace.compile import MEM as CK_MEM
 from ..trace.events import Rec
 from .timeline import STALL_BEGIN, SUBTHREAD_START
@@ -208,33 +205,17 @@ def run_event_loop(machine, spec_dispatch):
             sm = cp.store_mask
             ctx = cp.ctx
             subidx = cp.index
-            want = order
         else:
             su = sm = None
             ctx = None
             subidx = -1
-            want = COMMITTED
         (observer, overlap, load_policies, spacing_cfg, slice_limit,
          max_subthreads, start_cost, banks_reserve, chan_reserve,
          l2_lat, mem_lat, l2_load, l2_store, sync_waiters, msys, vp,
          banks, bank_shift, bank_mask, bank_free, bank_occ,
-         line_versions, l2_sets, l2_set_shift, l2_set_mask, ctx_lines,
          pipeline, l1, width, penalty, other_l1s, elt_update,
-         l1_resident, l1_sets, l1_shift, l1_mask, l1_notified,
-         other_resident,
+         l1_resident, l1_sets, l1_shift, l1_mask,
          ) = cpu.hoist
-        # Columnar bulk dispatch is gated per region: the machine-
-        # level gates (config + per-load policies) plus the observer
-        # and invariant hooks, which demand per-record callbacks the
-        # bulk passes would skip.
-        columnar_on = (
-            machine._columnar and observer is None
-            and invariants is None
-        )
-        columnar_stores_on = (
-            machine._columnar_stores and observer is None
-            and invariants is None
-        )
         while True:
             if invariants is not None:
                 invariants.on_step(machine)
@@ -266,138 +247,7 @@ def run_event_loop(machine, spec_dispatch):
             kind = rec[0]
             entry = compiled[cursor]
             t_next = None
-            if (
-                columnar_on and kind == Rec.LOAD
-                and entry is not None and len(entry) == 4
-                and not cpu.sync_skip
-            ):
-                # Columnar bulk resolution (repro.memory.columnar):
-                # the record opens (or continues) a compiled run of
-                # single-line loads.  Commit the run's bulk-eligible
-                # prefix — L1-resident hits needing no L2/engine/bank
-                # interaction — in one call; each costs exactly one
-                # cycle with no stall, so m accesses complete at
-                # now + m.  The residue record (first miss/exposed
-                # load) falls through to the scalar path next
-                # iteration.
-                block = entry[2]
-                max_n = len(block[0]) - entry[3]
-                if speculative and (
-                    len(epoch.subthreads) < max_subthreads
-                ):
-                    # The between-records checkpoint test must stay
-                    # unreachable inside the bulk.  Under adaptive
-                    # spacing the engine policy runs every record, so
-                    # bulk stands down entirely.
-                    if spacing_cfg is None:
-                        max_n = 0
-                    else:
-                        room = (
-                            spacing_cfg
-                            - epoch.instrs_since_checkpoint
-                        )
-                        if room < max_n:
-                            max_n = room
-                if max_n >= 2 and heap:
-                    # Every intermediate completion must beat the
-                    # heap top under the (time, cpu) tie-break,
-                    # exactly like the chain test at the bottom.
-                    top = heap[0]
-                    cand = int(top[0] - now) + 1
-                    if cand < max_n:
-                        max_n = cand
-                    if max_n >= 2:
-                        last = now + max_n - 1
-                        if last > top[0] or (
-                            last == top[0] and cpu_idx > top[1]
-                        ):
-                            max_n -= 1
-                m = 0
-                if max_n >= 2:
-                    m = resolve_loads(
-                        block, entry[3], max_n, l1_resident,
-                        l1_notified, su, l1_sets, l1_shift, l1_mask,
-                    )
-                if m:
-                    l1.hits += m
-                    epoch.instrs_since_checkpoint += m
-                    cp.instructions += m
-                    pending[_BUSY] += m
-                    machine._fast_loads += m
-                    machine._col_batches += 1
-                    machine._col_accesses += m
-                    epoch.cursor = cursor + m
-                    t_next = now + m
-                else:
-                    machine._col_residue += 1
-            elif (
-                columnar_stores_on and kind == Rec.STORE
-                and entry is not None and len(entry) == 4
-            ):
-                # Columnar bulk store resolution: the record opens
-                # (or continues) a compiled run of single-line
-                # private-line stores.  Commit the run's bulk-
-                # eligible prefix — stores hitting an epoch-owned L2
-                # version on a line resident only in this L1, needing
-                # no install/invalidate/violation work — in one call;
-                # like the scalar write-through path each store costs
-                # exactly one cycle with no stall, so m stores
-                # complete at now + m (each reserving its bank at its
-                # own cycle).  The residue record falls through to
-                # the scalar path next iteration.
-                block = entry[2]
-                max_n = len(block[0]) - entry[3]
-                if speculative and (
-                    len(epoch.subthreads) < max_subthreads
-                ):
-                    # Same checkpoint-unreachability clamp as the
-                    # load arm.
-                    if spacing_cfg is None:
-                        max_n = 0
-                    else:
-                        room = (
-                            spacing_cfg
-                            - epoch.instrs_since_checkpoint
-                        )
-                        if room < max_n:
-                            max_n = room
-                if max_n >= 2 and heap:
-                    top = heap[0]
-                    cand = int(top[0] - now) + 1
-                    if cand < max_n:
-                        max_n = cand
-                    if max_n >= 2:
-                        last = now + max_n - 1
-                        if last > top[0] or (
-                            last == top[0] and cpu_idx > top[1]
-                        ):
-                            max_n -= 1
-                m = 0
-                if max_n >= 2:
-                    m = resolve_stores(
-                        block, entry[3], max_n, l1_resident,
-                        other_resident, line_versions, want,
-                        l2_sets, l2_set_shift, l2_set_mask,
-                        l1_sets, l1_shift, l1_mask,
-                        sm, su, ctx, subidx, ctx_lines,
-                        l1._spec_tags, banks_reserve, now,
-                    )
-                if m:
-                    machine.l2.hits += m
-                    epoch.instrs_since_checkpoint += m
-                    cp.instructions += m
-                    pending[_BUSY] += m
-                    machine._fast_stores += m
-                    machine._private_stores += m
-                    machine._col_store_batches += 1
-                    machine._col_store_accesses += m
-                    epoch.cursor = cursor + m
-                    t_next = now + m
-                else:
-                    machine._col_store_residue += 1
-            if t_next is not None:
-                pass  # columnar bulk committed; straight to chaining
-            elif entry is not None and entry[0] == CK_MEM:
+            if entry is not None and entry[0] == CK_MEM:
                 if kind == Rec.LOAD:
                     # _do_load_fast, inlined against the hoisted
                     # locals.
@@ -559,7 +409,6 @@ def run_event_loop(machine, spec_dispatch):
                                                 lobj.subidx = subidx
                                             l1._spec_tags.add(line)
                                             lobj.notified = True
-                                            l1_notified.add(line)
                                 continue
                             l1.misses += 1
                             written = su.get(line)

@@ -272,31 +272,6 @@ class Machine:
         )
         self._spec_batches = 0
         self._batch_squashes = 0
-        #: Columnar bulk resolution of compiled load runs
-        #: (repro.memory.columnar).  Rides on the chained dispatch loop;
-        #: the per-load policies make every load a stateful engine call,
-        #: which the bulk path cannot replicate, so they force scalar.
-        #: Observer/invariant gates are per-region (they can be attached
-        #: after construction).
-        self._columnar = (
-            self._spec_dispatch and self.config.columnar
-            and not self._load_policies
-        )
-        self._col_batches = 0
-        self._col_accesses = 0
-        self._col_residue = 0
-        #: Columnar bulk resolution of compiled private-store runs
-        #: (repro.memory.columnar.resolve_stores).  Same dispatch
-        #: requirements as the load kernel, gated independently
-        #: (``columnar_stores``) so the two kernels form separate
-        #: differential-testing axes.
-        self._columnar_stores = (
-            self._spec_dispatch and self.config.columnar_stores
-            and not self._load_policies
-        )
-        self._col_store_batches = 0
-        self._col_store_accesses = 0
-        self._col_store_residue = 0
         #: The event-loop core (repro.sim.engine): the AOT-compiled
         #: twin of sim/engine_core.py when built and not killed by
         #: ``REPRO_NO_COMPILED_ENGINE=1``, else the pure-Python
@@ -515,8 +490,6 @@ class Machine:
                 self._sync_waiters, self.msys, self._value_predict,
                 banks, banks._line_shift, banks._bank_mask,
                 banks._next_free, banks.occupancy,
-                l2._line_versions, l2._sets, l2._set_shift,
-                l2._set_mask, l2._ctx_lines,
             )
             for c in cpus:
                 c.hoist = shared + (
@@ -525,8 +498,7 @@ class Machine:
                     self._other_l1s[c.index],
                     engine.exposed_load_tables[c.index].update,
                     c.l1.resident, c.l1._sets, c.l1._set_shift,
-                    c.l1._set_mask, c.l1._notified_tags,
-                    tuple(o.resident for o in self._other_l1s[c.index]),
+                    c.l1._set_mask,
                 )
         # The same-cycle processing census is region-scoped (see
         # _restore_batch_journal); a journal never spans regions.
@@ -1578,15 +1550,6 @@ class Machine:
             ("compile.spec_batches", lambda: self._spec_batches),
             ("compile.batch_squashes", lambda: self._batch_squashes),
             ("compile.region_cache_reuses", lambda: self._compile_reuses),
-            ("compile.columnar_batches", lambda: self._col_batches),
-            ("compile.columnar_accesses", lambda: self._col_accesses),
-            ("compile.columnar_residue", lambda: self._col_residue),
-            ("compile.columnar_store_batches",
-             lambda: self._col_store_batches),
-            ("compile.columnar_store_accesses",
-             lambda: self._col_store_accesses),
-            ("compile.columnar_store_residue",
-             lambda: self._col_store_residue),
         ])
         return registry
 

@@ -46,12 +46,6 @@ METRIC_SOURCES: Dict[str, str] = {
     "compile.spec_batches": "compiled_spec_batches",
     "compile.batch_squashes": "compiled_batch_squashes",
     "compile.region_cache_reuses": "compiled_region_cache_reuses",
-    "compile.columnar_batches": "columnar_batches",
-    "compile.columnar_accesses": "columnar_accesses",
-    "compile.columnar_residue": "columnar_residue",
-    "compile.columnar_store_batches": "columnar_store_batches",
-    "compile.columnar_store_accesses": "columnar_store_accesses",
-    "compile.columnar_store_residue": "columnar_store_residue",
 }
 
 
@@ -102,19 +96,6 @@ class SimulationStats:
     #: cache (process-wide memo or segment-attached) instead of being
     #: lowered again.
     compiled_region_cache_reuses: int = field(default=0, compare=False)
-    #: Columnar kernel telemetry (repro.memory.columnar): bulk resolver
-    #: calls that committed a prefix, the loads they resolved, and the
-    #: block-covered loads that went through the scalar residue path
-    #: instead (ineligible first access or dispatch-window clamp).
-    columnar_batches: int = field(default=0, compare=False)
-    columnar_accesses: int = field(default=0, compare=False)
-    columnar_residue: int = field(default=0, compare=False)
-    #: Same telemetry for the columnar *store* kernel: bulk commits of
-    #: private-line store runs, the stores they retired, and the
-    #: block-covered stores that fell back to the scalar path.
-    columnar_store_batches: int = field(default=0, compare=False)
-    columnar_store_accesses: int = field(default=0, compare=False)
-    columnar_store_residue: int = field(default=0, compare=False)
     #: Hottest profiled (load PC, store PC, failed cycles, violations)
     #: tuples, worst first.  Run telemetry for the observability report;
     #: compare=False so architectural-equality checks stay unaffected.

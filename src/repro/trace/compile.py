@@ -49,22 +49,6 @@ tracking), and the region-privacy classification below.  These are pure
 functions of the immutable cache geometry, so they are exact in every
 execution mode.
 
-**Columnar load and store blocks.**  Maximal runs of consecutive
-single-line LOAD records — and, separately, runs of consecutive
-single-line *private* STORE records — are additionally lowered into
-parallel columnar arrays (the per-record line tuples transposed into
-``lines`` / ``word_masks`` columns, numpy-backed for long runs when
-numpy is importable — see :mod:`repro.memory.columnar`).  The machine's
-chained dispatch resolves a run's bulk-eligible prefix (loads:
-L1-resident, already-notified hits; stores: private lines resident only
-in the storing L1 with an epoch-owned L2 version) in a single call
-instead of once-per-record; every MEM entry of such a run is widened to
-``(MEM, lines, block, offset)`` so bulk resolution can resume mid-run
-after a scalar residue record.  Store runs never span one of the
-epoch's conflict boundaries (below) — the same no-conflict-window-
-crossing rule speculative batches obey — so the common cross-epoch
-squash lands at a run edge.
-
 **Region-private line classification.**  A line touched by exactly one
 epoch of the region is *private*; a line touched by two or more is
 *shared*.  A store to a private line provably cannot violate anyone — a
@@ -89,16 +73,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cpu.pipeline import PipelineConfig
-from ..memory.columnar import build_block
 from ..trace.events import EpochTrace, Op, Rec
 
 #: Compiled-entry kinds (first element of every compiled entry).
 BATCH = 0
 MEM = 1
-
-#: Minimum run of consecutive single-line loads (or private single-line
-#: stores) worth a columnar block.
-_COLUMNAR_MIN_RUN = 2
 
 #: Process-wide compiled-region memo: ``(trace content key, segment
 #: ordinal, compile key) -> per-epoch entry lists``.  The content key is
@@ -352,76 +331,6 @@ def compile_region(
                 i = j
             else:
                 i = j if j > i else i + 1
-        _lower_columnar(records, entries, bounds)
         out.epochs.append(entries)
     return out
 
-
-def _lower_columnar(records, entries, bounds=()) -> None:
-    """Attach columnar blocks to single-line load and store runs.
-
-    Each maximal run of ``_COLUMNAR_MIN_RUN``-plus consecutive LOAD
-    records that touch exactly one line — and each such run of STORE
-    records whose single line is region-private — gets one shared
-    :func:`repro.memory.columnar.build_block` column set — the run's
-    interned line tuples transposed into parallel ``lines`` /
-    ``word_masks`` columns — and every MEM entry in the run is widened
-    to ``(MEM, lines, block, offset)`` so the machine's bulk resolver
-    can start mid-run (the previous attempt may have committed only an
-    eligible prefix, leaving the cursor inside the block).  Store runs
-    are additionally split at the epoch's conflict ``bounds`` (a run
-    may end exactly on a boundary but never crosses one), mirroring the
-    speculative-batch rule: a store run then cannot straddle the window
-    where another epoch first touches a line this epoch shares, keeping
-    the common cross-epoch squash at a run edge.  Loads need no such
-    split — a bulk load prefix commits only already-notified hits, whose
-    eligibility a concurrent store revokes through the tag mirrors
-    themselves.  Entries outside a run keep the two-element
-    ``(MEM, lines)`` shape; dispatch code indexes only ``entry[0]`` /
-    ``entry[1]``, so both shapes flow through the scalar path
-    unchanged.  Blocks are pure functions of records + geometry +
-    region classification — the same inputs the MEM entries depend on —
-    so the compile key and memo sharing are unaffected.
-    """
-    n = len(entries)
-    i = 0
-    while i < n:
-        e = entries[i]
-        if e is None or e[0] != MEM or len(e[1]) != 1:
-            i += 1
-            continue
-        kind = records[i][0]
-        if kind == Rec.LOAD:
-            j = i + 1
-            while j < n:
-                ej = entries[j]
-                if (
-                    ej is None or ej[0] != MEM
-                    or records[j][0] != Rec.LOAD or len(ej[1]) != 1
-                ):
-                    break
-                j += 1
-        else:
-            if not e[1][0][4]:  # shared line: scalar store path only
-                i += 1
-                continue
-            if bounds:
-                k = bisect_right(bounds, i)
-                bound = bounds[k] if k < len(bounds) else n
-            else:
-                bound = n
-            j = i + 1
-            while j < n and j < bound:
-                ej = entries[j]
-                if (
-                    ej is None or ej[0] != MEM
-                    or records[j][0] != Rec.STORE
-                    or len(ej[1]) != 1 or not ej[1][0][4]
-                ):
-                    break
-                j += 1
-        if j - i >= _COLUMNAR_MIN_RUN:
-            block = build_block([entries[k][1][0] for k in range(i, j)])
-            for off, k in enumerate(range(i, j)):
-                entries[k] = (MEM, entries[k][1], block, off)
-        i = j

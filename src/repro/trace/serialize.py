@@ -28,7 +28,10 @@ FORMAT_VERSION = 1
 
 
 def _records_out(records: List[Record]) -> list:
-    return [list(r) for r in records]
+    # JSON encodes a tuple exactly like a list, so the record tuples go
+    # into the document unconverted: a per-record list() would cost more
+    # than encoding the whole document.
+    return list(records)
 
 
 def _records_in(raw: list) -> List[Record]:
@@ -36,7 +39,11 @@ def _records_in(raw: list) -> List[Record]:
 
 
 def workload_to_dict(workload: WorkloadTrace) -> dict:
-    """Plain-dict form (the JSON document) of a workload trace."""
+    """Plain-dict form (the JSON document) of a workload trace.
+
+    Records stay tuples; JSON writes them as arrays, and
+    :func:`workload_from_dict` accepts either form.
+    """
     txns = []
     for txn in workload.transactions:
         segments = []
@@ -106,9 +113,15 @@ def workload_from_dict(doc: dict) -> WorkloadTrace:
 
 
 def save_workload(workload: WorkloadTrace, path) -> None:
-    """Write the trace as JSON to ``path``."""
+    """Write the trace as JSON to ``path``.
+
+    ``json.dumps`` runs CPython's C encoder in one shot, where
+    ``json.dump`` streams through the pure-Python ``_iterencode``; the
+    bytes are identical, the C encoder is several times faster.
+    """
+    text = json.dumps(workload_to_dict(workload), separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(workload_to_dict(workload), fh, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_workload(path) -> WorkloadTrace:

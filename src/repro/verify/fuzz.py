@@ -8,10 +8,6 @@ observer attached and the serial-replay oracle checking the result.
 Each (mode, config) case runs through *both* simulator paths — compiled
 traces and fully interpreted — and the two runs must agree on every
 simulation statistic, making the trace compiler itself a fuzzed axis.
-Observer-free differential pairs additionally compare the columnar
-bulk resolvers (loads and stores) against the scalar compiled path and
-against each other, so both columnar kernels are fuzzed on exactly the
-configurations where they engage.
 With ``--check-invariants`` the cycle-level invariant checker runs as
 well, at a tight sweep interval.
 
@@ -258,15 +254,10 @@ def _run_case(
     message, or None when the run is equivalent.
 
     Every case runs twice under the oracle — once through the
-    compiled-trace fast path and once fully interpreted — plus
-    observer-free differential pairs: the columnar bulk resolvers only
-    engage when no observer demands per-record callbacks, so a bare
-    fully-columnar run is compared against a bare scalar run (both
-    kernels off) *and* against a loads-only run (``columnar_stores=
-    False``), isolating the store kernel as its own axis.  All
-    comparisons must produce equal simulation statistics;
-    ``SimulationStats.__eq__`` already ignores the compile/columnar
-    telemetry counters, which are the only fields allowed to differ.
+    compiled-trace fast path and once fully interpreted — and both runs
+    must produce equal simulation statistics; ``SimulationStats.__eq__``
+    already ignores the compile telemetry counters, which are the only
+    fields allowed to differ.
     """
     try:
         compiled = run_with_oracle(
@@ -279,27 +270,6 @@ def _run_case(
             return (
                 "CompiledPathMismatch: compiled-trace stats differ from "
                 "the interpreted path"
-            )
-        columnar_stats = Machine(dataclasses.replace(
-            config, compile_traces=True, columnar=True
-        )).run(workload)
-        scalar_stats = Machine(dataclasses.replace(
-            config, compile_traces=True, columnar=False,
-            columnar_stores=False,
-        )).run(workload)
-        if columnar_stats != scalar_stats:
-            return (
-                "ColumnarPathMismatch: columnar bulk stats differ "
-                "from the scalar compiled path"
-            )
-        stores_off_stats = Machine(dataclasses.replace(
-            config, compile_traces=True, columnar=True,
-            columnar_stores=False,
-        )).run(workload)
-        if columnar_stats != stores_off_stats:
-            return (
-                "ColumnarStoreMismatch: columnar bulk-store stats "
-                "differ from the loads-only columnar path"
             )
     except (OracleMismatch, InvariantError, AssertionError) as exc:
         return f"{type(exc).__name__}: {exc}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -10,8 +11,16 @@ from hypothesis import settings
 from repro.core.engine import TLSConfig, TLSEngine
 from repro.memory.cache import CacheGeometry
 from repro.memory.l2 import SpeculativeL2
+from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import TPCCScale, generate_workload
 from repro.trace import TraceRecorder, default_costs
+from repro.trace.events import (
+    EpochTrace,
+    ParallelRegion,
+    Rec,
+    TransactionTrace,
+    WorkloadTrace,
+)
 
 # Hypothesis profiles: "ci" turns the example count up and disables the
 # per-example deadline (shared CI runners are jittery); select with
@@ -49,6 +58,61 @@ class DictDirectory:
 
     def subidx_of(self, ctx: int) -> int:
         return self.subidxs[ctx]
+
+
+#: Base PC of the crafted memory-access passes below.
+PC = 0x40_0000
+
+
+def one_txn_workload(segments, name="w"):
+    """A workload of one transaction over the given segments."""
+    txn = TransactionTrace(name="t", segments=segments)
+    return WorkloadTrace(name=name, transactions=[txn])
+
+
+def region_of(*epoch_records):
+    """A parallel region with one epoch per record list."""
+    return ParallelRegion(
+        epochs=[
+            EpochTrace(epoch_id=i, records=list(recs))
+            for i, recs in enumerate(epoch_records)
+        ]
+    )
+
+
+def load_pass(base, n, stride=32, pc=PC):
+    """``n`` single-line loads, one per ``stride``-spaced line."""
+    return [(Rec.LOAD, base + stride * i, 4, pc + 8 * i) for i in range(n)]
+
+
+def store_pass(base, n, stride=32, pc=PC):
+    """``n`` single-line stores, one per ``stride``-spaced line."""
+    return [(Rec.STORE, base + stride * i, 4, pc + 8 * i) for i in range(n)]
+
+
+def run_compiled_and_interpreted(wl, mode=ExecutionMode.BASELINE,
+                                 **overrides):
+    """(compiled stats, interpreted stats, compiled machine).
+
+    The compiled machine is returned for post-run structural checks
+    (L1 tag mirrors, L2 line-version index).
+    """
+    config = MachineConfig.for_mode(mode)
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
+    machine = Machine(config)
+    compiled = machine.run(wl)
+    interpreted = Machine(
+        dataclasses.replace(config, compile_traces=False)
+    ).run(wl)
+    return compiled, interpreted, machine
+
+
+def check_cache_structures(machine):
+    """Assert every L1 tag mirror and the L2 version index are exact."""
+    for cpu in machine.cpus:
+        cpu.l1.check_mirrors()
+    machine.l2.check_invariants()
 
 
 @pytest.fixture

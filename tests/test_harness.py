@@ -1,5 +1,10 @@
 """Tests for the experiment harness (tiny scale, fast)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (
@@ -245,3 +250,22 @@ class TestMixLatency:
             assert row.speedup > 0.75
         assert result.overall_speedup() > 0.9
         assert "E13" in result.render()
+
+
+class TestImportFootprint:
+    def test_drivers_do_not_import_numpy(self):
+        # numpy is not a dependency; importing the Figure-5/6, sampled
+        # and export drivers must not pull it in (importing numpy costs
+        # about 0.1 s of every harness start-up).
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "import repro.harness.figure5, repro.harness.figure6\n"
+            "import repro.harness.sampled, repro.harness.export\n"
+            "sys.exit(1 if 'numpy' in sys.modules else 0)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()

@@ -3,9 +3,20 @@
 import pytest
 
 from repro.memory.cache import CacheGeometry
-from repro.memory.l2 import COMMITTED, SpeculativeL2
+from repro.memory.l2 import COMMITTED, L2Entry, L2Set, SpeculativeL2
+from repro.sim import ExecutionMode
+from repro.trace.events import Rec
 
-from conftest import DictDirectory
+from conftest import (
+    PC,
+    DictDirectory,
+    check_cache_structures,
+    load_pass,
+    one_txn_workload,
+    region_of,
+    run_compiled_and_interpreted,
+    store_pass,
+)
 
 A = 0x1000  # a line-aligned address
 B = 0x2000
@@ -385,3 +396,185 @@ class TestSquashPreservesForeignLoadBits:
         assert committed[0].spec_loaded.get(reader) == 0b01
         res = l2.store(A, 4, order=15, ctx=None)
         assert [v.victim_order for v in res.violations] == [20]
+
+
+class TestIdentityBasedRemoval:
+    """L2Entry compares by value, so two distinct versions can compare
+    equal (two committed copies mid-merge).  Set removal and LRU touch
+    must act on the named object, never on its first equal twin."""
+
+    def test_remove_drops_the_named_twin(self):
+        cset = L2Set(assoc=4)
+        first, second = L2Entry(tag=A), L2Entry(tag=A)
+        assert first == second and first is not second
+        cset.add(first)
+        cset.add(second)
+        cset.remove(second)
+        assert len(cset) == 1
+        assert cset.entries()[0] is first
+        with pytest.raises(ValueError):
+            cset.remove(second)
+
+    def test_touch_moves_the_named_twin(self):
+        cset = L2Set(assoc=4)
+        first, second = L2Entry(tag=A), L2Entry(tag=A)
+        cset.add(first)
+        cset.add(second)
+        cset.touch(first)
+        assert [id(e) for e in cset.entries()] == [id(second), id(first)]
+
+
+class TestPrivateStoreRuns:
+    """Runs of single-line stores through the chained compiled dispatch
+    stay byte-identical to the interpreted path, and the L2 line-version
+    index stays exact.  The first pass installs each line; later passes
+    hit epoch-owned resident versions."""
+
+    BASE = 0x5600_0000
+
+    def _workload(self):
+        e0 = (
+            store_pass(self.BASE, 12)
+            + [(Rec.COMPUTE, 20)]
+            + store_pass(self.BASE, 12)
+        )
+        return one_txn_workload([region_of(e0)])
+
+    def test_single_epoch_store_runs_match_interpreted(self):
+        comp, interp, machine = run_compiled_and_interpreted(
+            self._workload()
+        )
+        assert comp.compiled_fastpath_stores == 24
+        assert comp.private_line_stores == 24
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)
+
+    def test_speculative_epoch_store_runs_match_interpreted(self):
+        # Distinct per-epoch bases keep every line region-private.
+        base = self.BASE + 0x10000
+        epochs = []
+        for e in range(3):
+            lines = base + 0x1000 * e
+            epochs.append(
+                store_pass(lines, 10)
+                + [(Rec.COMPUTE, 30)]
+                + store_pass(lines, 10)
+                + [(Rec.COMPUTE, 10)]
+                + store_pass(lines, 10)
+            )
+        comp, interp, machine = run_compiled_and_interpreted(
+            one_txn_workload([region_of(*epochs)])
+        )
+        assert comp.private_line_stores > 0
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)
+
+    def test_shared_line_stores_skip_private_path(self):
+        # Both epochs store the same lines: region classification marks
+        # them shared, so every store takes the violation-scanning path.
+        base = self.BASE + 0x20000
+        e0 = store_pass(base, 8) + [(Rec.COMPUTE, 10)]
+        e1 = [(Rec.COMPUTE, 200)] + store_pass(base, 8)
+        comp, interp, machine = run_compiled_and_interpreted(
+            one_txn_workload([region_of(e0, e1)])
+        )
+        assert comp.compiled_fastpath_stores == 16
+        assert comp.private_line_stores == 0
+        assert comp == interp
+        check_cache_structures(machine)
+
+    def test_private_store_counter_is_telemetry_only(self):
+        comp, interp, _ = run_compiled_and_interpreted(self._workload())
+        assert comp.private_line_stores != interp.private_line_stores
+        assert comp == interp
+
+
+class TestStoreRunSquash:
+    """A violation squashes an epoch in the middle of its private store
+    runs; the rewind drops its L2 versions exactly as the interpreted
+    path does."""
+
+    A = 0x5700_0000
+    P = 0x5710_0000
+
+    def _workload(self):
+        # e0 stores the shared line after a long compute; e1 loads it
+        # speculatively first, then cycles over private store runs until
+        # the store squashes it.
+        e0 = [(Rec.COMPUTE, 900), (Rec.STORE, self.A, 4, PC)]
+        e1 = [(Rec.LOAD, self.A, 4, PC + 16)]
+        for rep in range(6):
+            e1 += store_pass(self.P, 10, pc=PC + 0x100 * rep)
+            e1 += [(Rec.COMPUTE, 20)]
+        return one_txn_workload([region_of(e0, e1)])
+
+    def test_squash_no_subthread_mode(self):
+        comp, interp, machine = run_compiled_and_interpreted(
+            self._workload(), ExecutionMode.NO_SUBTHREAD
+        )
+        assert comp.primary_violations >= 1
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)
+
+    def test_squash_with_subthreads(self):
+        comp, interp, machine = run_compiled_and_interpreted(
+            self._workload()
+        )
+        assert comp.primary_violations >= 1
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)
+
+
+class TestVersionIndexUnderVictimPressure:
+    """A tiny L2 with a tiny victim cache spills and overflows while the
+    compiled fast paths resolve versions through ``_line_versions``; the
+    index must track every move and the run must match the interpreted
+    path."""
+
+    BASE = 0x5400_0000
+
+    def test_load_runs_spill_and_match_interpreted(self):
+        epochs = []
+        for e in range(4):
+            base = self.BASE + 0x8000 * e
+            recs = []
+            for rep in range(3):
+                recs += load_pass(base, 16, pc=PC + 0x100 * rep)
+                recs += [
+                    (Rec.STORE, base + 32 * (rep + 1), 4, PC + 0x900 + rep)
+                ]
+                recs += [(Rec.COMPUTE, 15)]
+                recs += load_pass(base, 16, pc=PC + 0x100 * rep + 4)
+            epochs.append(recs)
+        comp, interp, machine = run_compiled_and_interpreted(
+            one_txn_workload([region_of(*epochs)]),
+            l2_size=1024, l2_assoc=2, victim_entries=2,
+        )
+        assert comp.victim_spills > 0
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)
+
+    def test_store_runs_spill_and_match_interpreted(self):
+        base = 0x5720_0000
+        epochs = []
+        for e in range(4):
+            eb = base + 0x8000 * e
+            recs = []
+            for rep in range(3):
+                recs += store_pass(eb, 16, pc=PC + 0x100 * rep)
+                recs += [(Rec.COMPUTE, 15)]
+                recs += store_pass(eb, 16, pc=PC + 0x100 * rep + 4)
+            epochs.append(recs)
+        comp, interp, machine = run_compiled_and_interpreted(
+            one_txn_workload([region_of(*epochs)]),
+            l2_size=256, l2_assoc=2, victim_entries=2,
+        )
+        assert comp.victim_spills > 0
+        assert comp == interp
+        assert comp.total_cycles == interp.total_cycles
+        check_cache_structures(machine)

@@ -1,5 +1,8 @@
 """Tests for workload-trace serialization."""
 
+import io
+import json
+
 import pytest
 
 from repro.sim import ExecutionMode, Machine, MachineConfig
@@ -51,6 +54,22 @@ class TestRoundTrip:
         save_workload(workload, path)
         again = load_workload(path)
         assert again.instruction_count == workload.instruction_count
+
+    def test_file_bytes_are_the_compact_json_document(self, workload,
+                                                      tmp_path):
+        # Pins the trace-cache format, so existing cache entries stay
+        # valid: the one-shot C encoder over the tuple-record document
+        # writes the same bytes as the streaming encoder over the
+        # all-list document.
+        path = tmp_path / "trace.json"
+        save_workload(workload, path)
+        expected = json.dumps(
+            workload_to_dict(workload), separators=(",", ":")
+        )
+        assert path.read_bytes() == expected.encode()
+        streamed = io.StringIO()
+        json.dump(json.loads(expected), streamed, separators=(",", ":"))
+        assert streamed.getvalue() == expected
 
     def test_simulation_of_loaded_trace_is_identical(self, workload,
                                                      tmp_path):

@@ -27,6 +27,7 @@ from repro.harness.export import export_json
 from repro.harness.parallel import JobFailure
 from repro.obs import assert_valid_journal
 from repro.service import (
+    STORE_VERSION,
     Journal,
     ResultStore,
     RetryPolicy,
@@ -112,6 +113,23 @@ class TestResultStore:
         entry["version"] = -1
         path.write_text(json.dumps(entry))
         assert store.get_stats("k", config) is None
+
+        # A version-1 entry still carries telemetry fields that
+        # SimulationStats no longer has; it must read as a miss, never
+        # raise.
+        assert STORE_VERSION == 2
+        entry["version"] = 1
+        entry["stats"]["retired_kernel_batches"] = 0
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        # Even mislabeled as current, the retired fields cannot round-trip.
+        entry["version"] = STORE_VERSION
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        assert store.counters()["hits"] == 0
+        # The next commit overwrites the stale entry with a readable one.
+        store.put_stats("k", config, tiny_stats)
+        assert store.get_stats("k", config) == tiny_stats
 
     def test_scan_counts_entries(self, tmp_path, tiny_stats):
         store = ResultStore(tmp_path)
