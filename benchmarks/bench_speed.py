@@ -8,26 +8,24 @@ performance trajectory is tracked across PRs:
    (default: all CPUs), which must produce bit-identical results.
    Each timed sweep runs on a fresh ``JobRunner`` whose result memo is
    empty, so it simulates every job.
-3. **Inner-loop throughput** — trace records simulated per second by a
-   single ``Machine.run`` on a pre-generated TLS workload.
+3. **Inner-loop throughput** — trace records simulated per second by
+   ``Machine.run`` on a pre-generated TLS workload.
 4. **Speculative scenario** — the same workload under the Figure-5
-   TLS sub-thread (baseline) mode, timed three ways: journaled
-   speculative batches (the default), batching restricted to
-   non-speculative epochs (``speculative_batches=False``), and fully
-   interpreted (``compile_traces=False``).  The
-   variants are interleaved per repetition so thermal/frequency drift
-   cannot skew the ratios.  All throughputs land in the trajectory
-   entry; ``--spec-min-vs-interpreted`` turns the compiled-vs-
-   interpreted ratio into a CI gate.
-5. **Compiled engine** — the inner-loop workload under the AOT-
-   compiled event loop vs the pure-Python reference, interleaved via
-   the ``REPRO_NO_COMPILED_ENGINE`` kill switch.  Skipped (and
-   recorded as such) when no ``[speed]`` build is importable;
-   ``--compiled-min-ratio`` turns the compiled-vs-pure ratio into a
-   CI gate.
+   TLS sub-thread (baseline) mode, timed two ways: compiled (chained
+   dispatch, the default) and fully interpreted
+   (``compile_traces=False``).  The variants are interleaved per
+   repetition so thermal/frequency drift cannot skew the ratio.  Both
+   throughputs land in the trajectory entry;
+   ``--spec-min-vs-interpreted`` turns the compiled-vs-interpreted
+   ratio into a CI gate.
 
-Every timed scenario reports best-of-N (the headline and gate input)
-plus the median and records/second stdev of the repetitions, and
+One run of the inner-loop workload lasts only ~15 ms, too short to time
+with a small spread, so each sample runs the trace back to back until
+it lasts at least 0.2 s.  The run count is picked once per variant,
+after warmup, the way ``timeit.Timer.autorange`` does, and each sample
+reports seconds per run.  Every timed scenario reports best-of-N (the
+headline and gate input) plus the median and records/second stdev of
+the repetitions, and
 ``--json`` echoes the whole perf document to stdout.  Trajectory
 appends are linted against the ``repro.obs.schema`` bench-trajectory
 schema before the script exits.
@@ -55,6 +53,7 @@ import statistics
 import sys
 import tempfile
 import time
+import timeit
 
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -71,8 +70,7 @@ from repro.obs import (  # noqa: E402
 from repro.harness.figure5 import run_figure5  # noqa: E402
 from repro.harness.figure6 import run_figure6  # noqa: E402
 from repro.harness.tracecache import TraceSpec, materialize, spec_key  # noqa: E402
-from repro.sim import ExecutionMode, Machine, MachineConfig, engine_kind  # noqa: E402
-from repro.sim.engine import KILL_SWITCH  # noqa: E402
+from repro.sim import ExecutionMode, Machine, MachineConfig  # noqa: E402
 from repro.tpcc import TPCCScale  # noqa: E402
 from repro.trace.events import (  # noqa: E402
     ParallelRegion,
@@ -124,26 +122,53 @@ def time_harness(args, warm: JobRunner, jobs: int, spec_keys: set):
     return elapsed, results
 
 
+def runs_per_sample(config: MachineConfig, trace: WorkloadTrace) -> int:
+    """Back-to-back runs that make one timing sample last >= 0.2 s.
+
+    ``timeit.Timer.autorange`` tries 1, 2, 5, 10, 20, 50, ... runs until
+    their total reaches 0.2 s.  Call it after warmup, so one-time costs
+    do not shrink the count.
+    """
+    number, _ = timeit.Timer(lambda: Machine(config).run(trace)).autorange()
+    return number
+
+
+def time_sample(config: MachineConfig, trace: WorkloadTrace,
+                runs: int) -> float:
+    """Seconds per ``Machine.run``, averaged over ``runs`` runs.
+
+    Each run gets a fresh Machine, built outside the timed region.
+    """
+    total = 0.0
+    for _ in range(runs):
+        machine = Machine(config)
+        t0 = time.perf_counter()
+        machine.run(trace)
+        total += time.perf_counter() - t0
+    return total / runs
+
+
 def time_inner_loop(args, compile_traces: bool = True):
     """Per-repetition seconds of one Machine.run on a TLS workload.
 
     ``--warmup`` repetitions run first and are excluded from the
     samples: the first run pays one-time costs (trace compilation into
     the process-wide memo, branch-predictor warm allocation) that are
-    not inner-loop throughput.  Returns ``(records, samples)`` — use
-    :func:`summarize` for best/median/stdev.
+    not inner-loop throughput.  Each sample averages enough back-to-back
+    runs to last at least 0.2 s (:func:`runs_per_sample`).  Returns
+    ``(records, samples)`` — use :func:`summarize` for
+    best/median/stdev.
     """
     trace = materialize(_bench_spec(args), cache_dir=None)
     records = count_records(trace)
     config = MachineConfig(compile_traces=compile_traces)
     for _ in range(max(0, args.warmup)):
         Machine(config).run(trace)
-    samples = []
-    for _ in range(max(1, args.repeat)):
-        machine = Machine(config)
-        t0 = time.perf_counter()
-        machine.run(trace)
-        samples.append(time.perf_counter() - t0)
+    runs = runs_per_sample(config, trace)
+    samples = [
+        time_sample(config, trace, runs)
+        for _ in range(max(1, args.repeat))
+    ]
     return records, samples
 
 
@@ -160,8 +185,8 @@ def summarize(records: int, samples) -> dict:
     rps = [records / s for s in samples if s > 0]
     best = min(samples)
     return {
-        "seconds": round(best, 3),
-        "median_seconds": round(statistics.median(samples), 3),
+        "seconds": round(best, 5),
+        "median_seconds": round(statistics.median(samples), 5),
         "records_per_second": round(max(rps), 1) if rps else 0.0,
         "median_records_per_second": round(
             statistics.median(rps), 1
@@ -183,75 +208,34 @@ def _bench_spec(args) -> TraceSpec:
 
 
 def time_speculative_scenario(args):
-    """Figure-5 TLS sub-thread (baseline) mode, three ways.
+    """Figure-5 TLS sub-thread (baseline) mode, compiled vs interpreted.
 
-    Returns ``(records, samples)`` where ``samples`` maps ``spec_on``
-    (the default: journaled batches), ``spec_off`` (batching restricted
-    to non-speculative epochs), and
-    ``interpreted`` to per-repetition seconds lists.  One Machine per
-    timing (compile caches are process-wide, so compilation cost is
-    amortized exactly as in the harness); the variants run interleaved
-    inside each repetition so slow drift of the host clock speed hits
-    all equally, and ``--warmup`` interleaved repetitions are
-    discarded first.
+    Returns ``(records, samples)`` where ``samples`` maps ``compiled``
+    (the default: chained compiled dispatch) and ``interpreted`` to
+    per-repetition seconds lists.  Compile caches are process-wide, so
+    compilation cost is amortized exactly as in the harness; the
+    variants run interleaved inside each repetition so slow drift of
+    the host clock speed hits both equally, and ``--warmup``
+    interleaved repetitions are discarded first.
     """
     trace = materialize(_bench_spec(args), cache_dir=None)
     records = count_records(trace)
     base = MachineConfig.for_mode(ExecutionMode.BASELINE)
     variants = {
-        "spec_on": base,
-        "spec_off": dataclasses.replace(base, speculative_batches=False),
+        "compiled": base,
         "interpreted": dataclasses.replace(base, compile_traces=False),
     }
     for _ in range(max(0, args.warmup)):
         for config in variants.values():
             Machine(config).run(trace)
+    runs = {
+        name: runs_per_sample(config, trace)
+        for name, config in variants.items()
+    }
     samples = {name: [] for name in variants}
     for _ in range(max(1, args.repeat)):
         for name, config in variants.items():
-            machine = Machine(config)
-            t0 = time.perf_counter()
-            machine.run(trace)
-            samples[name].append(time.perf_counter() - t0)
-    return records, samples
-
-
-def time_compiled_engine(args):
-    """Inner-loop workload under the compiled vs the pure event loop.
-
-    Selection happens per Machine construction, so flipping the kill
-    switch between repetitions times both engines on the same trace
-    in the same process, interleaved like the speculative scenario.
-    Returns ``(records, samples)`` with ``compiled`` / ``pure`` sample
-    lists, or None when no compiled twin is importable (source
-    checkouts without the ``[speed]`` build — the common case outside
-    CI).
-    """
-    if engine_kind() == "pure":
-        return None
-    trace = materialize(_bench_spec(args), cache_dir=None)
-    records = count_records(trace)
-    config = MachineConfig()
-
-    def run_one(forced_pure: bool) -> float:
-        if forced_pure:
-            os.environ[KILL_SWITCH] = "1"
-        try:
-            machine = Machine(config)
-        finally:
-            if forced_pure:
-                del os.environ[KILL_SWITCH]
-        t0 = time.perf_counter()
-        machine.run(trace)
-        return time.perf_counter() - t0
-
-    for _ in range(max(0, args.warmup)):
-        run_one(False)
-        run_one(True)
-    samples = {"compiled": [], "pure": []}
-    for _ in range(max(1, args.repeat)):
-        samples["compiled"].append(run_one(False))
-        samples["pure"].append(run_one(True))
+            samples[name].append(time_sample(config, trace, runs[name]))
     return records, samples
 
 
@@ -372,18 +356,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--spec-min-vs-interpreted", type=float, default=None,
         metavar="RATIO",
-        help=("fail unless the speculative scenario's batching-on "
+        help=("fail unless the speculative scenario's compiled "
               "throughput is at least RATIO times its interpreted "
               "throughput measured in the same run (CI gate; off by "
               "default)"),
-    )
-    parser.add_argument(
-        "--compiled-min-ratio", type=float, default=None,
-        metavar="RATIO",
-        help=("fail unless the compiled event loop is at least RATIO "
-              "times the pure-Python loop measured in the same run; "
-              "also fails if no compiled twin is importable (CI gate "
-              "for the [speed] build; off by default)"),
     )
     args = parser.parse_args(argv)
 
@@ -465,7 +441,7 @@ def main(argv=None) -> int:
     )
     inner = summarize(records, inner_samples)
     records_per_s = inner["records_per_second"]
-    print(f"  {records} records in {inner['seconds']:.2f}s "
+    print(f"  {records} records in {inner['seconds']:.4f}s "
           f"({records_per_s:,.0f} records/s, median "
           f"{inner['median_records_per_second']:,.0f} "
           f"± {inner['stdev_records_per_second']:,.0f})")
@@ -479,7 +455,7 @@ def main(argv=None) -> int:
             args, compile_traces=False
         )
         interp = summarize(records_i, interp_samples)
-        print(f"  {records_i} records in {interp['seconds']:.2f}s "
+        print(f"  {records_i} records in {interp['seconds']:.4f}s "
               f"({interp['records_per_second']:,.0f} records/s)")
         inner_loop["interpreted_seconds"] = interp["seconds"]
         inner_loop["interpreted_records_per_second"] = (
@@ -487,7 +463,7 @@ def main(argv=None) -> int:
         )
 
     print("timing speculative scenario (TLS sub-thread mode, "
-          "batches on / off, interpreted) ...")
+          "compiled / interpreted) ...")
     spec_records, spec_samples = time_speculative_scenario(args)
     spec = {
         name: summarize(spec_records, samples)
@@ -497,30 +473,22 @@ def main(argv=None) -> int:
         name: summary["records_per_second"]
         for name, summary in spec.items()
     }
-    ratio_vs_off = (
-        spec_rps["spec_on"] / spec_rps["spec_off"]
-        if spec_rps["spec_off"] else None
-    )
     ratio_vs_interp = (
-        spec_rps["spec_on"] / spec_rps["interpreted"]
+        spec_rps["compiled"] / spec_rps["interpreted"]
         if spec_rps["interpreted"] else None
     )
-    for name in ("spec_on", "spec_off", "interpreted"):
+    for name in ("compiled", "interpreted"):
         print(f"  {name:<11} {spec_records} records in "
-              f"{spec[name]['seconds']:.2f}s "
+              f"{spec[name]['seconds']:.4f}s "
               f"({spec_rps[name]:,.0f} records/s, median "
               f"{spec[name]['median_records_per_second']:,.0f} "
               f"± {spec[name]['stdev_records_per_second']:,.0f})")
-    print(f"  on/off {ratio_vs_off:.2f}x   on/interpreted "
-          f"{ratio_vs_interp:.2f}x")
-    speculative = dict(spec["spec_on"])
+    print(f"  compiled/interpreted {ratio_vs_interp:.2f}x")
+    speculative = dict(spec["compiled"])
     speculative["mode"] = ExecutionMode.BASELINE
     speculative["records"] = spec_records
     speculative.update({
-        "spec_off_records_per_second": spec_rps["spec_off"],
         "interpreted_records_per_second": spec_rps["interpreted"],
-        "ratio_vs_spec_off": round(ratio_vs_off, 3)
-        if ratio_vs_off else None,
         "ratio_vs_interpreted": round(ratio_vs_interp, 3)
         if ratio_vs_interp else None,
     })
@@ -535,55 +503,6 @@ def main(argv=None) -> int:
             )
             spec_gate_ok = False
 
-    engine_gate_ok = True
-    compiled_result = time_compiled_engine(args)
-    if compiled_result is None:
-        # No [speed] build in this interpreter: record the skip the
-        # same way the single-core harness comparison does instead of
-        # timing the pure loop against itself.
-        print("no compiled engine module: skipping compiled-engine "
-              "scenario")
-        compiled_engine = {"comparison": "skipped_no_compiled_module"}
-        if args.compiled_min_ratio is not None:
-            print(
-                "ERROR: --compiled-min-ratio given but no compiled "
-                "engine twin is importable (build with "
-                "REPRO_SPEED=1 pip install -e .[speed])",
-                file=sys.stderr,
-            )
-            engine_gate_ok = False
-    else:
-        print("timing compiled vs pure event loop ...")
-        eng_records, eng_samples = compiled_result
-        compiled = summarize(eng_records, eng_samples["compiled"])
-        pure = summarize(eng_records, eng_samples["pure"])
-        ratio_vs_pure = (
-            compiled["records_per_second"] / pure["records_per_second"]
-            if pure["records_per_second"] else None
-        )
-        for name, summary in (("compiled", compiled), ("pure", pure)):
-            print(f"  {name:<9} {eng_records} records in "
-                  f"{summary['seconds']:.2f}s "
-                  f"({summary['records_per_second']:,.0f} records/s)")
-        print(f"  compiled/pure {ratio_vs_pure:.2f}x")
-        compiled_engine = dict(compiled)
-        compiled_engine["records"] = eng_records
-        compiled_engine["pure_records_per_second"] = (
-            pure["records_per_second"]
-        )
-        compiled_engine["ratio_vs_pure"] = (
-            round(ratio_vs_pure, 3) if ratio_vs_pure else None
-        )
-        if args.compiled_min_ratio is not None:
-            if (ratio_vs_pure or 0.0) < args.compiled_min_ratio:
-                print(
-                    f"ERROR: compiled event loop is only "
-                    f"{ratio_vs_pure:.2f}x the pure-Python loop "
-                    f"(threshold {args.compiled_min_ratio}x)",
-                    file=sys.stderr,
-                )
-                engine_gate_ok = False
-
     perf = {
         "config": {
             "transactions": args.transactions,
@@ -592,12 +511,10 @@ def main(argv=None) -> int:
             "jobs": jobs,
             "cpu_count": n_cpus,
             "python": platform.python_version(),
-            "engine": engine_kind(),
         },
         "harness": harness,
         "inner_loop": inner_loop,
         "speculative_scenario": speculative,
-        "compiled_engine": compiled_engine,
         "manifest": finish_manifest(
             manifest, time.perf_counter() - bench_t0,
             trace_spec_keys=sorted(spec_keys),
@@ -611,7 +528,7 @@ def main(argv=None) -> int:
             file=real_stdout,
         )
 
-    status = 0 if (identical and spec_gate_ok and engine_gate_ok) else 1
+    status = 0 if (identical and spec_gate_ok) else 1
     if args.trajectory is not None:
         final_manifest = finish_manifest(
             manifest, time.perf_counter() - bench_t0,
@@ -633,7 +550,7 @@ def main(argv=None) -> int:
                 "manifest": final_manifest,
             },
             {
-                "scenario": "speculative_batches",
+                "scenario": "speculative",
                 "runner": runner_class(),
                 "scale": perf["config"]["scale"],
                 "mode": ExecutionMode.BASELINE,
@@ -643,35 +560,14 @@ def main(argv=None) -> int:
                     speculative["median_records_per_second"],
                 "stdev_records_per_second":
                     speculative["stdev_records_per_second"],
-                "spec_off_records_per_second":
-                    speculative["spec_off_records_per_second"],
                 "interpreted_records_per_second":
                     speculative["interpreted_records_per_second"],
-                "ratio_vs_spec_off": speculative["ratio_vs_spec_off"],
                 "ratio_vs_interpreted":
                     speculative["ratio_vs_interpreted"],
                 "python": platform.python_version(),
                 "manifest": final_manifest,
             },
         ]
-        if "records" in compiled_engine:
-            entries.append({
-                "scenario": "compiled_engine",
-                "runner": runner_class(),
-                "scale": perf["config"]["scale"],
-                "records": compiled_engine["records"],
-                "records_per_second":
-                    compiled_engine["records_per_second"],
-                "median_records_per_second":
-                    compiled_engine["median_records_per_second"],
-                "stdev_records_per_second":
-                    compiled_engine["stdev_records_per_second"],
-                "pure_records_per_second":
-                    compiled_engine["pure_records_per_second"],
-                "ratio_vs_pure": compiled_engine["ratio_vs_pure"],
-                "python": platform.python_version(),
-                "manifest": final_manifest,
-            })
         status = max(
             status,
             append_trajectory(args.trajectory, entries, args.min_ratio),

@@ -4,49 +4,9 @@ The environment this project targets has no network access and no `wheel`
 package, so PEP 517 editable installs (which build a wheel) fail.  Keeping
 a setup.py and omitting [build-system] from pyproject.toml makes pip fall
 back to the legacy `setup.py develop` path, which works offline.
-
-Opt-in compiled engine build
-----------------------------
-
-``REPRO_SPEED=1`` AOT-compiles the event-loop hot path: the pure-Python
-reference ``repro/sim/engine_core.py`` is copied to a *generated twin*
-``repro/sim/engine_core_speed.py`` (never checked in) and fed to mypyc,
-producing an extension module that ``repro.sim.engine`` prefers at
-import time.  The twin is byte-for-byte the reference source, so the
-compiled and pure loops cannot drift; ``REPRO_NO_COMPILED_ENGINE=1``
-at runtime forces the pure module even when the build exists.
-
-    REPRO_SPEED=1 pip install -e .[speed]
-    # or, in a checkout with mypy already present:
-    REPRO_SPEED=1 python setup.py build_ext --inplace
-
-The block degrades to a plain install when mypyc is unavailable or the
-flag is unset — the default install never needs a compiler.
 """
 
-import os
-import shutil
-
 from setuptools import find_packages, setup
-
-ext_modules = []
-if os.environ.get("REPRO_SPEED") == "1":
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("REPRO_SPEED=1 but mypyc is not importable; "
-              "install the [speed] extra — building pure-Python only")
-    else:
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(here, "src", "repro", "sim", "engine_core.py")
-        twin = os.path.join(
-            here, "src", "repro", "sim", "engine_core_speed.py"
-        )
-        shutil.copyfile(src, twin)
-        ext_modules = mypycify(
-            ["src/repro/sim/engine_core_speed.py"],
-            opt_level="3",
-        )
 
 setup(
     name="repro",
@@ -59,5 +19,4 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    ext_modules=ext_modules,
 )

@@ -146,11 +146,6 @@ class TLSEngine:
         ]
         self.profiler = DependenceProfiler()
         self.load_predictor = ViolatingLoadPredictor()
-        #: Machine hook, called with the victim epoch as the *first*
-        #: action of a rewind — before ``epoch.rewind_to`` captures
-        #: Failed cycles — so an in-flight journaled batch can be
-        #: restored first (see the machine's _restore_batch_journal).
-        self.pre_rewind = None
         # Statistics.
         self.primary_violations = 0
         self.secondary_violations = 0
@@ -541,8 +536,6 @@ class TLSEngine:
         self, epoch: EpochExecution, subthread_idx: int, secondary: bool
     ) -> RewindAction:
         """Apply a rewind to protocol state; timing is left to the machine."""
-        if self.pre_rewind is not None:
-            self.pre_rewind(epoch)
         squashed_ctxs, latches, failed = epoch.rewind_to(subthread_idx, 0.0)
         self.l2.squash_ctxs(epoch.order, squashed_ctxs)
         # Free contexts above the rewind point for reuse; the target

@@ -163,13 +163,6 @@ class EpochExecution:
         the hardware contexts whose L2 state must be squashed (the rewound
         sub-thread's own context plus all later ones), latches acquired by
         rewound code, and the pending cycles now classified as Failed.
-
-        Callers that run compiled traces must unwind any in-flight
-        journaled batch *before* calling this (the engine's
-        ``pre_rewind`` hook): the journal restore corrects ``cursor``
-        and the pending counters that the Failed accounting below
-        consumes, so ordering it after the rewind would charge cycles
-        the interpreted path never accrued.
         """
         if subthread_idx >= len(self.subthreads):
             raise ValueError(

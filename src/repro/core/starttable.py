@@ -13,14 +13,6 @@ If *k* has no entry for (j, s) — because *k* started executing after
 
 Without start tables (``enabled=False``, the Figure 4(a) configuration) a
 secondary violation restarts the entire later epoch.
-
-Journaled batch dispatch (``repro.sim.machine``) is safe with respect to
-these broadcasts: a subthreadStart message is only sent when a checkpoint
-is created, and compiled batches never span a checkpoint boundary (the
-dispatch gate splits them there), so a broadcast can never be deferred or
-reordered by batching.  On the receiving side, ``record`` snapshots the
-receiver's *current* sub-thread index — which mid-batch equals the
-interpreted path's, again because batches cannot cross a checkpoint.
 """
 
 from __future__ import annotations

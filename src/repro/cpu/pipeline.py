@@ -102,20 +102,3 @@ class CorePipeline:
         if self.predictor.predict_and_update(pc, taken):
             return 1
         return 1 + self._mispredict_penalty
-
-    def train_branch_run(self, branches, log) -> int:
-        """Train the predictor on a run of ``(pc, taken)`` outcomes.
-
-        Used by journaled (speculative) batch dispatch: every counter
-        update is appended to ``log`` so the run can be undone with
-        ``predictor.restore``.  Returns the summed misprediction
-        penalty; the per-branch base cycle is already in the batch's
-        static cost, and retirement counts are charged by the caller.
-        """
-        penalty = self._mispredict_penalty
-        train = self.predictor.predict_and_update_logged
-        extra = 0
-        for pc, taken in branches:
-            if not train(pc, taken, log):
-                extra += penalty
-        return extra

@@ -54,8 +54,9 @@ STORE_FORMAT = "repro-result-store"
 #: Bump whenever serialized ``SimulationStats`` change meaning without
 #: any keyed field changing; old entries then stop matching and are
 #: re-simulated.  Version 2 dropped six bulk-kernel telemetry fields
-#: from the serialized stats.
-STORE_VERSION = 2
+#: from the serialized stats; version 3 dropped the two speculative-batch
+#: journal counters.
+STORE_VERSION = 3
 
 
 def stats_to_doc(stats: SimulationStats) -> Dict[str, Any]:

@@ -1,7 +1,6 @@
 """Whole-machine simulation: configuration, the CMP machine, statistics."""
 
 from .config import ExecutionMode, MachineConfig, table1_text
-from .engine import engine_kind, select_engine_core
 from .machine import Machine
 from .stats import SimulationStats
 from .timeline import TimelineEvent, render_timeline, summarize_events
@@ -10,8 +9,6 @@ __all__ = [
     "ExecutionMode",
     "MachineConfig",
     "table1_text",
-    "engine_kind",
-    "select_engine_core",
     "Machine",
     "SimulationStats",
     "TimelineEvent",

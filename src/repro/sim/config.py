@@ -75,18 +75,13 @@ class MachineConfig:
     region_cpus: int = None
     #: Pre-lower traces once per region (repro.trace.compile): coalesced
     #: super-records, interned per-line tuples, and the private/shared
-    #: line classification behind the conflict-aware memory fast path.
+    #: line classification behind the conflict-aware memory fast path;
+    #: compiled regions run on the chained dispatch loop
+    #: (repro.sim.engine_core).
     #: Byte-identical to interpreted replay — every cycle count and
     #: statistic matches; ``--no-compile-traces`` on the harness CLI (or
     #: False here) is the escape hatch / differential-testing axis.
     compile_traces: bool = True
-    #: Extend compiled dispatch to *speculative* epochs: journaled
-    #: super-record batches (rewound exactly on a mid-flight squash) and
-    #: chained in-order dispatch.  Requires ``compile_traces``; False
-    #: restricts batching to non-speculative epochs (PR-3 behavior) and
-    #: is the baseline the speculative bench_speed scenario compares
-    #: against.  Byte-identical either way.
-    speculative_batches: bool = True
     #: Opt-in cycle-level invariant checking (repro.verify.invariants):
     #: the machine validates protocol and memory-system invariants as it
     #: runs.  Costs simulation time; off for all paper numbers.

@@ -1,35 +1,28 @@
-"""The event-loop hot path, split out for optional AOT compilation.
+"""The simulator's event loop.
 
-This module holds ``Machine._run_region``'s per-record event loop — the
-single hottest code in the simulator (every heap event and every
-chained record dispatch flows through :func:`run_event_loop`).  It is
-deliberately written in the mypyc/Cython-compilable subset of Python so the ``[speed]`` install
-extra can AOT-compile it (see :mod:`repro.sim.engine` for how the
-compiled twin is selected and ``REPRO_NO_COMPILED_ENGINE=1`` kills it):
+:func:`run_event_loop` drains one region's event heap.  Every heap event
+and every chained record dispatch flows through it, which makes it the
+hottest code in the simulator.  Shared state reaches it through
+``machine`` attributes and the per-CPU hoist tuples ``_run_region``
+builds; cross-object work (rewinds, latches, epoch finish and commit)
+calls back into ``Machine`` methods, which are cold.
 
-* one module-level function, no closures over loop-mutated state — all
-  shared state flows through ``machine`` attributes and the per-CPU
-  hoist tuples built by ``_run_region``;
-* explicit int/float/tuple locals in the dispatch arms; no dynamic
-  class creation, decorators, or metaclass tricks;
-* cross-object work (rewinds, latches, batch journals, epoch
-  commit/finish) calls back into ``Machine`` methods — those paths are
-  cold, and keeping them in ``machine.py`` keeps this module small
-  enough to compile quickly.
+A region runs on one of two dispatch paths:
 
-The pure-Python file is the *reference implementation*: the compiled
-build is generated from this exact source at install time, so the two
-cannot drift, and byte-identity of every statistic between them is
-enforced by tests, the fuzz ``--engine`` axis, and CI artifact ``cmp``.
+* **Interpreted** (``compile_traces=False``): one record per heap event,
+  dispatched by record kind.  This is the reference path that tests,
+  the differential fuzzer and the CI ``cmp`` checks compare against.
+* **Chained** (every compiled region): loads and stores walk their
+  precompiled line tuples, and a compute run of a non-speculative epoch
+  dispatches as one super-record (``Machine._do_batch``).  When a CPU's
+  next event would be the very next heap pop anyway ((time, cpu) sorts
+  before the heap top), the loop processes that record in-line instead
+  of pushing and popping it.  The canonical event order is unchanged by
+  construction, so both paths produce byte-identical statistics.
 
-The loop itself: record dispatchers return the CPU's next event time
-(or None when blocked/rescheduled); the loop either queues it or — for
-epochs under compiled dispatch — *chains*: when the next event would be
-the very next heap pop anyway ((time, cpu) sorts before the heap top),
-the next record is processed in-line, skipping the push/pop round-trip.
-The canonical event order is unchanged by construction.  The per-event
-dispatch (formerly a ``_step_cpu`` method) is merged into the loop: one
-Python frame per heap event was measurable at this event rate.
+The per-event dispatch is merged into the loop rather than called as a
+method: one Python frame per heap event was measurable at this event
+rate.
 """
 
 from __future__ import annotations
@@ -50,12 +43,12 @@ _OVERHEAD = Category.OVERHEAD
 _RUNNING = EpochStatus.RUNNING
 
 
-def run_event_loop(machine, spec_dispatch):
+def run_event_loop(machine):
     """Drain one region's event heap until every epoch has committed.
 
     ``machine`` is the owning :class:`repro.sim.machine.Machine`;
-    ``_run_region`` has already scheduled the region's first epochs and
-    (under ``spec_dispatch``) built the per-CPU hoist tuples.  Reads
+    ``_run_region`` has already scheduled the region's first epochs and,
+    for a compiled region, built the per-CPU hoist tuples.  Reads
     ``machine._region_remaining`` fresh each iteration — epoch commits
     mutate it through ``_finish_epoch``.
     """
@@ -64,6 +57,7 @@ def run_event_loop(machine, spec_dispatch):
     heappop = heapq.heappop
     invariants = machine._invariants
     engine = machine.engine
+    chained = machine._region_compiled is not None
     while machine._region_remaining > 0:
         if not heap:
             machine._break_deadlock()
@@ -72,27 +66,15 @@ def run_event_loop(machine, spec_dispatch):
         cpu = cpus[cpu_idx]
         if version != cpu.event_version:
             continue  # superseded by a rewind/wake
-        journal = cpu.journal
-        if journal.epoch is not None:
-            # The only valid event while a batch is in flight is its
-            # own completion (a rewind bumps the version *and*
-            # disarms the journal first): the batch survived.
-            journal.epoch = None
         epoch = cpu.epoch
         if epoch is None or epoch.status != _RUNNING:
             continue
         if now > machine.now:
             machine.now = now
-            machine._proc_max_idx = cpu_idx
-        elif cpu_idx > machine._proc_max_idx:
-            machine._proc_max_idx = cpu_idx
-        if not spec_dispatch:
-            # Single-dispatch body (speculative_batches off, or no
-            # compiled region): one record per heap event, no
-            # chaining, no journals — the comparison baseline.
+        if not chained:
+            # Interpreted dispatch: one record per heap event.
             if invariants is not None:
                 invariants.on_step(machine)
-            records = epoch.records
             cursor = epoch.cursor
             if cursor >= epoch.n_records:  # inline epoch.done
                 machine._finish_epoch(cpu, epoch, now)
@@ -116,67 +98,44 @@ def run_event_loop(machine, spec_dispatch):
                         epoch.accrue(Category.OVERHEAD, cost)
                         machine._schedule(cpu, now + cost)
                         continue
-            handled = False
             t_next = None
-            compiled = epoch.compiled
-            if compiled is not None:
-                entry = compiled[cursor]
-                if entry is not None:
-                    if entry[0] == CK_MEM:
-                        handled = True
-                        rec = records[cursor]
-                        if rec[0] == Rec.LOAD:
-                            t_next = machine._do_load_fast(
-                                cpu, epoch, rec, entry[1], now
-                            )
-                        else:
-                            t_next = machine._do_store_fast(
-                                cpu, epoch, rec, entry[1], now
-                            )
-                    elif not epoch.speculative and epoch.offset == 0:
-                        # Super-records run only for non-speculative
-                        # epochs here; journaled speculative batches
-                        # require spec_dispatch.
-                        handled = True
-                        t_next = machine._do_batch(cpu, epoch, entry, now)
-            if not handled:
-                rec = records[cursor]
-                kind = rec[0]
-                if kind == Rec.COMPUTE:
-                    t_next = machine._do_compute(
-                        cpu, epoch, rec[1], Category.BUSY, now
-                    )
-                elif kind == Rec.TLS_OVERHEAD:
-                    t_next = machine._do_compute(
-                        cpu, epoch, rec[1], Category.OVERHEAD, now
-                    )
-                elif kind == Rec.OP:
-                    cycles = cpu.pipeline.op_cycles(rec[1], rec[2])
-                    # epoch.retire + epoch.accrue, inlined.
-                    epoch.instrs_since_checkpoint += rec[2]
-                    cp = epoch.subthreads[-1]
-                    cp.instructions += rec[2]
-                    cp.pending.cycles[_BUSY] += cycles
-                    epoch.cursor = cursor + 1
-                    t_next = now + cycles
-                elif kind == Rec.BRANCH:
-                    cycles = cpu.pipeline.branch_cycles(rec[1], rec[2])
-                    epoch.instrs_since_checkpoint += 1
-                    cp = epoch.subthreads[-1]
-                    cp.instructions += 1
-                    cp.pending.cycles[_BUSY] += cycles
-                    epoch.cursor = cursor + 1
-                    t_next = now + cycles
-                elif kind == Rec.LOAD:
-                    machine._do_load(cpu, epoch, rec, now)
-                elif kind == Rec.STORE:
-                    machine._do_store(cpu, epoch, rec, now)
-                elif kind == Rec.LATCH_ACQ:
-                    machine._do_latch_acquire(cpu, epoch, rec, now)
-                elif kind == Rec.LATCH_REL:
-                    machine._do_latch_release(cpu, epoch, rec, now)
-                else:
-                    raise ValueError(f"unknown record kind {kind}")
+            rec = epoch.records[cursor]
+            kind = rec[0]
+            if kind == Rec.COMPUTE:
+                t_next = machine._do_compute(
+                    cpu, epoch, rec[1], Category.BUSY, now
+                )
+            elif kind == Rec.TLS_OVERHEAD:
+                t_next = machine._do_compute(
+                    cpu, epoch, rec[1], Category.OVERHEAD, now
+                )
+            elif kind == Rec.OP:
+                cycles = cpu.pipeline.op_cycles(rec[1], rec[2])
+                # epoch.retire + epoch.accrue, inlined.
+                epoch.instrs_since_checkpoint += rec[2]
+                cp = epoch.subthreads[-1]
+                cp.instructions += rec[2]
+                cp.pending.cycles[_BUSY] += cycles
+                epoch.cursor = cursor + 1
+                t_next = now + cycles
+            elif kind == Rec.BRANCH:
+                cycles = cpu.pipeline.branch_cycles(rec[1], rec[2])
+                epoch.instrs_since_checkpoint += 1
+                cp = epoch.subthreads[-1]
+                cp.instructions += 1
+                cp.pending.cycles[_BUSY] += cycles
+                epoch.cursor = cursor + 1
+                t_next = now + cycles
+            elif kind == Rec.LOAD:
+                machine._do_load(cpu, epoch, rec, now)
+            elif kind == Rec.STORE:
+                machine._do_store(cpu, epoch, rec, now)
+            elif kind == Rec.LATCH_ACQ:
+                machine._do_latch_acquire(cpu, epoch, rec, now)
+            elif kind == Rec.LATCH_REL:
+                machine._do_latch_release(cpu, epoch, rec, now)
+            else:
+                raise ValueError(f"unknown record kind {kind}")
             if t_next is not None:
                 cpu.event_version += 1
                 _heappush(heap, (t_next, cpu_idx, cpu.event_version))
@@ -190,9 +149,9 @@ def run_event_loop(machine, spec_dispatch):
         # once per heap event and stays live across the chain; the
         # two mutation points that can invalidate a binding rebind
         # (sub-thread checkpoints) or break the chain (rewinds of
-        # this epoch) explicitly.  The record bodies mirror
-        # _do_load_fast / _do_store_fast / _do_compute and the
-        # interpreted OP/BRANCH arms byte for byte.
+        # this epoch) explicitly.  The record bodies are the compiled
+        # forms of Machine._do_load / _do_store / _do_compute and the
+        # interpreted OP/BRANCH arms, and charge exactly what they do.
         records = epoch.records
         n_records = epoch.n_records
         compiled = epoch.compiled
@@ -249,8 +208,8 @@ def run_event_loop(machine, spec_dispatch):
             t_next = None
             if entry is not None and entry[0] == CK_MEM:
                 if kind == Rec.LOAD:
-                    # _do_load_fast, inlined against the hoisted
-                    # locals.
+                    # Machine._do_load over the precompiled line
+                    # tuples, against the hoisted locals.
                     pc = rec[3]
                     if cpu.sync_skip:
                         cpu.sync_skip = False
@@ -487,8 +446,8 @@ def run_event_loop(machine, spec_dispatch):
                     epoch.cursor = cursor + 1
                     t_next = now + 1 + stall
                 else:
-                    # _do_store_fast, inlined against the hoisted
-                    # locals.
+                    # Machine._do_store over the precompiled line
+                    # tuples, against the hoisted locals.
                     pc = rec[3]
                     epoch.instrs_since_checkpoint += 1
                     cp.instructions += 1
@@ -593,90 +552,76 @@ def run_event_loop(machine, spec_dispatch):
                     pending[_BUSY] += 1
                     epoch.cursor = cursor + 1
                     t_next = now + 1
+            elif entry is not None and not speculative and (
+                epoch.offset == 0
+            ):
+                # A compute run of a non-speculative epoch: nothing
+                # can interrupt it, so it runs as one super-record.
+                t_next = machine._do_batch(cpu, epoch, entry, now)
+            elif kind == Rec.COMPUTE or kind == Rec.TLS_OVERHEAD:
+                # _do_compute, inlined.
+                count = rec[1]
+                chunk = count - epoch.offset
+                if speculative:
+                    spacing = spacing_cfg
+                    if spacing is None:
+                        spacing = engine.spacing_for(epoch)
+                    if spacing < chunk:
+                        chunk = spacing
+                    if slice_limit < chunk:
+                        chunk = slice_limit
+                    if len(epoch.subthreads) < max_subthreads:
+                        to_boundary = spacing - epoch.instrs_since_checkpoint
+                        if 0 < to_boundary < chunk:
+                            chunk = to_boundary
+                pipeline.instructions_retired += chunk
+                cycles = (chunk + width - 1) // width
+                mlp_stall = (
+                    machine._mlp_stall(cpu, epoch, now)
+                    if overlap else 0.0
+                )
+                epoch.instrs_since_checkpoint += chunk
+                cp.instructions += chunk
+                if kind == Rec.COMPUTE:
+                    pending[_BUSY] += cycles
+                else:
+                    pending[_OVERHEAD] += cycles
+                if mlp_stall:
+                    pending[_MISS] += mlp_stall
+                    cycles += mlp_stall
+                if epoch.offset + chunk >= count:
+                    epoch.cursor = cursor + 1
+                    epoch.offset = 0
+                else:
+                    epoch.offset += chunk
+                t_next = now + cycles
+            elif kind == Rec.OP:
+                cycles = pipeline.op_cycles(rec[1], rec[2])
+                epoch.instrs_since_checkpoint += rec[2]
+                cp.instructions += rec[2]
+                pending[_BUSY] += cycles
+                epoch.cursor = cursor + 1
+                t_next = now + cycles
+            elif kind == Rec.BRANCH:
+                # pipeline.branch_cycles, inlined.
+                pipeline.instructions_retired += 1
+                if pipeline.predictor.predict_and_update(rec[1], rec[2]):
+                    cycles = 1
+                else:
+                    cycles = 1 + penalty
+                epoch.instrs_since_checkpoint += 1
+                cp.instructions += 1
+                pending[_BUSY] += cycles
+                epoch.cursor = cursor + 1
+                t_next = now + cycles
+            elif kind == Rec.LATCH_ACQ:
+                machine._do_latch_acquire(cpu, epoch, rec, now)
+                break
+            elif kind == Rec.LATCH_REL:
+                machine._do_latch_release(cpu, epoch, rec, now)
+                break
             else:
-                if entry is not None and epoch.offset == 0:
-                    if speculative:
-                        # Journaled dispatch; None means the gate
-                        # refused (the interpreted path would have
-                        # sliced a record or opened a checkpoint
-                        # inside the run).
-                        t_next = machine._do_batch_spec(
-                            cpu, epoch, entry, now, journal
-                        )
-                    else:
-                        t_next = machine._do_batch(cpu, epoch, entry, now)
-                if t_next is None:
-                    if kind == Rec.COMPUTE or kind == Rec.TLS_OVERHEAD:
-                        # _do_compute, inlined.
-                        count = rec[1]
-                        chunk = count - epoch.offset
-                        if speculative:
-                            spacing = spacing_cfg
-                            if spacing is None:
-                                spacing = engine.spacing_for(epoch)
-                            if spacing < chunk:
-                                chunk = spacing
-                            if slice_limit < chunk:
-                                chunk = slice_limit
-                            if len(epoch.subthreads) < max_subthreads:
-                                to_boundary = (
-                                    spacing
-                                    - epoch.instrs_since_checkpoint
-                                )
-                                if 0 < to_boundary < chunk:
-                                    chunk = to_boundary
-                        pipeline.instructions_retired += chunk
-                        cycles = (chunk + width - 1) // width
-                        mlp_stall = (
-                            machine._mlp_stall(cpu, epoch, now)
-                            if overlap else 0.0
-                        )
-                        epoch.instrs_since_checkpoint += chunk
-                        cp.instructions += chunk
-                        if kind == Rec.COMPUTE:
-                            pending[_BUSY] += cycles
-                        else:
-                            pending[_OVERHEAD] += cycles
-                        if mlp_stall:
-                            pending[_MISS] += mlp_stall
-                            cycles += mlp_stall
-                        if epoch.offset + chunk >= count:
-                            epoch.cursor = cursor + 1
-                            epoch.offset = 0
-                        else:
-                            epoch.offset += chunk
-                        t_next = now + cycles
-                    elif kind == Rec.OP:
-                        cycles = pipeline.op_cycles(rec[1], rec[2])
-                        epoch.instrs_since_checkpoint += rec[2]
-                        cp.instructions += rec[2]
-                        pending[_BUSY] += cycles
-                        epoch.cursor = cursor + 1
-                        t_next = now + cycles
-                    elif kind == Rec.BRANCH:
-                        # pipeline.branch_cycles, inlined.
-                        pipeline.instructions_retired += 1
-                        if pipeline.predictor.predict_and_update(
-                            rec[1], rec[2]
-                        ):
-                            cycles = 1
-                        else:
-                            cycles = 1 + penalty
-                        epoch.instrs_since_checkpoint += 1
-                        cp.instructions += 1
-                        pending[_BUSY] += cycles
-                        epoch.cursor = cursor + 1
-                        t_next = now + cycles
-                    elif kind == Rec.LATCH_ACQ:
-                        machine._do_latch_acquire(cpu, epoch, rec, now)
-                        break
-                    elif kind == Rec.LATCH_REL:
-                        machine._do_latch_release(cpu, epoch, rec, now)
-                        break
-                    else:
-                        raise ValueError(
-                            f"unknown record kind {kind}"
-                        )
+                raise ValueError(f"unknown record kind {kind}")
             if t_next is None:
                 break  # blocked, squashed, or rescheduled elsewhere
             if heap:
@@ -693,10 +638,4 @@ def run_event_loop(machine, spec_dispatch):
             # in-line instead of a push/pop round-trip.
             if t_next > machine.now:
                 machine.now = t_next
-                machine._proc_max_idx = cpu_idx
-            elif cpu_idx > machine._proc_max_idx:
-                machine._proc_max_idx = cpu_idx
             now = t_next
-            if journal.epoch is not None:
-                journal.epoch = None  # batch completed in-line
-            continue

@@ -46,8 +46,8 @@ from ..trace.events import (
     SerialSegment,
     WorkloadTrace,
 )
+from . import engine_core
 from .config import MachineConfig
-from .engine import select_engine_core
 from .stats import SimulationStats
 from .timeline import (
     COMMIT,
@@ -66,38 +66,6 @@ _MISS = Category.MISS
 _OVERHEAD = Category.OVERHEAD
 
 
-class _BatchJournal:
-    """Rewind journal for one in-flight speculative super-record.
-
-    Armed at dispatch (``epoch`` set), disarmed when the completion
-    event pops or a squash restores it.  One per CPU, reused across
-    dispatches — at most one batch is ever in flight per CPU.
-    """
-
-    __slots__ = (
-        "epoch",       # EpochExecution while armed, else None
-        "start",       # record cursor at dispatch
-        "start_time",  # dispatch cycle
-        "steps",       # per-record (instrs, cycles, is_overhead, branch)
-        "instrs",      # total instructions charged at dispatch
-        "busy",        # busy cycles charged (incl. dynamic penalties)
-        "overhead",    # overhead cycles charged
-        "pred_snap",   # predictor scalar snapshot (journal())
-        "pred_log",    # predictor counter undo log, reused list
-    )
-
-    def __init__(self):
-        self.epoch = None
-        self.start = 0
-        self.start_time = 0.0
-        self.steps = ()
-        self.instrs = 0
-        self.busy = 0
-        self.overhead = 0
-        self.pred_snap = None
-        self.pred_log = []
-
-
 class _CPU:
     """Per-core simulation state."""
 
@@ -114,13 +82,11 @@ class _CPU:
         "totals",
         "outstanding",
         "retired_at_oldest_miss",
-        "journal",
         "hoist",
     )
 
     def __init__(self, index: int, config: MachineConfig):
         self.index = index
-        self.journal = _BatchJournal()
         self.pipeline = CorePipeline(config.pipeline)
         self.l1 = L1Cache(config.l1_geometry())
         self.epoch: Optional[EpochExecution] = None
@@ -265,28 +231,6 @@ class Machine:
         self._fast_loads = 0
         self._fast_stores = 0
         self._private_stores = 0
-        #: Speculative dispatch machinery (journaled batches + chained
-        #: in-order dispatch); requires compiled traces.
-        self._spec_dispatch = (
-            self._compile_enabled and self.config.speculative_batches
-        )
-        self._spec_batches = 0
-        self._batch_squashes = 0
-        #: The event-loop core (repro.sim.engine): the AOT-compiled
-        #: twin of sim/engine_core.py when built and not killed by
-        #: ``REPRO_NO_COMPILED_ENGINE=1``, else the pure-Python
-        #: reference module.  Both execute the identical source, so
-        #: selection is invisible to every statistic.
-        self._engine_core = select_engine_core()
-        #: Highest CPU index that processed an event at the current
-        #: cycle (reset per region) — _restore_batch_journal's replay
-        #: needs it to place same-cycle journal steps against the
-        #: violator in canonical interpreted order.
-        self._proc_max_idx = -1
-        # A squash must restore any in-flight batch journal *before*
-        # the epoch state is rewound (the journal corrections feed the
-        # Failed-cycle attribution the rewind captures).
-        self.engine.pre_rewind = self._restore_batch_journal
         #: Metrics snapshot taken after functional warming (see
         #: :meth:`functional_warm`), subtracted by ``_collect_stats`` so
         #: a warmed run reports only measured-phase counters.
@@ -465,12 +409,7 @@ class Machine:
             # Fork chain: epoch k is spawned by its predecessor, so it
             # begins k spawn latencies after the region opens.
             self._start_next_epoch(cpu, start + i * spawn)
-        cpus = self.cpus
-        engine = self.engine
-        spec_dispatch = (
-            self._spec_dispatch and self._region_compiled is not None
-        )
-        if spec_dispatch:
+        if self._region_compiled is not None:
             # Bindings the chained dispatch loop needs per record, frozen
             # for the region.  Building them once here and unpacking one
             # tuple per heap event replaces ~30 chained attribute loads
@@ -491,25 +430,19 @@ class Machine:
                 banks, banks._line_shift, banks._bank_mask,
                 banks._next_free, banks.occupancy,
             )
-            for c in cpus:
+            for c in self.cpus:
                 c.hoist = shared + (
                     c.pipeline, c.l1, c.pipeline._issue_width,
                     c.pipeline._mispredict_penalty,
                     self._other_l1s[c.index],
-                    engine.exposed_load_tables[c.index].update,
+                    self.engine.exposed_load_tables[c.index].update,
                     c.l1.resident, c.l1._sets, c.l1._set_shift,
                     c.l1._set_mask,
                 )
-        # The same-cycle processing census is region-scoped (see
-        # _restore_batch_journal); a journal never spans regions.
-        self._proc_max_idx = -1
-        # Overflow stalls never span regions either (a parked epoch must
-        # commit for its region to finish); cleared defensively.
+        # Overflow stalls never span regions (a parked epoch must commit
+        # for its region to finish); cleared defensively.
         self._overflow_parked.clear()
-        # The event loop itself lives in repro.sim.engine_core — the
-        # pure-Python reference — or its AOT-compiled twin, selected at
-        # machine construction (see repro.sim.engine).
-        self._engine_core.run_event_loop(self, spec_dispatch)
+        engine_core.run_event_loop(self)
 
     def _start_next_epoch(self, cpu: _CPU, now: float) -> None:
         trace = self._pending[self._pending_idx]
@@ -583,122 +516,6 @@ class Machine:
             cp.pending.cycles[_OVERHEAD] += overhead
         epoch.cursor = end
         return now + busy + overhead
-
-    def _do_batch_spec(self, cpu: _CPU, epoch: EpochExecution, entry,
-                       now: float, journal: _BatchJournal):
-        """Journaled super-record dispatch for a *speculative* epoch.
-
-        Returns the batch completion time, or None when the gate refuses
-        (the interpreted path would have sliced a record in the run or
-        opened a sub-thread checkpoint inside it — then the record is
-        interpreted normally and the next dispatch retries).
-
-        Before any state is touched the journal is armed: predictor
-        scalars are snapshotted, counter writes go through an undo log,
-        and the dispatch-time progress/accounting deltas are recorded.
-        If a violation squashes this epoch before the completion event
-        pops, ``_restore_batch_journal`` rolls all of it back and
-        replays, from the entry's per-record ``steps``, exactly the
-        prefix the interpreted path would have executed by then.
-        """
-        max_unit = entry[6]
-        spacing = self._subthread_spacing
-        if spacing is None:
-            spacing = self.engine.spacing_for(epoch)
-        limit = self._spec_slice_limit
-        if spacing < limit:
-            limit = spacing
-        if max_unit > limit:
-            return None  # a record in the run would be sliced
-        instrs = entry[4]
-        if (len(epoch.subthreads) < self._max_subthreads
-                and epoch.instrs_since_checkpoint + instrs > spacing):
-            return None  # a checkpoint boundary falls inside the run
-        pipeline = cpu.pipeline
-        busy = entry[2]
-        branches = entry[5]
-        log = journal.pred_log
-        log.clear()
-        journal.pred_snap = pipeline.predictor.journal()
-        if branches:
-            busy += pipeline.train_branch_run(branches, log)
-        overhead = entry[3]
-        end = entry[1]
-        journal.epoch = epoch
-        journal.start = epoch.cursor
-        journal.start_time = now
-        journal.steps = entry[7]
-        journal.instrs = instrs
-        journal.busy = busy
-        journal.overhead = overhead
-        pipeline.instructions_retired += instrs
-        epoch.instrs_since_checkpoint += instrs
-        cp = epoch.subthreads[-1]
-        cp.instructions += instrs
-        self._batched_records += end - epoch.cursor
-        self._spec_batches += 1
-        if busy:
-            cp.pending.cycles[_BUSY] += busy
-        if overhead:
-            cp.pending.cycles[_OVERHEAD] += overhead
-        epoch.cursor = end
-        return now + busy + overhead
-
-    def _restore_batch_journal(self, epoch) -> None:
-        """Rewind hook: undo an in-flight batch on ``epoch``, if any.
-
-        Called by the engine as the first action of a rewind, *before*
-        ``epoch.rewind_to`` captures Failed cycles, so the epoch's
-        progress and accounting match what the interpreted path would
-        show at this instant.  The dispatch-time mutations are undone
-        wholesale, then the records the interpreted path would already
-        have executed are replayed from the journal's ``steps``.
-
-        A step scheduled at time ``t`` has fired iff ``t < now``, or
-        ``t == now`` and a CPU with a higher index than ours has already
-        processed an event this cycle (events tie-break by CPU index, so
-        ours would have popped first).  ``_proc_max_idx`` tracks exactly
-        that census; it is reset per region, and a journal never spans
-        regions.
-        """
-        cpu = self.cpus[epoch.cpu]
-        journal = cpu.journal
-        if journal.epoch is not epoch:
-            return
-        journal.epoch = None
-        pipeline = cpu.pipeline
-        cp = epoch.subthreads[-1]
-        instrs = journal.instrs
-        pipeline.instructions_retired -= instrs
-        epoch.instrs_since_checkpoint -= instrs
-        cp.instructions -= instrs
-        if journal.busy:
-            cp.pending.cycles[_BUSY] -= journal.busy
-        if journal.overhead:
-            cp.pending.cycles[_OVERHEAD] -= journal.overhead
-        pipeline.predictor.restore(journal.pred_snap, journal.pred_log)
-        self._batched_records -= epoch.cursor - journal.start
-        self._batch_squashes += 1
-        # Interpreted-prefix replay.
-        now = self.now
-        fired_at_now = self._proc_max_idx > cpu.index
-        predict = pipeline.predictor.predict_and_update
-        penalty = pipeline._mispredict_penalty
-        pending = cp.pending.cycles
-        t = journal.start_time
-        cursor = journal.start
-        for n_instrs, cycles, is_overhead, branch in journal.steps:
-            if t > now or (t == now and not fired_at_now):
-                break
-            if branch is not None and not predict(branch[0], branch[1]):
-                cycles += penalty
-            pipeline.instructions_retired += n_instrs
-            epoch.instrs_since_checkpoint += n_instrs
-            cp.instructions += n_instrs
-            pending[_OVERHEAD if is_overhead else _BUSY] += cycles
-            t += cycles
-            cursor += 1
-        epoch.cursor = cursor
 
     def _mlp_stall(self, cpu: _CPU, epoch: EpochExecution,
                    now: float) -> float:
@@ -948,255 +765,6 @@ class Machine:
             for cpu in self.cpus:
                 if line in cpu.l1.resident:
                     cpu.l1.invalidate(line)
-
-    # ------------------------------------------------------------------
-    # Memory references — compiled fast path (repro.trace.compile)
-    # ------------------------------------------------------------------
-
-    def _do_load_fast(self, cpu: _CPU, epoch: EpochExecution, rec,
-                      lines, now: float):
-        """Load with precompiled per-line tuples.
-
-        Mirrors :meth:`_do_load` exactly, but the line walk, access
-        clipping, and mask arithmetic were done once at compile time.
-        Returns the CPU's next event time, or None when blocked or
-        rescheduled elsewhere.
-        """
-        pc = rec[3]
-        if cpu.sync_skip:
-            cpu.sync_skip = False
-        elif self._load_policies:
-            if self.engine.maybe_start_predictor_subthread(epoch, pc, now):
-                self._emit(now, SUBTHREAD_START, epoch, detail="predictor")
-                cost = self._subthread_start_cost
-                if cost:
-                    epoch.accrue(Category.OVERHEAD, cost)
-                    self._schedule(cpu, now + cost)
-                    return None
-            if self.engine.should_synchronize_load(epoch, pc):
-                line = lines[0][0]
-                cpu.sync_line = line
-                cpu.block_start = now
-                self._emit(now, STALL_BEGIN, epoch, detail="sync")
-                cpu.event_version += 1
-                self._sync_waiters.setdefault(line, []).append(cpu.index)
-                return None
-        # epoch.retire(1), inlined (hot path).
-        epoch.instrs_since_checkpoint += 1
-        cp = epoch.subthreads[-1]
-        cp.instructions += 1
-        if self.observer is not None:
-            self.observer.on_op(epoch, Rec.LOAD, rec[1], rec[2], pc)
-        self._fast_loads += 1
-        l1 = cpu.l1
-        msys = self.msys
-        banks_reserve = self._banks_reserve
-        chan_reserve = self._chan_reserve
-        l2_lat = self._l2_lat
-        mem_lat = self._mem_lat
-        overlap = self._overlap_loads
-        l2_load = self.l2.load_line
-        order = epoch.order
-        stall = 0.0
-        if not epoch.speculative:
-            # Non-speculative epochs never expose loads, value-predict,
-            # or carry a context: go straight to the L2.
-            for line, _sub_addr, _mask, load_bits, _private in lines:
-                if l1.access(line):
-                    continue
-                hit, result = l2_load(line, order, None, False, load_bits)
-                if hit:
-                    # msys.l2_access, inlined.
-                    ready = banks_reserve(line, now) + l2_lat
-                else:
-                    # msys.memory_access, inlined.
-                    ready = chan_reserve(
-                        banks_reserve(line, now) + l2_lat
-                    ) + mem_lat
-                    if result.memory_accesses > 1:
-                        for _ in range(result.memory_accesses - 1):
-                            msys.extra_memory_transfer(now)
-                    if result.invalidated_lines:
-                        self._apply_inclusion(result.invalidated_lines)
-                if overlap:
-                    if len(cpu.outstanding) >= self._mshr_entries:
-                        oldest_ready, _ = cpu.outstanding.pop(0)
-                        stall = max(stall, oldest_ready - now)
-                    cpu.outstanding.append(
-                        (ready, cpu.pipeline.instructions_retired)
-                    )
-                elif ready - now > stall:
-                    stall = ready - now
-                l1.fill(line, spec=False, subidx=-1)
-        else:
-            # Speculative loads: engine.load_compiled is inlined below
-            # (covers_load via the epoch's store-mask union, the value-
-            # prediction gate, and the exposed-load-table update).
-            engine = self.engine
-            su = epoch.store_union
-            vp = self._value_predict
-            ctx = cp.ctx
-            subidx = cp.index
-            elt_update = engine.exposed_load_tables[epoch.cpu].update
-            for line, sub_addr, mask, load_bits, _private in lines:
-                if l1.access(line):
-                    if not l1.is_notified(line):
-                        written = su.get(line)
-                        if written is None or (mask & ~written):
-                            # First exposed access to this line by this
-                            # epoch: notify the L2 (asynchronous;
-                            # reserves a bank slot but does not stall
-                            # the CPU).
-                            exposed = True
-                            if vp and engine._value_prediction_hits(
-                                epoch, sub_addr, pc
-                            ):
-                                exposed = False
-                                engine.value_predictions_used += 1
-                            l2_load(line, order, ctx, exposed, load_bits)
-                            banks_reserve(line, now)
-                            if exposed:
-                                elt_update(line, pc)
-                                l1.mark_spec(
-                                    line, notified=True, subidx=subidx
-                                )
-                    continue
-                written = su.get(line)
-                exposed = written is None or bool(mask & ~written)
-                if exposed and vp and engine._value_prediction_hits(
-                    epoch, sub_addr, pc
-                ):
-                    exposed = False
-                    engine.value_predictions_used += 1
-                hit, result = l2_load(line, order, ctx, exposed, load_bits)
-                if exposed:
-                    elt_update(line, pc)
-                if hit:
-                    # msys.l2_access, inlined.
-                    ready = banks_reserve(line, now) + l2_lat
-                else:
-                    # msys.memory_access, inlined.
-                    ready = chan_reserve(
-                        banks_reserve(line, now) + l2_lat
-                    ) + mem_lat
-                    if result.memory_accesses > 1:
-                        for _ in range(result.memory_accesses - 1):
-                            msys.extra_memory_transfer(now)
-                    if result.invalidated_lines:
-                        self._apply_inclusion(result.invalidated_lines)
-                if overlap:
-                    if len(cpu.outstanding) >= self._mshr_entries:
-                        oldest_ready, _ = cpu.outstanding.pop(0)
-                        stall = max(stall, oldest_ready - now)
-                    cpu.outstanding.append(
-                        (ready, cpu.pipeline.instructions_retired)
-                    )
-                elif ready - now > stall:
-                    stall = ready - now
-                # fill + mark_spec folded into one lookup.
-                l1.fill(line, spec=True, subidx=subidx, notified=exposed)
-        # epoch.accrue, inlined.
-        cp.pending.cycles[_BUSY] += 1
-        if stall > 0:
-            cp.pending.cycles[_MISS] += stall
-        epoch.cursor += 1
-        return now + 1 + stall
-
-    def _do_store_fast(self, cpu: _CPU, epoch: EpochExecution, rec,
-                       lines, now: float):
-        """Store with precompiled per-line tuples.
-
-        Mirrors :meth:`_do_store`; additionally, region-private lines
-        (only this epoch ever touches them) skip the violation scan in
-        the L2 and the synchronized-load wakeup — both provably no-ops
-        for such lines.  Returns the CPU's next event time, or None when
-        a rewind of this epoch already rescheduled it.
-        """
-        pc = rec[3]
-        # epoch.retire(1), inlined (hot path).
-        epoch.instrs_since_checkpoint += 1
-        epoch.subthreads[-1].instructions += 1
-        if self.observer is not None:
-            self.observer.on_op(epoch, Rec.STORE, rec[1], rec[2], pc)
-        self._fast_stores += 1
-        engine = self.engine
-        msys = self.msys
-        l1 = cpu.l1
-        other_l1s = self._other_l1s[cpu.index]
-        banks_reserve = self._banks_reserve
-        sync_waiters = self._sync_waiters
-        l2_store = self.l2.store_line
-        order = epoch.order
-        speculative = epoch.speculative
-        if speculative:
-            # engine.store_compiled's prologue (epoch.note_store +
-            # epoch.current_ctx), inlined; every epoch has sub-thread 0.
-            cp = epoch.subthreads[-1]
-            sm = cp.store_mask
-            su = epoch.store_union
-            ctx = cp.ctx
-            subidx = cp.index
-        else:
-            sm = su = None
-            ctx = None
-            subidx = -1
-        self_rewound = False
-        for line, _sub_addr, words, _load_bits, private in lines:
-            if speculative:
-                sm[line] = sm.get(line, 0) | words
-                su[line] = su.get(line, 0) | words
-            _hit, result = l2_store(line, order, ctx, words, pc,
-                                    not private)
-            rewinds = None
-            if result is not None:
-                violations = result.violations
-                overflow = result.overflow_squash
-                if violations or overflow:
-                    rewinds = engine._resolve_violations(violations)
-                    if overflow:
-                        rewinds.extend(engine._resolve_overflow(overflow))
-            # Write-through: the store reserves bandwidth but the CPU does
-            # not wait for it (store buffer).
-            banks_reserve(line, now)
-            if result is not None:
-                if result.memory_accesses:
-                    for _ in range(result.memory_accesses):
-                        msys.extra_memory_transfer(now)
-                if result.invalidated_lines:
-                    self._apply_inclusion(result.invalidated_lines)
-            for ol1 in other_l1s:
-                if line in ol1.resident:
-                    ol1.invalidate(line)
-            l1.fill(line, spec=speculative, subidx=subidx)
-            # Rewinds (overflow squashes can hit even on private lines)
-            # apply before waking synchronized loads — see _do_store.
-            if rewinds:
-                self._apply_rewinds(rewinds, now)
-                self_rewound = self_rewound or any(
-                    r.epoch is epoch for r in rewinds
-                )
-                if speculative:
-                    # A rewind may have truncated the sub-thread list and
-                    # replaced the store-mask union: refresh the locals.
-                    cp = epoch.subthreads[-1]
-                    sm = cp.store_mask
-                    su = epoch.store_union
-                    ctx = cp.ctx
-                    subidx = cp.index
-            if private:
-                self._private_stores += 1
-            elif sync_waiters:
-                # A waiter's synchronization line appears in its own
-                # trace, so a line no other epoch touches has no waiters.
-                self._wake_sync_on_store(line, order, now)
-        if self_rewound:
-            # Our own state overflowed and we were squashed mid-record;
-            # the rewind already rescheduled us.
-            return None
-        # epoch.accrue, inlined.
-        epoch.subthreads[-1].pending.cycles[_BUSY] += 1
-        epoch.cursor += 1
-        return now + 1
 
     # ------------------------------------------------------------------
     # Latches (escaped speculation)
@@ -1547,8 +1115,6 @@ class Machine:
             ("compile.fastpath_stores", lambda: self._fast_stores),
             ("compile.private_line_stores",
              lambda: self._private_stores),
-            ("compile.spec_batches", lambda: self._spec_batches),
-            ("compile.batch_squashes", lambda: self._batch_squashes),
             ("compile.region_cache_reuses", lambda: self._compile_reuses),
         ])
         return registry

@@ -43,8 +43,6 @@ METRIC_SOURCES: Dict[str, str] = {
     "compile.fastpath_loads": "compiled_fastpath_loads",
     "compile.fastpath_stores": "compiled_fastpath_stores",
     "compile.private_line_stores": "private_line_stores",
-    "compile.spec_batches": "compiled_spec_batches",
-    "compile.batch_squashes": "compiled_batch_squashes",
     "compile.region_cache_reuses": "compiled_region_cache_reuses",
 }
 
@@ -88,10 +86,6 @@ class SimulationStats:
     compiled_fastpath_stores: int = field(default=0, compare=False)
     #: Fast-path stores to region-private lines (violation scan skipped).
     private_line_stores: int = field(default=0, compare=False)
-    #: Journaled super-records dispatched for speculative epochs, and
-    #: how many of those were squashed mid-flight and rewound.
-    compiled_spec_batches: int = field(default=0, compare=False)
-    compiled_batch_squashes: int = field(default=0, compare=False)
     #: Regions whose lowered entry lists were served from a compile
     #: cache (process-wide memo or segment-attached) instead of being
     #: lowered again.

@@ -13,32 +13,12 @@ COMPUTE/OP/TLS_OVERHEAD/BRANCH records are coalesced into one entry
 carrying the pre-summed static cycle cost (computed with the exact
 per-record rounding the pipeline model uses), the total instruction
 count, and the ordered branch list (branch outcomes stay dynamic: the
-GShare predictor is stateful).  The machine dispatches a whole run as one
-event.  For epochs that are *not speculative* (serial segments,
-single-CPU modes, and the homefree epoch of a parallel region) this is
-trivially safe: nothing can interrupt the run.  For *speculative* epochs
-the machine arms a **rewind journal** before dispatch — a snapshot of the
-small mutable state the batch touches (predictor entries via an undo
-log, retired-instruction and cycle counters, the epoch progress index) —
-and each entry additionally carries a per-record ``steps`` tuple
-``(instrs, static_cycles, is_overhead, branch-or-None)`` plus the
-largest sliceable record size ``max_unit``.  When a violation squashes
-the epoch mid-flight, the machine restores the journal and replays the
-interpreted prefix from ``steps``, reproducing the partial progress the
-interpreted path would have made, byte for byte.  ``max_unit`` lets the
-dispatch gate refuse batches whose records the interpreted path would
-have sliced (sub-thread spacing / slice-limit), so a dispatched batch
-never hides a checkpoint boundary: sub-thread checkpoints only ever land
-at batch edges.
-
-**Conflict windows.**  A speculative epoch's batches are additionally
-split at its *conflict boundaries*: the record indices at which any
-other epoch of the region first touches a line this epoch shares
-(derived from the same private/shared classification below).  Under the
-paper's roughly-lockstep epoch progress this makes the common
-cross-epoch violation land at a batch edge rather than mid-flight; it is
-a batch-splitting heuristic, not a correctness requirement — the journal
-is what makes a mid-flight squash exact.
+GShare predictor is stateful).  The machine dispatches such a run as one
+event only for epochs that are *not speculative* (serial segments,
+single-CPU modes, and the homefree epoch of a parallel region), where
+nothing can interrupt it.  A speculative epoch may be squashed or reach
+a sub-thread checkpoint between any two records, so it dispatches the
+run record by record; the chained event loop keeps that cheap.
 
 **Pre-resolved line tuples.**  Every LOAD/STORE record is lowered to an
 interned tuple of per-line ``(line, sub_addr, word_mask, load_bits,
@@ -68,7 +48,6 @@ replays every workload under both paths and asserts stats equality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -145,10 +124,6 @@ class RegionCompilation:
     #: Line classification census (tests / telemetry).
     private_lines: int = 0
     shared_lines: int = 0
-    #: Per-epoch sorted conflict boundaries: record indices at which any
-    #: *other* epoch first touches a line the epoch shares.  Batches are
-    #: split so they never span a boundary (tests / telemetry).
-    conflict_boundaries: List[tuple] = field(default_factory=list)
 
 
 def classify_lines(epoch_traces: List[EpochTrace], geom) -> Dict[int, int]:
@@ -164,41 +139,6 @@ def classify_lines(epoch_traces: List[EpochTrace], geom) -> Dict[int, int]:
                 prev = get(line, idx)
                 owner[line] = idx if prev == idx else _SHARED
     return owner
-
-
-def conflict_boundaries(
-    epoch_traces: List[EpochTrace], geom, owner: Dict[int, int]
-) -> List[tuple]:
-    """Per-epoch sorted record indices bounding speculative batches.
-
-    For epoch *e* the boundaries are the indices at which some *other*
-    epoch of the region first touches a line that *e* shares.  Epochs
-    progress through their traces at roughly the same rate (they are
-    slices of one loop), so a violation delivered to *e* most often
-    originates near such a first touch; splitting *e*'s batches there
-    makes the common squash land at a batch edge instead of mid-flight.
-    """
-    hazards: List[set] = [set() for _ in epoch_traces]
-    if len(epoch_traces) > 1:
-        # line -> [(epoch index, first record index touching it)], for
-        # shared lines only.
-        first_touch: Dict[int, List[Tuple[int, int]]] = {}
-        for idx, trace in enumerate(epoch_traces):
-            seen = set()
-            for ri, rec in enumerate(trace.records):
-                kind = rec[0]
-                if kind != Rec.LOAD and kind != Rec.STORE:
-                    continue
-                for line in geom.lines_touched(rec[1], rec[2]):
-                    if owner[line] == _SHARED and line not in seen:
-                        seen.add(line)
-                        first_touch.setdefault(line, []).append((idx, ri))
-        for touchers in first_touch.values():
-            for idx, ri in touchers:
-                for other, _ in touchers:
-                    if other != idx:
-                        hazards[other].add(ri)
-    return [tuple(sorted(h)) for h in hazards]
 
 
 def compile_region(
@@ -219,7 +159,6 @@ def compile_region(
     out = RegionCompilation()
     out.shared_lines = sum(1 for o in owner.values() if o == _SHARED)
     out.private_lines = len(owner) - out.shared_lines
-    out.conflict_boundaries = conflict_boundaries(epoch_traces, geom, owner)
 
     line_size = geom.line_size
     full_line_mask = l2._full_line_mask
@@ -256,10 +195,9 @@ def compile_region(
         mem_cache[(addr, size)] = interned
         return interned
 
-    for epoch_idx, trace in enumerate(epoch_traces):
+    for trace in epoch_traces:
         records = trace.records
         n = len(records)
-        bounds = out.conflict_boundaries[epoch_idx]
         entries: list = [None] * n
         i = 0
         while i < n:
@@ -274,60 +212,37 @@ def compile_region(
                 continue
             # Extend a batch over the maximal run of batchable records,
             # pre-summing the static cost with the pipeline model's
-            # per-record rounding, and recording the per-record ``steps``
-            # the machine's journal replays after a mid-flight squash.
-            # The run never crosses one of the epoch's conflict
-            # boundaries (a batch may end exactly on one).
-            if bounds:
-                k = bisect_right(bounds, i)
-                bound = bounds[k] if k < len(bounds) else n
-            else:
-                bound = n
+            # per-record rounding.
             j = i
             busy = 0
             overhead = 0
             instrs = 0
-            max_unit = 0
             branches: List[Tuple[int, bool]] = []
-            steps: List[tuple] = []
-            while j < n and j < bound:
+            while j < n:
                 r = records[j]
                 rk = r[0]
                 if rk == Rec.COMPUTE:
-                    count = r[1]
-                    cycles = (count + width - 1) // width
-                    busy += cycles
-                    instrs += count
-                    if count > max_unit:
-                        max_unit = count
-                    steps.append((count, cycles, False, None))
+                    busy += (r[1] + width - 1) // width
+                    instrs += r[1]
                 elif rk == Rec.TLS_OVERHEAD:
-                    count = r[1]
-                    cycles = (count + width - 1) // width
-                    overhead += cycles
-                    instrs += count
-                    if count > max_unit:
-                        max_unit = count
-                    steps.append((count, cycles, True, None))
+                    overhead += (r[1] + width - 1) // width
+                    instrs += r[1]
                 elif rk == Rec.BRANCH:
                     busy += 1  # base cost; misprediction penalty is dynamic
                     instrs += 1
                     branches.append((r[1], r[2]))
-                    steps.append((1, 1, False, (r[1], r[2])))
                 elif rk == Rec.OP:
                     latency = op_latency.get(r[1])
                     if latency is None:
                         break  # unknown op class: leave it interpreted
-                    cycles = max(1, int(round(latency * r[2])))
-                    busy += cycles
+                    busy += max(1, int(round(latency * r[2])))
                     instrs += r[2]
-                    steps.append((r[2], cycles, False, None))
                 else:
                     break
                 j += 1
             if j - i >= 2:
                 entries[i] = (BATCH, j, busy, overhead, instrs,
-                              tuple(branches), max_unit, tuple(steps))
+                              tuple(branches))
                 i = j
             else:
                 i = j if j > i else i + 1

@@ -11,15 +11,6 @@ simulation statistic, making the trace compiler itself a fuzzed axis.
 With ``--check-invariants`` the cycle-level invariant checker runs as
 well, at a tight sweep interval.
 
-``--engine`` switches to the engine axis: per seed, the same (workload,
-config, mode) runs once under the engine module the environment selects
-(the compiled twin when built) and once with the
-``REPRO_NO_COMPILED_ENGINE`` kill switch forcing the pure-Python
-reference, and the two must agree on every statistic.  On a source
-checkout without the ``[speed]`` build both runs take the pure module —
-still a valid determinism check — while the CI compiled job turns it
-into a real compiled-vs-pure differential.
-
 On a failure the driver re-runs the failing (trace, config, mode) while
 shrinking the workload (drop transactions, then segments, then epochs,
 then bisect record lists) and writes a self-contained JSON repro file —
@@ -29,9 +20,9 @@ machine configuration — which ``--repro FILE`` replays directly.
 ``--profile high-violation`` biases both draws toward squash pressure:
 epochs contend almost entirely on the shared hot words, the L2 is drawn
 tiny (overflow squashes), and the TLS config always has many sub-thread
-contexts at tight spacing — the regime that exercises the journaled
-speculative-batch rewind path hardest (every mid-flight squash of a
-dispatched batch must restore predictor/counter/progress state exactly).
+contexts at tight spacing.  That regime squashes epochs in the middle of
+chained compiled dispatch on nearly every seed, and each squash must
+leave the compiled run exactly where the interpreted run would be.
 
 Exit status is 0 when every seed passes, 1 otherwise, so CI can run a
 fixed seed batch as a regression gate.
@@ -42,7 +33,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -50,8 +40,7 @@ from typing import List, Optional, Tuple
 
 from ..core.engine import TLSConfig
 from ..cpu.pipeline import PipelineConfig
-from ..sim import ExecutionMode, Machine, MachineConfig, engine_kind
-from ..sim.engine import KILL_SWITCH
+from ..sim import ExecutionMode, Machine, MachineConfig
 from ..trace.addressmap import AddressMap
 from ..trace.events import (
     EpochTrace,
@@ -195,7 +184,7 @@ def random_machine_config(
     ``high-violation`` profile pins the draws at the squashy end: the
     smallest L2 geometries (speculative state overflows constantly) and
     always-many sub-thread contexts at tight spacing, so nearly every
-    speculative batch dispatch races a rewind.
+    speculative epoch races a rewind.
     """
     high_violation = profile == "high-violation"
     line_size = rng.choice((16, 32, 64))
@@ -419,8 +408,15 @@ def config_to_dict(config: MachineConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: ``MachineConfig`` fields that once chose an execution strategy (the
+#: columnar load/store kernels, journaled speculative batches) and never
+#: changed a result.  Repro files written while they existed still carry
+#: them; ``config_from_dict`` drops them so those files keep replaying.
+RETIRED_CONFIG_FIELDS = ("columnar", "columnar_stores", "speculative_batches")
+
+
 def config_from_dict(doc: dict) -> MachineConfig:
-    doc = dict(doc)
+    doc = {k: v for k, v in doc.items() if k not in RETIRED_CONFIG_FIELDS}
     doc["pipeline"] = PipelineConfig(**doc["pipeline"])
     doc["tls"] = TLSConfig(**doc["tls"])
     return MachineConfig(**doc)
@@ -505,51 +501,6 @@ def run_seed(
             message += f" [repro: {path}]"
         failures.append(message)
     return failures
-
-
-def run_engine_seed(seed: int, profile: str = "default") -> Optional[str]:
-    """The engine fuzz axis: selected event loop vs forced-pure.
-
-    Per seed, one random (workload, config) pair replays under every
-    execution mode twice — once with whatever engine module
-    ``repro.sim.engine`` selects (the compiled twin when a ``[speed]``
-    build is importable) and once with the kill switch forcing the
-    pure-Python reference — and every statistic must match.  Selection
-    happens per Machine construction, so the environment flip is
-    scoped to exactly one run.
-    """
-    rng = random.Random(seed)
-    workload = random_workload(rng, profile=profile)
-    base = random_machine_config(rng, profile=profile)
-    try:
-        assert_clean(workload)
-    except TraceLintError as exc:
-        return f"seed {seed}: lint: {exc}"
-    for mode in ExecutionMode.ALL:
-        config = MachineConfig.for_mode(mode, base=base)
-        try:
-            selected_stats = Machine(config).run(workload)
-            had_switch = os.environ.get(KILL_SWITCH)
-            os.environ[KILL_SWITCH] = "1"
-            try:
-                pure_stats = Machine(config).run(workload)
-            finally:
-                if had_switch is None:
-                    del os.environ[KILL_SWITCH]
-                else:
-                    os.environ[KILL_SWITCH] = had_switch
-        except Exception as exc:  # simulator crash is a finding too
-            return (
-                f"seed {seed} mode {mode}: engine axis crashed: "
-                f"{type(exc).__name__}: {exc}"
-            )
-        if selected_stats != pure_stats:
-            return (
-                f"seed {seed} mode {mode}: EngineMismatch: "
-                f"{engine_kind()} engine stats differ from the "
-                "forced-pure reference"
-            )
-    return None
 
 
 def run_sampling_seed(seed: int, profile: str = "default"
@@ -820,32 +771,8 @@ def main(argv=None) -> int:
                              "ladder, profile additivity over "
                              "transaction slices, and violation-cost "
                              "sanity (repro.trace.reuse)")
-    parser.add_argument("--engine", action="store_true",
-                        help="fuzz the event-loop engine axis instead: "
-                             "per seed, the selected engine module "
-                             "(compiled twin when built) vs the "
-                             "REPRO_NO_COMPILED_ENGINE-forced pure-"
-                             "Python reference must be stat-equal in "
-                             "every mode")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.engine:
-        engine_failures: List[str] = []
-        print(f"engine axis: selected engine is {engine_kind()!r}")
-        for seed in range(args.start, args.start + args.seeds):
-            error = run_engine_seed(seed, profile=args.profile)
-            if error is not None:
-                engine_failures.append(error)
-                print(f"FAIL {error}")
-            elif not args.quiet:
-                print(f"ok   seed {seed}")
-        if engine_failures:
-            print(f"\n{len(engine_failures)} failure(s) over "
-                  f"{args.seeds} seeds")
-            return 1
-        print(f"\nall {args.seeds} engine seeds passed")
-        return 0
 
     if args.prediction:
         prediction_failures: List[str] = []

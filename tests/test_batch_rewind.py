@@ -1,22 +1,20 @@
-"""Journaled batch rewind under crafted squashes (repro.sim.machine).
+"""Squashes that land inside a compute run (repro.sim.machine).
 
 Three crafted workloads force a violation to land, respectively:
-mid-flight inside a speculative super-record bounded by a conflict
-window, on an epoch that opened sub-thread checkpoints between batches,
-and inside a batched run that trained the GShare predictor.  Each case
-asserts two things: the run's architectural statistics equal the
-``compile_traces=False`` run's byte for byte (the journal restored the
-interpreted path's state exactly), and the squash actually hit a
-dispatched speculative batch (the compile telemetry proves the fast
-path was exercised rather than refused).
+mid-flight inside a long speculative compute run, on an epoch that
+opened sub-thread checkpoints along the run, and inside a run that
+trained the GShare predictor.  Each case asserts that the squash
+happened, that the compiled (chained) dispatch path actually ran, and
+that the run's architectural statistics equal the
+``compile_traces=False`` run's byte for byte: the compiled path leaves
+progress, cycle accounting and predictor state exactly where the
+interpreted path does at the squash instant.
 """
 
 import dataclasses
 import random
 
-from repro.cpu.pipeline import PipelineConfig
 from repro.sim import ExecutionMode, Machine, MachineConfig
-from repro.trace.compile import BATCH, compile_region
 from repro.trace.events import (
     EpochTrace,
     ParallelRegion,
@@ -55,64 +53,30 @@ def run_pair(wl, mode=ExecutionMode.BASELINE):
 
 
 class TestMidBatchConflictWindow:
-    """Violation arrives while the victim is inside a batch whose start
-    sits exactly on its conflict-window boundary."""
+    """Violation arrives while the victim is in the middle of a long
+    speculative compute run."""
 
     def _workload(self):
         # e0 stores the shared line after ~225 cycles of compute; e1
         # speculatively loads it first thing and then runs a long
-        # all-compute stretch, so the violation lands mid-batch.
+        # all-compute stretch, so the violation lands mid-run.
         e0 = [(Rec.COMPUTE, 900), (Rec.STORE, A, 4, PC)]
         e1 = [(Rec.LOAD, A, 4, PC + 16)] + [(Rec.COMPUTE, 40)] * 60
-        return workload([region(e0, e1)]), [e0, e1]
-
-    def test_conflict_boundaries_and_batch_split(self):
-        _, (e0, e1) = self._workload()
-        l2 = Machine(MachineConfig()).l2
-        comp = compile_region(
-            [EpochTrace(epoch_id=0, records=e0),
-             EpochTrace(epoch_id=1, records=e1)],
-            l2, PipelineConfig(),
-        )
-        # e0 shares line A, first touched by e1 at record 0; e1 shares
-        # it too, first touched by e0 at record 1.
-        assert comp.conflict_boundaries == [(0,), (1,)]
-        # e1's compute run starts exactly on its boundary and extends to
-        # the end of the epoch as one batch.
-        entry = comp.epochs[1][1]
-        assert entry[0] == BATCH and entry[1] == len(e1)
-
-    def test_boundary_inside_run_splits_the_batch(self):
-        # When the boundary falls inside a compute run, the run is cut
-        # there: the prefix (a run of one) stays interpreted, the
-        # remainder forms the batch.
-        e0 = [(Rec.COMPUTE, 900), (Rec.STORE, A, 4, PC)]
-        e1 = [(Rec.COMPUTE, 40)] * 10 + [(Rec.LOAD, A, 4, PC + 16)]
-        l2 = Machine(MachineConfig()).l2
-        comp = compile_region(
-            [EpochTrace(epoch_id=0, records=e0),
-             EpochTrace(epoch_id=1, records=e1)],
-            l2, PipelineConfig(),
-        )
-        assert comp.conflict_boundaries[1] == (1,)
-        assert comp.epochs[1][0] is None  # prefix: run of one
-        entry = comp.epochs[1][1]
-        assert entry[0] == BATCH and entry[1] == 10
+        return workload([region(e0, e1)])
 
     def test_squash_mid_batch_matches_interpreted(self):
-        wl, _ = self._workload()
-        compiled, interpreted = run_pair(wl, ExecutionMode.NO_SUBTHREAD)
+        compiled, interpreted = run_pair(
+            self._workload(), ExecutionMode.NO_SUBTHREAD
+        )
         assert compiled.primary_violations == 1
-        assert compiled.compiled_spec_batches > 0
-        assert compiled.compiled_batch_squashes >= 1
+        assert compiled.compiled_fastpath_loads > 0
         assert compiled == interpreted
         assert compiled.total_cycles == interpreted.total_cycles
 
 
 class TestCheckpointBoundarySquash:
-    """Squash of a batched epoch that opened sub-thread checkpoints;
-    the rewind lands on a checkpoint record, which the dispatch gate
-    guarantees coincides with a batch edge."""
+    """Squash of an epoch that opened sub-thread checkpoints along its
+    compute runs; the rewind lands on a checkpoint inside the run."""
 
     def _workload(self):
         # e1: an early speculative load of the shared line, then a long
@@ -132,8 +96,7 @@ class TestCheckpointBoundarySquash:
         )
         assert compiled.primary_violations >= 1
         assert compiled.subthreads_started >= 1
-        assert compiled.compiled_spec_batches > 0
-        assert compiled.compiled_batch_squashes >= 1
+        assert compiled.compiled_fastpath_loads > 0
         assert compiled == interpreted
         assert compiled.total_cycles == interpreted.total_cycles
         # The rewind went to a sub-thread checkpoint, not epoch start:
@@ -142,9 +105,9 @@ class TestCheckpointBoundarySquash:
 
 
 class TestPredictorJournalSquash:
-    """Squash of a batch that updated the GShare predictor: the undo
-    log must restore the predictor entries and misprediction counts the
-    interpreted path would have."""
+    """Squash of a compute run that trained the GShare predictor: the
+    compiled run must leave the predictor entries and misprediction
+    counts where the interpreted run does."""
 
     def _workload(self):
         rng = random.Random(7)
@@ -160,8 +123,7 @@ class TestPredictorJournalSquash:
             self._workload(), ExecutionMode.NO_SUBTHREAD
         )
         assert compiled.primary_violations == 1
-        assert compiled.compiled_spec_batches > 0
-        assert compiled.compiled_batch_squashes >= 1
+        assert compiled.compiled_fastpath_loads > 0
         assert compiled == interpreted
         assert (
             compiled.branch_mispredictions

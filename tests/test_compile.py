@@ -221,6 +221,26 @@ class TestCompiledInterpretedIdentity:
         assert compiled == interpreted
         assert compiled.total_cycles == interpreted.total_cycles
 
+    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    def test_stats_identical_every_mode_overlap_loads(self, mode):
+        """The chained loop's overlap-loads arm (MSHR list, ROB-window
+        stall, batching suppressed) matches the interpreted path."""
+        ctx = ExperimentContext(
+            n_transactions=2, seed=42, scale=TPCCScale.tiny()
+        )
+        trace = materialize(ctx.spec("new_order", mode=mode))
+        config = dataclasses.replace(
+            MachineConfig.for_mode(mode), overlap_loads=True
+        )
+        compiled = Machine(config).run(trace)
+        interpreted = Machine(
+            dataclasses.replace(config, compile_traces=False)
+        ).run(trace)
+        assert compiled.compiled_fastpath_loads > 0
+        assert compiled.compiled_batched_records == 0
+        assert compiled == interpreted
+        assert compiled.total_cycles == interpreted.total_cycles
+
     def test_compiled_path_actually_taken(self):
         ctx = ExperimentContext(
             n_transactions=2, seed=42, scale=TPCCScale.tiny()

@@ -117,9 +117,17 @@ class TestResultStore:
         # A version-1 entry still carries telemetry fields that
         # SimulationStats no longer has; it must read as a miss, never
         # raise.
-        assert STORE_VERSION == 2
+        assert STORE_VERSION == 3
         entry["version"] = 1
         entry["stats"]["retired_kernel_batches"] = 0
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        # Likewise a version-2 entry with the retired speculative-batch
+        # journal counters.
+        del entry["stats"]["retired_kernel_batches"]
+        entry["version"] = 2
+        entry["stats"]["compiled_spec_batches"] = 3
+        entry["stats"]["compiled_batch_squashes"] = 1
         path.write_text(json.dumps(entry))
         assert store.get_stats("k", config) is None
         # Even mislabeled as current, the retired fields cannot round-trip.

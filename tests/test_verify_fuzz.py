@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -67,6 +68,26 @@ class TestReproFiles:
         config = random_machine_config(random.Random(3))
         rebuilt = config_from_dict(config_to_dict(config))
         assert rebuilt == config
+
+    def test_retired_config_fields_still_replay(self, tmp_path):
+        # Repro files written while these execution-strategy switches
+        # existed carry them in their config; they must replay, not
+        # fail with a TypeError.
+        rng = random.Random(0)
+        path = tmp_path / "old.json"
+        write_repro(path, random_workload(rng), random_machine_config(rng),
+                    mode="baseline", seed=0, error="synthetic")
+        doc = json.loads(path.read_text())
+        doc["config"]["columnar"] = True
+        doc["config"]["speculative_batches"] = False
+        path.write_text(json.dumps(doc))
+        assert run_repro(path) is None
+
+    def test_unknown_config_field_still_raises(self):
+        doc = config_to_dict(random_machine_config(random.Random(3)))
+        doc["no_such_field"] = True
+        with pytest.raises(TypeError):
+            config_from_dict(doc)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
