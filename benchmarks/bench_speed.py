@@ -9,13 +9,12 @@ performance trajectory is tracked across PRs:
    Each timed sweep runs on a fresh ``JobRunner`` whose result memo is
    empty, so it simulates every job.
 3. **Inner-loop throughput** — trace records simulated per second by
-   ``Machine.run`` on a pre-generated TLS workload.
-4. **Speculative scenario** — the same workload under the Figure-5
-   TLS sub-thread (baseline) mode, timed two ways: compiled (chained
-   dispatch, the default) and fully interpreted
-   (``compile_traces=False``).  The variants are interleaved per
-   repetition so thermal/frequency drift cannot skew the ratio.  Both
-   throughputs land in the trajectory entry;
+   ``Machine.run`` on a pre-generated TLS workload under the default
+   ``MachineConfig`` (the Figure-5 TLS sub-thread, i.e. baseline,
+   mode), timed two ways: compiled (chained dispatch, the default) and
+   fully interpreted (``compile_traces=False``).  The variants are
+   interleaved per repetition so thermal/frequency drift cannot skew
+   the ratio.  Both throughputs land in the trajectory entry;
    ``--spec-min-vs-interpreted`` turns the compiled-vs-interpreted
    ratio into a CI gate.
 
@@ -27,8 +26,7 @@ reports seconds per run.  Every timed scenario reports best-of-N (the
 headline and gate input) plus the median and records/second stdev of
 the repetitions, and
 ``--json`` echoes the whole perf document to stdout.  Trajectory
-appends are linted against the ``repro.obs.schema`` bench-trajectory
-schema before the script exits.
+appends are checked with ``repro.obs.lint`` before the script exits.
 
 Unlike the pytest-benchmark files next to it this is a plain script
 (it writes an artifact, not a benchmark table):
@@ -44,7 +42,6 @@ under ``--jobs N`` the workers load their traces from that cache.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import pathlib
@@ -65,7 +62,7 @@ from repro.obs import (  # noqa: E402
     atomic_write_json,
     build_manifest,
     finish_manifest,
-    lint_bench_trajectory,
+    lint,
 )
 from repro.harness.figure5 import run_figure5  # noqa: E402
 from repro.harness.figure6 import run_figure6  # noqa: E402
@@ -148,27 +145,38 @@ def time_sample(config: MachineConfig, trace: WorkloadTrace,
     return total / runs
 
 
-def time_inner_loop(args, compile_traces: bool = True):
-    """Per-repetition seconds of one Machine.run on a TLS workload.
+def time_inner_loop(args):
+    """Per-repetition seconds of one Machine.run, compiled vs interpreted.
 
-    ``--warmup`` repetitions run first and are excluded from the
-    samples: the first run pays one-time costs (trace compilation into
-    the process-wide memo, branch-predictor warm allocation) that are
-    not inner-loop throughput.  Each sample averages enough back-to-back
-    runs to last at least 0.2 s (:func:`runs_per_sample`).  Returns
-    ``(records, samples)`` — use :func:`summarize` for
-    best/median/stdev.
+    Returns ``(records, samples)`` where ``samples`` maps ``compiled``
+    (the default: chained compiled dispatch) and ``interpreted`` to
+    per-repetition seconds lists; use :func:`summarize` for
+    best/median/stdev.  ``--warmup`` interleaved repetitions run first
+    and are excluded from the samples: the first run pays one-time
+    costs (trace compilation into the process-wide memo, branch-
+    predictor warm allocation) that are not inner-loop throughput.
+    Each sample averages enough back-to-back runs to last at least
+    0.2 s (:func:`runs_per_sample`), and the variants run interleaved
+    inside each repetition so slow drift of the host clock speed hits
+    both equally.
     """
     trace = materialize(_bench_spec(args), cache_dir=None)
     records = count_records(trace)
-    config = MachineConfig(compile_traces=compile_traces)
+    variants = {
+        "compiled": MachineConfig(),
+        "interpreted": MachineConfig(compile_traces=False),
+    }
     for _ in range(max(0, args.warmup)):
-        Machine(config).run(trace)
-    runs = runs_per_sample(config, trace)
-    samples = [
-        time_sample(config, trace, runs)
-        for _ in range(max(1, args.repeat))
-    ]
+        for config in variants.values():
+            Machine(config).run(trace)
+    runs = {
+        name: runs_per_sample(config, trace)
+        for name, config in variants.items()
+    }
+    samples = {name: [] for name in variants}
+    for _ in range(max(1, args.repeat)):
+        for name, config in variants.items():
+            samples[name].append(time_sample(config, trace, runs[name]))
     return records, samples
 
 
@@ -207,38 +215,6 @@ def _bench_spec(args) -> TraceSpec:
     )
 
 
-def time_speculative_scenario(args):
-    """Figure-5 TLS sub-thread (baseline) mode, compiled vs interpreted.
-
-    Returns ``(records, samples)`` where ``samples`` maps ``compiled``
-    (the default: chained compiled dispatch) and ``interpreted`` to
-    per-repetition seconds lists.  Compile caches are process-wide, so
-    compilation cost is amortized exactly as in the harness; the
-    variants run interleaved inside each repetition so slow drift of
-    the host clock speed hits both equally, and ``--warmup``
-    interleaved repetitions are discarded first.
-    """
-    trace = materialize(_bench_spec(args), cache_dir=None)
-    records = count_records(trace)
-    base = MachineConfig.for_mode(ExecutionMode.BASELINE)
-    variants = {
-        "compiled": base,
-        "interpreted": dataclasses.replace(base, compile_traces=False),
-    }
-    for _ in range(max(0, args.warmup)):
-        for config in variants.values():
-            Machine(config).run(trace)
-    runs = {
-        name: runs_per_sample(config, trace)
-        for name, config in variants.items()
-    }
-    samples = {name: [] for name in variants}
-    for _ in range(max(1, args.repeat)):
-        for name, config in variants.items():
-            samples[name].append(time_sample(config, trace, runs[name]))
-    return records, samples
-
-
 def runner_class() -> str:
     """Coarse machine identity for the BENCH_speed.json trajectory.
 
@@ -256,11 +232,10 @@ def append_trajectory(path: pathlib.Path, entries, min_ratio: float) -> int:
 
     The regression gate is per scenario: each new entry is compared
     against the most recent previous entry with the same runner class,
-    scale, ``scenario`` ("inner_loop" when absent — the field predates
-    the speculative scenario) and ``records`` (a different input size is
-    a different measurement, not a regression).  Returns 1 when any scenario's
-    records/second fell below ``min_ratio`` times its previous entry,
-    else 0.  The file is never rewritten — entries only accumulate,
+    scale, ``scenario`` and ``records`` (a different input size is a
+    different measurement, not a regression).  Returns 1 when any
+    scenario's records/second fell below ``min_ratio`` times its
+    previous entry, else 0.  The file is never rewritten — entries only accumulate,
     preserving the full performance history.
     """
     history = []
@@ -269,13 +244,13 @@ def append_trajectory(path: pathlib.Path, entries, min_ratio: float) -> int:
             history = json.load(fh)
     status = 0
     for entry in entries:
-        scenario = entry.get("scenario", "inner_loop")
+        scenario = entry["scenario"]
         previous = None
         for old in reversed(history):
             if (
                 old.get("runner") == entry["runner"]
                 and old.get("scale") == entry["scale"]
-                and old.get("scenario", "inner_loop") == scenario
+                and old.get("scenario") == scenario
                 and old.get("records") == entry["records"]
             ):
                 previous = old
@@ -298,10 +273,10 @@ def append_trajectory(path: pathlib.Path, entries, min_ratio: float) -> int:
         history.append(entry)
     atomic_write_json(path, history)
     print(f"appended to {path} ({len(history)} entries)")
-    issues = lint_bench_trajectory(path)
+    issues = lint(path, kind="trajectory")
     if issues:
         print(
-            f"ERROR: {path} fails the bench-trajectory schema lint:",
+            f"ERROR: {path} fails the trajectory schema lint:",
             file=sys.stderr,
         )
         for issue in issues[:20]:
@@ -325,11 +300,6 @@ def main(argv=None) -> int:
         help=("untimed repetitions before each best-of measurement "
               "(default 1; they absorb one-time compile/allocation "
               "costs so the best-of measures steady state)"),
-    )
-    parser.add_argument(
-        "--no-compile-traces", action="store_true",
-        help=("time only the interpreted simulator path (skip the "
-              "compiled-path measurement)"),
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -356,10 +326,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--spec-min-vs-interpreted", type=float, default=None,
         metavar="RATIO",
-        help=("fail unless the speculative scenario's compiled "
-              "throughput is at least RATIO times its interpreted "
-              "throughput measured in the same run (CI gate; off by "
-              "default)"),
+        help=("fail unless the inner loop's compiled throughput is at "
+              "least RATIO times its interpreted throughput measured in "
+              "the same run (CI gate; off by default)"),
     )
     args = parser.parse_args(argv)
 
@@ -382,7 +351,6 @@ def main(argv=None) -> int:
             "jobs": jobs,
             "repeat": args.repeat,
             "warmup": args.warmup,
-            "compile_traces": not args.no_compile_traces,
         },
         seed=args.seed,
     )
@@ -433,62 +401,30 @@ def main(argv=None) -> int:
         }
     trace_dir.cleanup()
 
-    print("timing simulator inner loop (compiled traces) ..."
-          if not args.no_compile_traces
-          else "timing simulator inner loop (interpreted) ...")
-    records, inner_samples = time_inner_loop(
-        args, compile_traces=not args.no_compile_traces
-    )
-    inner = summarize(records, inner_samples)
-    records_per_s = inner["records_per_second"]
-    print(f"  {records} records in {inner['seconds']:.4f}s "
-          f"({records_per_s:,.0f} records/s, median "
-          f"{inner['median_records_per_second']:,.0f} "
-          f"± {inner['stdev_records_per_second']:,.0f})")
-
-    inner_loop = dict(inner)
-    inner_loop["records"] = records
-    inner_loop["compile_traces"] = not args.no_compile_traces
-    if not args.no_compile_traces:
-        print("timing simulator inner loop (interpreted, for reference) ...")
-        records_i, interp_samples = time_inner_loop(
-            args, compile_traces=False
-        )
-        interp = summarize(records_i, interp_samples)
-        print(f"  {records_i} records in {interp['seconds']:.4f}s "
-              f"({interp['records_per_second']:,.0f} records/s)")
-        inner_loop["interpreted_seconds"] = interp["seconds"]
-        inner_loop["interpreted_records_per_second"] = (
-            interp["records_per_second"]
-        )
-
-    print("timing speculative scenario (TLS sub-thread mode, "
+    print("timing simulator inner loop (TLS sub-thread mode, "
           "compiled / interpreted) ...")
-    spec_records, spec_samples = time_speculative_scenario(args)
-    spec = {
-        name: summarize(spec_records, samples)
-        for name, samples in spec_samples.items()
+    records, samples = time_inner_loop(args)
+    inner = {
+        name: summarize(records, runs) for name, runs in samples.items()
     }
-    spec_rps = {
-        name: summary["records_per_second"]
-        for name, summary in spec.items()
-    }
+    rps = {name: summary["records_per_second"]
+           for name, summary in inner.items()}
     ratio_vs_interp = (
-        spec_rps["compiled"] / spec_rps["interpreted"]
-        if spec_rps["interpreted"] else None
+        rps["compiled"] / rps["interpreted"] if rps["interpreted"] else None
     )
     for name in ("compiled", "interpreted"):
-        print(f"  {name:<11} {spec_records} records in "
-              f"{spec[name]['seconds']:.4f}s "
-              f"({spec_rps[name]:,.0f} records/s, median "
-              f"{spec[name]['median_records_per_second']:,.0f} "
-              f"± {spec[name]['stdev_records_per_second']:,.0f})")
+        print(f"  {name:<11} {records} records in "
+              f"{inner[name]['seconds']:.4f}s "
+              f"({rps[name]:,.0f} records/s, median "
+              f"{inner[name]['median_records_per_second']:,.0f} "
+              f"± {inner[name]['stdev_records_per_second']:,.0f})")
     print(f"  compiled/interpreted {ratio_vs_interp:.2f}x")
-    speculative = dict(spec["compiled"])
-    speculative["mode"] = ExecutionMode.BASELINE
-    speculative["records"] = spec_records
-    speculative.update({
-        "interpreted_records_per_second": spec_rps["interpreted"],
+    inner_loop = dict(inner["compiled"])
+    inner_loop.update({
+        "mode": ExecutionMode.BASELINE,
+        "records": records,
+        "interpreted_seconds": inner["interpreted"]["seconds"],
+        "interpreted_records_per_second": rps["interpreted"],
         "ratio_vs_interpreted": round(ratio_vs_interp, 3)
         if ratio_vs_interp else None,
     })
@@ -496,7 +432,7 @@ def main(argv=None) -> int:
     if args.spec_min_vs_interpreted is not None:
         if (ratio_vs_interp or 0.0) < args.spec_min_vs_interpreted:
             print(
-                f"ERROR: speculative scenario is only "
+                f"ERROR: compiled inner loop is only "
                 f"{ratio_vs_interp:.2f}x the interpreted baseline "
                 f"(threshold {args.spec_min_vs_interpreted}x)",
                 file=sys.stderr,
@@ -514,7 +450,6 @@ def main(argv=None) -> int:
         },
         "harness": harness,
         "inner_loop": inner_loop,
-        "speculative_scenario": speculative,
         "manifest": finish_manifest(
             manifest, time.perf_counter() - bench_t0,
             trace_spec_keys=sorted(spec_keys),
@@ -534,43 +469,21 @@ def main(argv=None) -> int:
             manifest, time.perf_counter() - bench_t0,
             trace_spec_keys=sorted(spec_keys),
         )
-        entries = [
-            {
-                "scenario": "inner_loop",
-                "runner": runner_class(),
-                "scale": perf["config"]["scale"],
-                "records": records,
-                "records_per_second": records_per_s,
-                "median_records_per_second":
-                    inner["median_records_per_second"],
-                "stdev_records_per_second":
-                    inner["stdev_records_per_second"],
-                "compile_traces": not args.no_compile_traces,
-                "python": platform.python_version(),
-                "manifest": final_manifest,
-            },
-            {
-                "scenario": "speculative",
-                "runner": runner_class(),
-                "scale": perf["config"]["scale"],
-                "mode": ExecutionMode.BASELINE,
-                "records": spec_records,
-                "records_per_second": speculative["records_per_second"],
-                "median_records_per_second":
-                    speculative["median_records_per_second"],
-                "stdev_records_per_second":
-                    speculative["stdev_records_per_second"],
-                "interpreted_records_per_second":
-                    speculative["interpreted_records_per_second"],
-                "ratio_vs_interpreted":
-                    speculative["ratio_vs_interpreted"],
-                "python": platform.python_version(),
-                "manifest": final_manifest,
-            },
-        ]
+        entry = {
+            "scenario": "inner_loop",
+            "runner": runner_class(),
+            "scale": perf["config"]["scale"],
+            "python": platform.python_version(),
+            "manifest": final_manifest,
+        }
+        entry.update({key: inner_loop[key] for key in (
+            "mode", "records", "records_per_second",
+            "median_records_per_second", "stdev_records_per_second",
+            "interpreted_records_per_second", "ratio_vs_interpreted",
+        )})
         status = max(
             status,
-            append_trajectory(args.trajectory, entries, args.min_ratio),
+            append_trajectory(args.trajectory, [entry], args.min_ratio),
         )
     return status
 

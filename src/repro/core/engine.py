@@ -357,74 +357,6 @@ class TLSEngine:
             self.exposed_load_tables[epoch.cpu].update(line, pc)
         return result, exposed
 
-    def load_compiled(
-        self,
-        epoch: EpochExecution,
-        line: int,
-        sub_addr: int,
-        pc: int,
-        mask: int,
-        load_bits: int,
-    ) -> Tuple[bool, Optional[AccessResult], bool]:
-        """Single-line twin of :meth:`load` for compiled traces.
-
-        The trace compiler already resolved the access into its line,
-        word mask and speculative-load bit mask, so this path goes
-        straight to the L2's single-line fast path.  Returns ``(hit,
-        result, exposed)`` with ``result`` None on a clean hit.
-        """
-        exposed = epoch.speculative and not epoch.covers_load(line, mask)
-        if exposed and self._value_prediction_hits(epoch, sub_addr, pc):
-            exposed = False
-            self.value_predictions_used += 1
-        # epoch.current_ctx, inlined (every epoch has sub-thread 0).
-        ctx = epoch.subthreads[-1].ctx if epoch.speculative else None
-        hit, result = self.l2.load_line(
-            line, epoch.order, ctx, exposed, load_bits
-        )
-        if exposed:
-            self.exposed_load_tables[epoch.cpu].update(line, pc)
-        return hit, result, exposed
-
-    def store_compiled(
-        self,
-        epoch: EpochExecution,
-        line: int,
-        words: int,
-        pc: int,
-        private: bool,
-    ) -> Tuple[Optional[AccessResult], List[RewindAction]]:
-        """Single-line twin of :meth:`store` for compiled traces.
-
-        ``private`` marks a region-private line (only this epoch ever
-        touches it), for which the L2 skips the violation scan.  Returns
-        ``(result, rewinds)`` with ``result`` None for a clean conflict-
-        free hit on an existing version.
-        """
-        if epoch.speculative:
-            # epoch.note_store + epoch.current_ctx, inlined (hot path).
-            cp = epoch.subthreads[-1]
-            sm = cp.store_mask
-            sm[line] = sm.get(line, 0) | words
-            su = epoch.store_union
-            su[line] = su.get(line, 0) | words
-            ctx = cp.ctx
-        else:
-            ctx = None
-        _, result = self.l2.store_line(
-            line, epoch.order, ctx, words, store_pc=pc, detect=not private
-        )
-        if result is None:
-            return None, ()
-        violations = result.violations
-        overflow = result.overflow_squash
-        if not violations and not overflow:
-            return result, ()
-        rewinds = self._resolve_violations(violations)
-        if overflow:
-            rewinds.extend(self._resolve_overflow(overflow))
-        return result, rewinds
-
     def _value_prediction_hits(
         self, epoch: EpochExecution, addr: int, pc: int
     ) -> bool:

@@ -14,7 +14,8 @@ One package owns everything the harness knows about *how a run went*
   end-of-run counters into;
 * :mod:`repro.obs.progress` — live progress + per-worker heartbeats
   for parallel sweeps (``--progress``);
-* :mod:`repro.obs.schema` — the run-log lint;
+* :mod:`repro.obs.schema` — one schema for every artifact above:
+  :func:`lint` / :func:`assert_valid`, or ``python -m repro.obs lint``;
 * :mod:`repro.obs.report` — ``python -m repro.harness report``.
 
 Everything here is opt-in: with no ``--trace-out`` and no
@@ -41,42 +42,17 @@ from .manifest import (
 from .metrics import MetricsRegistry
 from .progress import ProgressReporter, format_eta
 from .report import render_report
-from .schema import (
-    JOURNAL_EVENTS,
-    JOURNAL_TYPES,
-    REQUIRED_BENCH_ENTRY_KEYS,
-    REQUIRED_MANIFEST_KEYS,
-    RunLogError,
-    assert_valid_bench_trajectory,
-    assert_valid_journal,
-    assert_valid_predictor_block,
-    assert_valid_run_log,
-    assert_valid_sampler_block,
-    lint_bench_trajectory,
-    lint_journal,
-    lint_predictor_block,
-    lint_run_log,
-    lint_sampler_block,
-)
-from .tracer import RECORD_TYPES, SpanTracer
+from .schema import RunLogError, assert_valid, lint
+from .tracer import SpanTracer
 
 __all__ = [
-    "JOURNAL_EVENTS",
-    "JOURNAL_TYPES",
     "MANIFEST_FORMAT",
     "MANIFEST_VERSION",
     "MetricsRegistry",
     "ProgressReporter",
-    "RECORD_TYPES",
-    "REQUIRED_BENCH_ENTRY_KEYS",
-    "REQUIRED_MANIFEST_KEYS",
     "RunLogError",
     "SpanTracer",
-    "assert_valid_bench_trajectory",
-    "assert_valid_journal",
-    "assert_valid_predictor_block",
-    "assert_valid_run_log",
-    "assert_valid_sampler_block",
+    "assert_valid",
     "atomic_output_file",
     "atomic_write_json",
     "atomic_write_text",
@@ -85,11 +61,7 @@ __all__ = [
     "finish_manifest",
     "format_eta",
     "git_sha",
-    "lint_bench_trajectory",
-    "lint_journal",
-    "lint_predictor_block",
-    "lint_run_log",
-    "lint_sampler_block",
+    "lint",
     "main_command",
     "manifest_path",
     "render_report",

@@ -1,588 +1,298 @@
-"""Run-log schema lint (``repro.verify.lint`` style, for JSONL traces).
+"""One schema for every artifact the harness writes.
 
-A run log that violates the tracer's discipline would silently corrupt
-every downstream consumer (``report``, trajectory tooling, dashboards).
-This lint checks the whole file *structurally*, the same way the trace
-linter checks workload traces before simulation:
-
-1. **Line well-formedness** — every line parses as a JSON object with a
-   known ``type`` (manifest / span / counter / event) and a ``seq``
-   field that increases strictly from 0 (truncation and interleaved
-   writers are both detectable).
-2. **Manifest first** — the first record is a manifest carrying the
-   required provenance keys (format, config hash, versions, CPU count).
-3. **Span sanity** — ``0 <= t0 <= t1``, ``dur == t1 - t0`` (to rounding),
-   string name, dict attrs.  Monotonic timestamps make negative spans a
-   hard error, not a "clock skew" shrug.
-4. **Counter/event sanity** — counters carry a dict of finite numeric
-   values; events carry dict attrs.
-
-Use :func:`lint_run_log` for the issue list, or
-:func:`assert_valid_run_log` to raise :class:`RunLogError` (CI style).
+Each artifact kind is a row of the table below, walked by one checker:
+``run_log`` (``--trace-out``) and ``journal`` (the service's) JSONL by
+record type; ``manifest`` (a ``*.manifest.json`` sidecar, with its
+``sampler`` or ``predictor`` block); those two blocks alone;
+``trajectory`` (``BENCH_speed.json``); ``result`` (other
+``results/*.json``).  The manifest spec also checks the manifest
+embedded in run logs, ``perf.json`` and trajectory entries.  A spec
+gives each field's type, whether it may be absent or null, and its
+object's cross-field rules (``t1 >= t0``, ``dur == t1 - t0``, ``low <=
+point <= high``); JSONL records also need a ``seq`` counting up from 0,
+so truncated and interleaved files are detectable.  No writer calls
+the lint; tests, CI and ``python -m repro.obs lint`` do.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, List
+import os
+from typing import Any, Callable, List, Optional
 
 from .manifest import MANIFEST_FORMAT
-from .tracer import RECORD_TYPES
 
-#: Keys every manifest record must carry.
-REQUIRED_MANIFEST_KEYS = (
-    "format",
-    "version",
-    "config_hash",
-    "package_version",
-    "python_version",
-    "cpu_count",
-)
+__all__ = ["RunLogError", "assert_valid", "lint"]
 
 #: Absolute slack allowed between ``dur`` and ``t1 - t0`` (rounding).
 DUR_TOLERANCE = 2e-6
+#: A spec: ``check(value, path, issues)`` appends what is wrong.
+Check = Callable[[Any, str, List[str]], None]
 
 
 class RunLogError(AssertionError):
-    """A run log violates the tracer's JSONL schema."""
+    """An artifact violates its schema (raised by :func:`assert_valid`)."""
 
 
-def _is_number(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+def _num(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
 
 
-def _lint_span(line_no: int, rec: dict, issues: List[str]) -> None:
-    if not isinstance(rec.get("name"), str) or not rec.get("name"):
-        issues.append(f"line {line_no}: span without a string name")
-    for key in ("t0", "t1", "dur"):
-        if not _is_number(rec.get(key)):
-            issues.append(
-                f"line {line_no}: span {rec.get('name')!r} has "
-                f"non-numeric {key}"
-            )
+def _int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _bad(path: str, want: str, value: Any) -> str:
+    return f"{path + ' is ' if path else ''}not {want}: {repr(value)[:60]}"
+
+
+def scalar(ok: Callable[[Any], bool], want: str) -> Check:
+    """A value that must satisfy ``ok``."""
+    def check(value: Any, path: str, out: List[str]) -> None:
+        if not ok(value):
+            out.append(_bad(path, want, value))
+    return check
+
+
+def one_of(label: str, values: str) -> Check:
+    """An enumerated value; ``values`` is space-separated."""
+    def check(value: Any, path: str, out: List[str]) -> None:
+        if value not in values.split():
+            out.append(f"unknown {label} {value!r}")
+    return check
+
+
+def opt(spec: Check, present: bool = False) -> tuple:
+    """A field that may be null, and also absent unless ``present``."""
+    return spec, present
+
+
+def obj(fields: Optional[dict] = None, rest: Optional[Check] = None,
+        rules: tuple = (), nonempty: bool = False) -> Check:
+    """An object: ``fields`` (required and non-null unless :func:`opt`),
+    ``rest`` for every other key, and ``rules`` of ``(names, predicate,
+    text)``, checked when all the named fields are numbers."""
+    fields = fields or {}
+
+    def check(value: Any, path: str, out: List[str]) -> None:
+        if not isinstance(value, dict) or (nonempty and not value):
+            out.append(_bad(path, "a non-empty object" if nonempty
+                            else "an object", value))
             return
-    t0, t1, dur = rec["t0"], rec["t1"], rec["dur"]
-    if t0 < 0:
-        issues.append(
-            f"line {line_no}: span {rec['name']!r} starts before the "
-            f"tracer epoch (t0={t0})"
-        )
-    if t1 < t0:
-        issues.append(
-            f"line {line_no}: span {rec['name']!r} ends before it "
-            f"starts (t0={t0}, t1={t1})"
-        )
-    if abs(dur - (t1 - t0)) > DUR_TOLERANCE:
-        issues.append(
-            f"line {line_no}: span {rec['name']!r} dur={dur} does not "
-            f"match t1-t0={t1 - t0}"
-        )
-    parent = rec.get("parent")
-    if parent is not None and not isinstance(parent, str):
-        issues.append(
-            f"line {line_no}: span {rec['name']!r} parent must be a "
-            "string or null"
-        )
-    if not isinstance(rec.get("attrs", {}), dict):
-        issues.append(
-            f"line {line_no}: span {rec['name']!r} attrs must be a dict"
-        )
+        for name, spec in fields.items():
+            spec, present = spec if isinstance(spec, tuple) else (spec, None)
+            where = f"{path}.{name}" if path else name
+            if name not in value:
+                if present is not False:
+                    out.append(f"missing {where} key")
+            elif value[name] is not None or present is None:
+                spec(value[name], where, out)
+        for name, item in value.items():
+            if rest is not None and name not in fields:
+                rest(item, f"{path}[{name!r}]", out)
+        for names, ok, text in rules:
+            vals = [value.get(name) for name in names]
+            if all(map(_num, vals)) and not ok(*vals):
+                shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, vals))
+                out.append(f"{path + ': ' if path else ''}{text} ({shown})")
+    return check
 
 
-def _lint_counter(line_no: int, rec: dict, issues: List[str]) -> None:
-    if not isinstance(rec.get("name"), str) or not rec.get("name"):
-        issues.append(f"line {line_no}: counter without a string name")
-    values = rec.get("values")
-    if not isinstance(values, dict):
-        issues.append(
-            f"line {line_no}: counter {rec.get('name')!r} needs a dict "
-            "of values"
-        )
-        return
-    for key, value in values.items():
-        if not _is_number(value):
-            issues.append(
-                f"line {line_no}: counter {rec.get('name')!r} value "
-                f"{key!r} is not a finite number: {value!r}"
-            )
+NUM = scalar(_num, "a finite number")
+NONNEG = scalar(lambda v: _num(v) and v >= 0, "a non-negative number")
+POS = scalar(lambda v: _num(v) and v > 0, "a positive number")
+FRACTION = scalar(lambda v: _num(v) and 0 <= v <= 1, "a number in [0, 1]")
+COUNT = scalar(lambda v: _int(v) and v >= 0, "a non-negative int")
+AT_LEAST_1 = scalar(lambda v: _int(v) and v >= 1, "an int >= 1")
+STR = scalar(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+KEYS = scalar(lambda v: isinstance(v, list)
+              and all(isinstance(k, str) for k in v), "a list of strings")
+ATTRS = obj()
+
+# -- the table ---------------------------------------------------------
+
+_MANIFEST_FIELDS = {
+    "format": scalar(lambda v: v == MANIFEST_FORMAT, repr(MANIFEST_FORMAT)),
+    "version": COUNT, "config_hash": STR, "package_version": STR,
+    "python_version": STR, "cpu_count": AT_LEAST_1,
+    "trace_spec_keys": KEYS, "wall_seconds": NONNEG,
+}
+
+#: One interval estimate (a sampled metric, the ``huge`` speedup).
+ESTIMATE = obj({"point": NUM, "low": NUM, "high": NUM, "std_error": NONNEG,
+                "method": STR}, rules=(
+    (("low", "point", "high"), lambda lo, p, hi: lo <= p <= hi,
+     "point outside its own interval [low, high]"),
+))
+
+#: ``sampler`` block: the ``--sample-*`` params, achieved record
+#: coverage, and per-bar, per-metric interval estimates.
+SAMPLER = obj({
+    "params": obj({key: NUM for key in (
+        "rate", "strata", "seed", "warmup", "functional_window", "guard",
+    )}),
+    "achieved_coverage": opt(NONNEG),
+    "estimates": obj(rest=obj(rest=ESTIMATE, nonempty=True), nonempty=True),
+    "speedup": opt(ESTIMATE),
+})
+
+#: ``predictor`` block: the ``--prune`` knobs and cost-model
+#: coefficients, dispatch accounting, and validation error per metric.
+PREDICTOR = obj({
+    "params": obj({key: NUM for key in (
+        "top_k", "validation", "l1_lines", "line_size", "n_cpus",
+        "retry_gain", "retry_floor", "far_dep_weight", "violation_penalty",
+    )}),
+    "grid_cells": COUNT, "simulated_cells": COUNT,
+    "dispatch_fraction": FRACTION,
+    "errors": obj({"l2_miss_ratio": obj({
+        "mae": NONNEG, "max_abs": NONNEG, "cells": COUNT,
+        "mae_all_simulated": NONNEG,
+    })}, rest=obj(rest=NUM, nonempty=True)),
+})
+
+#: A finished manifest (sidecars, ``perf.json``, trajectory entries).
+MANIFEST = obj({**_MANIFEST_FIELDS,
+                "sampler": opt(SAMPLER), "predictor": opt(PREDICTOR)})
+
+#: One trajectory entry: what the per-scenario regression gate reads.
+#: ``manifest`` is null only in entries that predate it.
+ENTRY = obj({
+    "runner": STR, "scale": STR, "scenario": STR, "python": STR,
+    "records": POS, "records_per_second": POS,
+    "manifest": opt(MANIFEST, present=True),
+    "ratio_to_previous": opt(POS),
+    "median_records_per_second": opt(NONNEG),
+    "stdev_records_per_second": opt(NONNEG),
+})
 
 
-def _lint_event(line_no: int, rec: dict, issues: List[str]) -> None:
-    if not isinstance(rec.get("name"), str) or not rec.get("name"):
-        issues.append(f"line {line_no}: event without a string name")
-    if not isinstance(rec.get("attrs", {}), dict):
-        issues.append(
-            f"line {line_no}: event {rec.get('name')!r} attrs must be "
-            "a dict"
-        )
-
-
-def lint_run_log(path) -> List[str]:
-    """Lint a JSONL run log; returns the (possibly empty) issue list."""
-    issues: List[str] = []
-    records: List[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                issues.append(f"line {line_no}: blank line")
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                issues.append(f"line {line_no}: invalid JSON: {exc}")
-                continue
-            if not isinstance(rec, dict):
-                issues.append(f"line {line_no}: record is not an object")
-                continue
-            records.append(rec)
-            rtype = rec.get("type")
-            if rtype not in RECORD_TYPES:
-                issues.append(
-                    f"line {line_no}: unknown record type {rtype!r}"
-                )
-                continue
-            seq = rec.get("seq")
-            if not isinstance(seq, int) or seq != len(records) - 1:
-                issues.append(
-                    f"line {line_no}: seq {seq!r} is not the expected "
-                    f"{len(records) - 1} (truncated or reordered log?)"
-                )
-            if rtype == "span":
-                _lint_span(line_no, rec, issues)
-            elif rtype == "counter":
-                _lint_counter(line_no, rec, issues)
-            elif rtype == "event":
-                _lint_event(line_no, rec, issues)
-    if not records:
-        issues.append("run log is empty")
-        return issues
-    first = records[0]
-    if first.get("type") != "manifest":
-        issues.append("first record must be the run manifest")
-    else:
-        manifest = first.get("manifest")
-        if not isinstance(manifest, dict):
-            issues.append("manifest record carries no manifest object")
-        else:
-            if manifest.get("format") != MANIFEST_FORMAT:
-                issues.append(
-                    f"manifest format is {manifest.get('format')!r}, "
-                    f"expected {MANIFEST_FORMAT!r}"
-                )
-            for key in REQUIRED_MANIFEST_KEYS:
-                if key not in manifest:
-                    issues.append(f"manifest is missing key {key!r}")
-    return issues
-
-
-#: Keys a sampler manifest block's ``params`` must carry (the
-#: ``--sample-*`` flags plus the windows that shaped the estimates).
-REQUIRED_SAMPLER_PARAM_KEYS = (
-    "rate", "strata", "seed", "warmup", "functional_window", "guard",
-)
-
-#: Keys every serialized interval estimate must carry.
-REQUIRED_ESTIMATE_KEYS = ("point", "low", "high", "std_error", "method")
-
-
-def lint_sampler_block(block: Any) -> List[str]:
-    """Structurally lint a manifest's ``sampler`` section.
-
-    Sampled experiments attach their params, achieved record coverage,
-    and per-metric interval estimates to the manifest sidecar; CI and
-    the golden tests lint that block with this the same way run logs
-    are linted — malformed estimates would silently break regression
-    tooling that trusts ``point``/``low``/``high``.
-    """
-    issues: List[str] = []
-    if not isinstance(block, dict):
-        return [f"sampler block is not an object: {type(block).__name__}"]
-    params = block.get("params")
-    if not isinstance(params, dict):
-        issues.append("sampler block has no params object")
-    else:
-        for key in REQUIRED_SAMPLER_PARAM_KEYS:
-            if not _is_number(params.get(key)):
-                issues.append(
-                    f"sampler params[{key!r}] is not a finite number: "
-                    f"{params.get(key)!r}"
-                )
-    coverage = block.get("achieved_coverage")
-    if coverage is not None and (
-        not _is_number(coverage) or coverage < 0
-    ):
-        issues.append(
-            f"achieved_coverage must be a non-negative number, got "
-            f"{coverage!r}"
-        )
-    estimates = block.get("estimates")
-    if not isinstance(estimates, dict) or not estimates:
-        issues.append("sampler block has no estimates")
-        estimates = {}
-    for bar, metrics in estimates.items():
-        if not isinstance(metrics, dict) or not metrics:
-            issues.append(f"estimates[{bar!r}] is not a metric dict")
-            continue
-        for metric, est in metrics.items():
-            where = f"estimates[{bar!r}][{metric!r}]"
-            if not isinstance(est, dict):
-                issues.append(f"{where} is not an estimate object")
-                continue
-            for key in REQUIRED_ESTIMATE_KEYS:
-                if key == "method":
-                    if not isinstance(est.get(key), str):
-                        issues.append(f"{where} has no method string")
-                elif not _is_number(est.get(key)):
-                    issues.append(
-                        f"{where}[{key!r}] is not a finite number: "
-                        f"{est.get(key)!r}"
-                    )
-            if all(_is_number(est.get(k)) for k in
-                   ("point", "low", "high")):
-                if not (est["low"] <= est["point"] <= est["high"]):
-                    issues.append(
-                        f"{where}: point {est['point']} outside its own "
-                        f"interval [{est['low']}, {est['high']}]"
-                    )
-            if _is_number(est.get("std_error")) and est["std_error"] < 0:
-                issues.append(f"{where}: negative std_error")
-    return issues
-
-
-def assert_valid_sampler_block(block: Any, max_shown: int = 20) -> None:
-    """Lint a sampler manifest block; raise :class:`RunLogError`."""
-    issues = lint_sampler_block(block)
-    if issues:
-        shown = issues[:max_shown]
-        text = f"{len(issues)} sampler-block schema issue(s):\n  " + \
-            "\n  ".join(shown)
-        if len(issues) > len(shown):
-            text += f"\n  ... and {len(issues) - len(shown)} more"
-        raise RunLogError(text)
-
-
-#: Keys a predictor manifest block's ``params`` must carry (the
-#: ``--prune`` knobs plus the profile geometry and the violation-cost
-#: model coefficients that shaped the ranking).
-REQUIRED_PREDICTOR_PARAM_KEYS = (
-    "top_k", "validation", "l1_lines", "line_size", "n_cpus",
-    "retry_gain", "retry_floor", "far_dep_weight", "violation_penalty",
-)
-
-#: Keys every per-metric predictor error entry must carry.
-REQUIRED_PREDICTOR_ERROR_KEYS = (
-    "mae", "max_abs", "cells", "mae_all_simulated",
-)
-
-
-def lint_predictor_block(block: Any) -> List[str]:
-    """Structurally lint a manifest's ``predictor`` section.
-
-    Pruned sweeps (``--prune``) attach their planning params, dispatch
-    accounting, and predicted-vs-simulated error per metric to the
-    manifest sidecar; CI and the golden tests lint that block the same
-    way sampler blocks are linted — a malformed or non-finite error
-    entry would silently disarm the honesty gate that makes pruning
-    trustworthy.
-    """
-    issues: List[str] = []
-    if not isinstance(block, dict):
-        return [
-            f"predictor block is not an object: {type(block).__name__}"
-        ]
-    params = block.get("params")
-    if not isinstance(params, dict):
-        issues.append("predictor block has no params object")
-    else:
-        for key in REQUIRED_PREDICTOR_PARAM_KEYS:
-            if not _is_number(params.get(key)):
-                issues.append(
-                    f"predictor params[{key!r}] is not a finite "
-                    f"number: {params.get(key)!r}"
-                )
-    for key in ("grid_cells", "simulated_cells"):
-        value = block.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            issues.append(
-                f"predictor {key} must be a non-negative int, got "
-                f"{value!r}"
-            )
-    fraction = block.get("dispatch_fraction")
-    if not _is_number(fraction) or not (0.0 <= fraction <= 1.0):
-        issues.append(
-            f"dispatch_fraction must be a number in [0, 1], got "
-            f"{fraction!r}"
-        )
-    errors = block.get("errors")
-    if not isinstance(errors, dict) or not errors:
-        issues.append("predictor block has no errors")
-        errors = {}
-    if errors and "l2_miss_ratio" not in errors:
-        issues.append("predictor errors carry no l2_miss_ratio entry")
-    for metric, entry in errors.items():
-        where = f"errors[{metric!r}]"
-        if not isinstance(entry, dict) or not entry:
-            issues.append(f"{where} is not an error dict")
-            continue
-        for key, value in entry.items():
-            if not _is_number(value):
-                issues.append(
-                    f"{where}[{key!r}] is not a finite number: "
-                    f"{value!r}"
-                )
-        if metric == "l2_miss_ratio":
-            for key in REQUIRED_PREDICTOR_ERROR_KEYS:
-                if key not in entry:
-                    issues.append(f"{where} is missing key {key!r}")
-        for key in ("mae", "max_abs", "mae_all_simulated"):
-            if _is_number(entry.get(key)) and entry[key] < 0:
-                issues.append(f"{where}: negative {key}")
-    return issues
-
-
-def assert_valid_predictor_block(block: Any, max_shown: int = 20) -> None:
-    """Lint a predictor manifest block; raise :class:`RunLogError`."""
-    issues = lint_predictor_block(block)
-    if issues:
-        shown = issues[:max_shown]
-        text = f"{len(issues)} predictor-block schema issue(s):\n  " + \
-            "\n  ".join(shown)
-        if len(issues) > len(shown):
-            text += f"\n  ... and {len(issues) - len(shown)} more"
-        raise RunLogError(text)
-
-
-#: Record types the service journal may contain.
-JOURNAL_TYPES = ("service", "sweep", "job")
-
-#: Legal ``event`` values per journal record type (the sweep/job state
-#: machines of :mod:`repro.service`).
-JOURNAL_EVENTS = {
-    "service": ("start", "recovered", "drain", "stop"),
-    "sweep": ("accepted", "running", "done", "failed", "interrupted"),
-    "job": ("dispatch", "store_hit", "done", "crash", "retry",
-            "quarantine"),
+#: JSONL kinds: record ``type`` -> spec.
+LOGS = {
+    "run_log": {
+        # The run log opens with the in-flight manifest: no wall time yet.
+        "manifest": obj({"manifest": obj(
+            {**_MANIFEST_FIELDS, "wall_seconds": opt(NONNEG, present=True)}
+        )}),
+        "span": obj({"name": STR, "t0": NONNEG, "t1": NUM, "dur": NUM,
+                     "parent": opt(STR, present=True), "attrs": ATTRS}, rules=(
+            (("t0", "t1"), lambda t0, t1: t1 >= t0,
+             "span ends before it starts: t1 < t0"),
+            (("t0", "t1", "dur"), lambda t0, t1, dur:
+             abs(dur - (t1 - t0)) <= DUR_TOLERANCE, "dur != t1 - t0"),
+        )),
+        "counter": obj({"name": STR, "t": NONNEG, "values": obj(rest=NUM),
+                        "attrs": ATTRS}),
+        "event": obj({"name": STR, "t": NONNEG, "attrs": ATTRS}),
+    },
+    "journal": {
+        "service": obj({"t": NONNEG, "event": one_of(
+            "service event", "start recovered drain stop")}),
+        "sweep": obj({"t": NONNEG, "sweep": STR, "event": one_of(
+            "sweep event", "accepted running done failed interrupted")}),
+        "job": obj({"t": NONNEG, "sweep": STR, "job": STR,
+                    "attempt": AT_LEAST_1, "event": one_of(
+            "job event", "dispatch store_hit done crash retry quarantine")}),
+    },
 }
 
 
-def lint_journal(path) -> List[str]:
-    """Structurally lint a service journal (JSONL, fsynced appends).
-
-    The journal is the service's crash-safety record: every sweep and
-    job state transition is appended (and fsynced) before the service
-    acts on it, so recovery after a crash replays the journal to learn
-    which sweeps were in flight.  The lint enforces the append
-    discipline the same way :func:`lint_run_log` does for run logs:
-
-    1. every line parses as a JSON object with a known ``type`` and a
-       ``seq`` increasing strictly from 0 (a rewritten or interleaved
-       journal is detectable);
-    2. every record names a known ``event`` for its type and carries a
-       numeric ``t`` wall-clock stamp;
-    3. ``sweep``/``job`` records name their sweep id; ``job`` records
-       carry a job label and an attempt count >= 1.
-    """
-    issues: List[str] = []
-    n_records = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                issues.append(f"line {line_no}: blank line")
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                issues.append(f"line {line_no}: invalid JSON: {exc}")
-                continue
-            if not isinstance(rec, dict):
-                issues.append(f"line {line_no}: record is not an object")
-                continue
-            n_records += 1
-            rtype = rec.get("type")
-            if rtype not in JOURNAL_TYPES:
-                issues.append(
-                    f"line {line_no}: unknown journal record type "
-                    f"{rtype!r}"
-                )
-                continue
-            seq = rec.get("seq")
-            if not isinstance(seq, int) or seq != n_records - 1:
-                issues.append(
-                    f"line {line_no}: seq {seq!r} is not the expected "
-                    f"{n_records - 1} (truncated or rewritten journal?)"
-                )
-            if not _is_number(rec.get("t")):
-                issues.append(
-                    f"line {line_no}: {rtype} record has no numeric "
-                    "wall-clock stamp 't'"
-                )
-            event = rec.get("event")
-            if event not in JOURNAL_EVENTS[rtype]:
-                issues.append(
-                    f"line {line_no}: unknown {rtype} event {event!r}"
-                )
-            if rtype in ("sweep", "job"):
-                if not isinstance(rec.get("sweep"), str) \
-                        or not rec.get("sweep"):
-                    issues.append(
-                        f"line {line_no}: {rtype} record names no sweep"
-                    )
-            if rtype == "job":
-                if not isinstance(rec.get("job"), str) \
-                        or not rec.get("job"):
-                    issues.append(
-                        f"line {line_no}: job record has no job label"
-                    )
-                attempt = rec.get("attempt")
-                if not isinstance(attempt, int) or attempt < 1:
-                    issues.append(
-                        f"line {line_no}: job record attempt must be an "
-                        f"int >= 1, got {attempt!r}"
-                    )
-    if n_records == 0:
-        issues.append("journal is empty")
-    return issues
+def _issues(spec: Check, value: Any, prefix: str = "") -> List[str]:
+    out: List[str] = []
+    spec(value, "", out)
+    return [prefix + issue for issue in out]
 
 
-def assert_valid_journal(path, max_shown: int = 20) -> None:
-    """Lint a service journal; raise :class:`RunLogError` on issues."""
-    issues = lint_journal(path)
-    if issues:
-        shown = issues[:max_shown]
-        text = f"{len(issues)} journal schema issue(s):\n  " + \
-            "\n  ".join(shown)
-        if len(issues) > len(shown):
-            text += f"\n  ... and {len(issues) - len(shown)} more"
-        raise RunLogError(text)
+def _trajectory(doc: Any, path: str, out: List[str]) -> None:
+    if not isinstance(doc, list):
+        out.append("trajectory is not a JSON array")
+        return
+    if not doc:
+        out.append("trajectory is empty")
+    for idx, entry in enumerate(doc):
+        out.extend(_issues(ENTRY, entry, f"entry {idx}: "))
 
 
-def assert_valid_run_log(path, max_shown: int = 20) -> None:
-    """Lint and raise :class:`RunLogError` listing the first issues."""
-    issues = lint_run_log(path)
-    if issues:
-        shown = issues[:max_shown]
-        text = f"{len(issues)} run-log schema issue(s):\n  " + \
-            "\n  ".join(shown)
-        if len(issues) > len(shown):
-            text += f"\n  ... and {len(issues) - len(shown)} more"
-        raise RunLogError(text)
+def _result(doc: Any, path: str, out: List[str]) -> None:
+    if not isinstance(doc, list):  # list results carry no manifest
+        obj({"manifest": opt(MANIFEST)})(doc, path, out)
 
 
-#: Keys every bench-trajectory entry must carry (``manifest`` must also
-#: be *present* — None only for entries predating manifest capture).
-REQUIRED_BENCH_ENTRY_KEYS = (
-    "runner",
-    "scale",
-    "scenario",
-    "python",
-    "records",
-    "records_per_second",
-)
+#: Whole-document kinds: kind -> spec.
+DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "predictor": PREDICTOR,
+        "trajectory": _trajectory, "result": _result}
 
 
-def lint_bench_trajectory(path) -> List[str]:
-    """Structurally lint a ``BENCH_speed.json`` throughput trajectory.
-
-    The trajectory is append-only and cross-run: every perf-smoke run
-    appends one entry per scenario and gates on the ratio to the
-    previous same-(runner, scale, scenario) entry, so a malformed entry
-    silently disables the regression gate for every future run on that
-    runner class.  The lint checks what that gate depends on:
-
-    1. the file is a JSON array of objects;
-    2. every entry carries string ``runner`` / ``scale`` / ``scenario``
-       / ``python`` and finite ``records`` / ``records_per_second``
-       (records positive — a zero-record timing is a harness bug);
-    3. every entry has a ``manifest`` key — a dict carrying the
-       :data:`REQUIRED_MANIFEST_KEYS`, or None for entries written
-       before manifests were captured (grandfathered, never new);
-    4. optional ``ratio_to_previous`` / ``median_records_per_second``
-       / ``stdev_records_per_second`` values are finite and
-       non-negative (the ratio strictly positive).
-    """
-    issues: List[str] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable trajectory: {exc}"]
-    if not isinstance(entries, list):
-        return ["trajectory is not a JSON array"]
-    if not entries:
-        issues.append("trajectory is empty")
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            issues.append(f"entry {idx}: not an object")
+def _lint_log(text: str, kind: Optional[str]) -> List[str]:
+    """Each JSONL record: its ``seq``, then the spec of its ``type``."""
+    out: List[str] = []
+    n = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        loc = f"line {line_no}: "
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            out.append(loc + ("blank line" if not line.strip()
+                              else f"invalid JSON: {exc}"))
             continue
-        for key in ("runner", "scale", "scenario", "python"):
-            value = entry.get(key)
-            if not isinstance(value, str) or not value:
-                issues.append(
-                    f"entry {idx}: {key} must be a non-empty string, "
-                    f"got {value!r}"
-                )
-        records = entry.get("records")
-        if not _is_number(records) or records <= 0:
-            issues.append(
-                f"entry {idx}: records must be a positive number, "
-                f"got {records!r}"
-            )
-        rps = entry.get("records_per_second")
-        if not _is_number(rps) or rps <= 0:
-            issues.append(
-                f"entry {idx}: records_per_second must be a positive "
-                f"number, got {rps!r}"
-            )
-        if "manifest" not in entry:
-            issues.append(f"entry {idx}: missing manifest key")
-        else:
-            manifest = entry["manifest"]
-            if isinstance(manifest, dict):
-                for key in REQUIRED_MANIFEST_KEYS:
-                    if key not in manifest:
-                        issues.append(
-                            f"entry {idx}: manifest missing key "
-                            f"{key!r}"
-                        )
-            elif manifest is not None:
-                issues.append(
-                    f"entry {idx}: manifest must be an object or "
-                    f"None, got {type(manifest).__name__}"
-                )
-        ratio = entry.get("ratio_to_previous")
-        if ratio is not None and (not _is_number(ratio) or ratio <= 0):
-            issues.append(
-                f"entry {idx}: ratio_to_previous must be a finite "
-                f"positive number, got {ratio!r}"
-            )
-        for key in ("median_records_per_second",
-                    "stdev_records_per_second"):
-            value = entry.get(key)
-            if value is not None and (
-                not _is_number(value) or value < 0
-            ):
-                issues.append(
-                    f"entry {idx}: {key} must be a finite non-negative "
-                    f"number, got {value!r}"
-                )
-    return issues
+        if not isinstance(rec, dict):
+            out.append(loc + _bad("", "an object", rec))
+            continue
+        rtype, seq = rec.get("type"), rec.get("seq")
+        kind = kind or ("journal" if rtype in LOGS["journal"] else "run_log")
+        if n == 0 and kind == "run_log" and rtype != "manifest":
+            out.append(loc + "first record must be the run manifest")
+        n += 1
+        if rtype not in LOGS[kind]:
+            out.append(loc + f"unknown record type {rtype!r}")
+            continue
+        if not _int(seq) or seq != n - 1:
+            out.append(loc + f"seq {seq!r} is not the expected {n - 1} "
+                       "(truncated or reordered file?)")
+        out.extend(_issues(LOGS[kind][rtype], rec, loc))
+    return out if n else out + ["file has no records"]
 
 
-def assert_valid_bench_trajectory(path, max_shown: int = 20) -> None:
-    """Lint a bench trajectory; raise :class:`RunLogError` on issues."""
-    issues = lint_bench_trajectory(path)
+def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
+    """Lint one artifact; returns its (possibly empty) issue list.
+
+    A path's kind comes from its name (``*.jsonl``, ``BENCH*.json``,
+    ``*.manifest.json``) or its first record; an in-memory document
+    (a result's ``manifest_block()``) must name its ``kind``.
+    """
+    if not isinstance(path_or_doc, (str, os.PathLike)):
+        if kind not in DOCS:
+            raise ValueError(f"in-memory lint needs a kind in {sorted(DOCS)}")
+        return _issues(DOCS[kind], path_or_doc)
+    name = os.path.basename(os.fspath(path_or_doc))
+    jsonl = kind in LOGS or (kind is None and name.endswith(".jsonl"))
+    try:
+        with open(path_or_doc, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = None if jsonl else json.loads(text)
+    except (OSError, ValueError) as exc:
+        return [f"unreadable {kind or 'artifact'}: {exc}"]
+    if jsonl:
+        return _lint_log(text, kind)
+    if kind is None:
+        first = doc[0] if isinstance(doc, list) and doc else None
+        kind = "trajectory" if name.startswith("BENCH") or (
+            isinstance(first, dict) and "scenario" in first
+        ) else "manifest" if name.endswith(".manifest.json") else "result"
+    return _issues(DOCS[kind], doc)
+
+
+def assert_valid(path_or_doc: Any, kind: Optional[str] = None) -> None:
+    """:func:`lint`, raising :class:`RunLogError` listing the issues."""
+    issues = lint(path_or_doc, kind)
     if issues:
-        shown = issues[:max_shown]
-        text = f"{len(issues)} bench trajectory issue(s):\n  " + \
-            "\n  ".join(shown)
-        if len(issues) > len(shown):
-            text += f"\n  ... and {len(issues) - len(shown)} more"
-        raise RunLogError(text)
+        what = path_or_doc if isinstance(path_or_doc, (str, os.PathLike)) \
+            else kind
+        more = len(issues) - 20
+        raise RunLogError(
+            f"{what}: {len(issues)} schema issue(s):\n  "
+            + "\n  ".join(issues[:20])
+            + (f"\n  ... and {more} more" if more > 0 else "")
+        )

@@ -17,7 +17,7 @@
 All timestamps come from ``time.perf_counter`` — monotonic by
 construction, so an NTP step mid-run can never produce a negative span.
 Records carry a strictly increasing ``seq`` so truncation and reordering
-are detectable; :mod:`repro.obs.schema` lints the whole file.
+are detectable; :func:`repro.obs.lint` checks the whole file.
 
 Tracing is strictly opt-in.  Every producer call site is guarded by
 ``tracer is not None``, so a run without ``--trace-out`` executes the
@@ -31,10 +31,6 @@ import os
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
-
-#: Record types a run log may contain (shared with the schema lint).
-RECORD_TYPES = ("manifest", "span", "counter", "event")
-
 
 class SpanTracer:
     """Writes spans/counters/events as JSONL; see the module docstring."""

@@ -10,7 +10,7 @@ them resumes from whatever the result store already committed — the
 journal plus the store together make "retried, not rerun-from-scratch"
 an invariant rather than a best effort.
 
-Record shape (linted by :func:`repro.obs.schema.lint_journal`)::
+Record shape (linted by :func:`repro.obs.lint`)::
 
     {"type": "service", "event": "start",    "seq": 0, "t": ...}
     {"type": "sweep",   "event": "accepted", "sweep": id, ...}

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,8 +18,7 @@ from repro.obs import (
     MetricsRegistry,
     ProgressReporter,
     SpanTracer,
-    assert_valid_bench_trajectory,
-    assert_valid_run_log,
+    assert_valid,
     atomic_output_file,
     atomic_write_json,
     atomic_write_text,
@@ -24,13 +26,13 @@ from repro.obs import (
     config_hash,
     finish_manifest,
     format_eta,
-    lint_bench_trajectory,
-    lint_run_log,
+    lint,
     manifest_path,
     render_report,
     write_manifest,
 )
 from repro.obs.schema import RunLogError
+from repro.service import Journal
 from repro.sim import Machine, MachineConfig
 from repro.sim.stats import METRIC_SOURCES
 from repro.trace.events import (
@@ -225,8 +227,8 @@ class TestTracerSchema:
                 with tr.span("inner"):
                     tr.counter("c", {"a": 1, "b": 2.5})
                 tr.event("e", detail="fine")
-        assert lint_run_log(path) == []
-        assert_valid_run_log(path)
+        assert lint(path) == []
+        assert_valid(path)
 
     def test_parent_attribution(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -249,7 +251,7 @@ class TestTracerSchema:
         path = tmp_path / "run.jsonl"
         with SpanTracer(path) as tr:  # no manifest record
             tr.event("e")
-        issues = lint_run_log(path)
+        issues = lint(path)
         assert any("manifest" in issue for issue in issues)
 
     def test_lint_catches_bad_records(self, tmp_path):
@@ -267,7 +269,7 @@ class TestTracerSchema:
             "\n".join(json.dumps(rec) for rec in lines)
             + "\nnot json at all\n"
         )
-        issues = "\n".join(lint_run_log(path))
+        issues = "\n".join(lint(path))
         assert "seq 99" in issues
         assert "ends before it starts" in issues
         assert "unknown record type" in issues
@@ -275,7 +277,7 @@ class TestTracerSchema:
         assert "invalid JSON" in issues
         assert "manifest" in issues  # wrong format + missing keys
         with pytest.raises(RunLogError):
-            assert_valid_run_log(path)
+            assert_valid(path)
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +348,7 @@ class TestTracedRunner:
         results = runner.run(jobs)
         tracer.close()
         assert len(results) == 2
-        assert lint_run_log(path) == []
+        assert lint(path) == []
         records = [
             json.loads(line) for line in path.read_text().splitlines()
         ]
@@ -565,19 +567,19 @@ class TestBenchTrajectoryLint:
                 ),
             ],
         )
-        assert lint_bench_trajectory(path) == []
-        assert_valid_bench_trajectory(path)
+        assert lint(path) == []
+        assert_valid(path)
 
     def test_repo_trajectory_clean(self):
         repo = os.path.join(os.path.dirname(__file__), "..")
         path = os.path.join(repo, "BENCH_speed.json")
-        assert lint_bench_trajectory(path) == []
+        assert lint(path) == []
 
     def test_missing_manifest_key_flagged(self, tmp_path):
         entry = self._entry()
         del entry["manifest"]
         path = self._write(tmp_path, [entry])
-        issues = "\n".join(lint_bench_trajectory(path))
+        issues = "\n".join(lint(path))
         assert "missing manifest key" in issues
 
     def test_bad_entries_flagged(self, tmp_path):
@@ -591,22 +593,177 @@ class TestBenchTrajectoryLint:
                 "not-an-object",
             ],
         )
-        issues = "\n".join(lint_bench_trajectory(path))
+        issues = "\n".join(lint(path))
         assert "entry 0: records" in issues
         assert "entry 1: records_per_second" in issues
         assert "entry 2: scenario" in issues
         assert "entry 3" in issues
         assert "entry 4: not an object" in issues
         with pytest.raises(RunLogError):
-            assert_valid_bench_trajectory(path)
+            assert_valid(path)
 
     def test_not_an_array(self, tmp_path):
         path = self._write(tmp_path, {"runner": "x"})
-        assert lint_bench_trajectory(path) == [
+        assert lint(path) == [
             "trajectory is not a JSON array"
         ]
 
     def test_unreadable(self, tmp_path):
-        assert "unreadable trajectory" in lint_bench_trajectory(
-            tmp_path / "absent.json"
+        assert "unreadable trajectory" in lint(
+            tmp_path / "absent.json", kind="trajectory"
         )[0]
+
+
+# ----------------------------------------------------------------------
+# One schema: every rule names the field it rejects
+# ----------------------------------------------------------------------
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def _repo_json(*parts):
+    with open(os.path.join(REPO, *parts), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _clean_run_log(tmp_path):
+    path = tmp_path / "clean-run.jsonl"
+    with SpanTracer(path, manifest=build_manifest(config={})) as tr:
+        with tr.span("s"):
+            tr.counter("c", {"a": 1})
+        tr.event("e")
+    return _jsonl(path)
+
+
+def _clean_journal(tmp_path):
+    path = tmp_path / "clean-journal.jsonl"
+    with Journal(path) as journal:
+        journal.append("service", "start")
+        journal.append("job", "dispatch", sweep="s1", job="j", attempt=1)
+    return _jsonl(path)
+
+
+#: Clean artifact per kind, and the file name it is linted under.
+CLEAN = {
+    "run_log": (_clean_run_log, "run.jsonl"),
+    "journal": (_clean_journal, "journal.jsonl"),
+    "sampler": (lambda _: _repo_json(
+        "results", "figure5_sampled.manifest.json")["sampler"], None),
+    "predictor": (lambda _: _repo_json(
+        "results", "figure6_pruned.manifest.json")["predictor"], None),
+    "trajectory": (lambda _: _repo_json("BENCH_speed.json"),
+                   "BENCH_speed.json"),
+    "manifest": (lambda _: _repo_json(
+        "results", "figure6_pruned.manifest.json"),
+        "figure6_pruned.manifest.json"),
+}
+
+
+def _record(records, rtype):
+    return next(r for r in records if r["type"] == rtype)
+
+
+def _estimate(block):
+    return next(iter(next(iter(block["estimates"].values())).values()))
+
+
+#: (id, artifact, corruption, text naming the rejected field).
+LINT_RULES = [
+    ("span-dur", "run_log",
+     lambda d: _record(d, "span").update(dur=9.0), "dur != t1 - t0"),
+    ("span-t0", "run_log", lambda d: _record(d, "span").update(t0=-1.0),
+     "t0 is not a non-negative number"),
+    ("counter-t", "run_log", lambda d: _record(d, "counter").pop("t"),
+     "missing t key"),
+    ("counter-attrs", "run_log",
+     lambda d: _record(d, "counter").update(attrs=[]),
+     "attrs is not an object"),
+    ("event-t", "run_log", lambda d: _record(d, "event").update(t="x"),
+     "t is not a non-negative number"),
+    ("journal-t", "journal", lambda d: d[0].pop("t"),
+     "line 1: missing t key"),
+    ("job-label", "journal", lambda d: _record(d, "job").pop("job"),
+     "line 2: missing job key"),
+    ("sampler-point", "sampler",
+     lambda d: _estimate(d).update(point=_estimate(d)["high"] + 1),
+     "point outside its own interval"),
+    ("sampler-std-error", "sampler",
+     lambda d: _estimate(d).update(std_error=-0.5),
+     "std_error is not a non-negative number"),
+    ("sampler-params", "sampler", lambda d: d["params"].pop("rate"),
+     "missing params.rate key"),
+    ("huge-speedup", "sampler",
+     lambda d: d.update(speedup=dict(_estimate(d), low=1e12)),
+     "speedup: point outside its own interval"),
+    ("dispatch-fraction", "predictor",
+     lambda d: d.update(dispatch_fraction=1.5),
+     "dispatch_fraction is not a number in [0, 1]"),
+    ("l2-miss-ratio", "predictor",
+     lambda d: d["errors"].pop("l2_miss_ratio"),
+     "missing errors.l2_miss_ratio key"),
+    ("negative-mae", "predictor",
+     lambda d: d["errors"]["l2_miss_ratio"].update(mae=-0.1),
+     "errors.l2_miss_ratio.mae is not a non-negative number"),
+    ("trajectory-median", "trajectory",
+     lambda d: d[0].update(median_records_per_second=-1.0),
+     "entry 0: median_records_per_second is not a non-negative number"),
+] + [
+    (f"manifest-{key}", "manifest", lambda d, key=key: d.pop(key),
+     f"missing {key} key")
+    for key in ("format", "version", "config_hash", "package_version",
+                "python_version", "cpu_count", "trace_spec_keys",
+                "wall_seconds")
+]
+
+
+def _lint_artifact(tmp_path, artifact, doc):
+    name = CLEAN[artifact][1]
+    if name is None:
+        return lint(doc, kind=artifact)
+    path = tmp_path / name
+    if name.endswith(".jsonl"):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in doc))
+    else:
+        path.write_text(json.dumps(doc))
+    return lint(path)
+
+
+@pytest.mark.parametrize(
+    "artifact, corrupt, field",
+    [rule[1:] for rule in LINT_RULES],
+    ids=[rule[0] for rule in LINT_RULES],
+)
+def test_lint_names_the_rejected_field(tmp_path, artifact, corrupt, field):
+    doc = CLEAN[artifact][0](tmp_path)
+    assert _lint_artifact(tmp_path, artifact, doc) == []
+    corrupt(doc)
+    issues = _lint_artifact(tmp_path, artifact, doc)
+    assert any(field in issue for issue in issues), issues
+
+
+def test_lint_cli_exit_status(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    artifacts = sorted(glob.glob(os.path.join(REPO, "results", "*.json")))
+    artifacts.append(os.path.join(REPO, "BENCH_speed.json"))
+
+    def cli(*paths):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.obs", "lint", *paths],
+            env=env, cwd=REPO, capture_output=True, text=True,
+        )
+
+    clean = cli(*artifacts)
+    assert clean.returncode == 0, clean.stdout
+    manifest = _repo_json("results", "figure6_pruned.manifest.json")
+    del manifest["config_hash"]
+    broken = tmp_path / "figure6_pruned.manifest.json"
+    broken.write_text(json.dumps(manifest))
+    result = cli(artifacts[0], str(broken))
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [
+        f"{broken}: missing config_hash key"
+    ]

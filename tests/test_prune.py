@@ -40,7 +40,7 @@ from repro.harness.prune import (
     run_figure6_pruned,
 )
 from repro.harness.runner import ExperimentContext
-from repro.obs import assert_valid_predictor_block
+from repro.obs import assert_valid
 from repro.tpcc import TPCCScale
 
 REPO = Path(__file__).resolve().parent.parent
@@ -174,7 +174,7 @@ def test_pruned_cells_match_full_sweep_exactly(tiny_pruned):
 
 def test_pruned_manifest_block_lints(tiny_pruned):
     block = tiny_pruned.manifest_block()
-    assert_valid_predictor_block(block)
+    assert_valid(block, kind="predictor")
     assert block["dispatch_fraction"] <= 0.5
     assert block["errors"]["l2_miss_ratio"]["mae"] <= 0.05
     roles = {c.role for c in tiny_pruned.cells}

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import assert_valid_predictor_block
+from repro.obs import assert_valid
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JSON = REPO / "results" / "figure6_pruned.json"
@@ -95,7 +95,7 @@ def test_golden_manifest_predictor_block():
     manifest = json.loads(GOLDEN_MANIFEST.read_text())
     assert manifest.get("artifact") == "figure6_pruned"
     block = manifest.get("predictor")
-    assert_valid_predictor_block(block)
+    assert_valid(block, kind="predictor")
     assert block["dispatch_fraction"] <= MAX_DISPATCH_FRACTION
     assert block["errors"]["l2_miss_ratio"]["mae"] <= MAX_VALIDATION_MAE
     assert manifest["config"]["prune"] == {"top_k": 4, "validation": 2}

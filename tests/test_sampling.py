@@ -39,7 +39,7 @@ from repro.harness.sampled import (
     run_huge,
 )
 from repro.harness.runner import ExperimentContext
-from repro.obs import assert_valid_sampler_block
+from repro.obs import assert_valid
 from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import TPCCScale, generate_mix_workload, \
     generate_sampled_mix_workload, generate_workload
@@ -318,9 +318,9 @@ def test_sampled_figure5_result_shape(sampled_figure5):
 
 def test_sampled_figure5_manifest_block_schema(sampled_figure5):
     block = sampled_figure5.manifest_block()
-    assert_valid_sampler_block(block)
+    assert_valid(block, kind="sampler")
     # Round-trips through JSON (manifests are JSON sidecars).
-    assert_valid_sampler_block(json.loads(json.dumps(block)))
+    assert_valid(json.loads(json.dumps(block)), kind="sampler")
 
 
 def test_run_huge_smoke(runner):
@@ -343,7 +343,7 @@ def test_run_huge_smoke(runner):
         "unknowable"
     )
     assert acct.records_total_estimated > 0
-    assert_valid_sampler_block(result.manifest_block())
+    assert_valid(result.manifest_block(), kind="sampler")
 
 
 def test_run_huge_rejects_unbounded_windows(runner):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import assert_valid_sampler_block
+from repro.obs import assert_valid
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JSON = REPO / "results" / "figure5_sampled.json"
@@ -80,7 +80,7 @@ def test_golden_manifest_sampler_block():
     manifest = json.loads(GOLDEN_MANIFEST.read_text())
     assert manifest.get("artifact") == "figure5_sampled"
     block = manifest.get("sampler")
-    assert_valid_sampler_block(block)
+    assert_valid(block, kind="sampler")
     for key, want in GOLDEN_PARAMS.items():
         assert block["params"][key] == want
     # The run genuinely sampled: a strict subset of transactions.

@@ -25,7 +25,7 @@ from repro.harness import (
 )
 from repro.harness.export import export_json
 from repro.harness.parallel import JobFailure
-from repro.obs import assert_valid_journal
+from repro.obs import assert_valid
 from repro.service import (
     STORE_VERSION,
     Journal,
@@ -196,7 +196,7 @@ class TestJournal:
                            attempt=1)
             journal.append("job", "retry", sweep="s1", job="j",
                            attempt=1, crashed=True)
-        assert_valid_journal(path)
+        assert_valid(path)
         state = replay_sweeps(read_journal(path))["s1"]
         assert state["state"] == "interrupted"  # no terminal record
         assert state["spec"] == {"experiment": "figure5"}
@@ -216,10 +216,10 @@ class TestJournal:
         with Journal(path) as journal:
             record = journal.append("service", "stop")
         assert record["seq"] == 1
-        assert_valid_journal(path)
+        assert_valid(path)
 
     def test_lint_rejects_bad_journals(self, tmp_path):
-        from repro.obs import RunLogError, lint_journal
+        from repro.obs import RunLogError, lint
 
         path = tmp_path / "journal.jsonl"
         path.write_text(
@@ -228,12 +228,12 @@ class TestJournal:
             '{"type": "job", "event": "dispatch", "seq": 2, "t": 1.0, '
             '"sweep": "s1", "job": "j", "attempt": 0}\n'
         )
-        issues = lint_journal(path)
+        issues = lint(path)
         assert any("unknown sweep event" in i for i in issues)
         assert any("seq" in i for i in issues)
         assert any("attempt" in i for i in issues)
         with pytest.raises(RunLogError):
-            assert_valid_journal(path)
+            assert_valid(path)
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -316,7 +316,7 @@ class TestScheduler:
                   if r["type"] == "job"]
         assert events.count("retry") == 1
         assert events.count("quarantine") == 1
-        assert_valid_journal(journal_path)
+        assert_valid(journal_path)
 
 
 class TestSpecValidation:
@@ -426,7 +426,7 @@ class TestServiceEndToEnd:
     def test_journal_is_schema_clean(self, service):
         svc, client = service
         client.wait(client.submit(TINY_FIGURE5))
-        assert_valid_journal(svc.root / "journal.jsonl")
+        assert_valid(svc.root / "journal.jsonl")
 
     def test_bad_spec_is_a_400(self, service):
         _, client = service
@@ -461,7 +461,7 @@ class TestRecovery:
             assert record.spec == {"experiment": "figure5"}
         finally:
             svc.drain()
-        assert_valid_journal(root / "journal.jsonl")
+        assert_valid(root / "journal.jsonl")
 
     def test_drain_rejects_new_submissions(self, tmp_path):
         svc = SweepService(tmp_path / "root", n_workers=1)
