@@ -32,7 +32,7 @@ from ..core.epoch import EpochExecution, EpochStatus
 from ..core.latches import LatchTable
 from ..cpu.pipeline import CorePipeline
 from ..memory.l1 import L1Cache
-from ..memory.l2 import SpeculativeL2
+from ..memory.l2 import COMMITTED, SpeculativeL2
 from ..memory.timing import MemorySystemTiming
 from ..trace.compile import (
     compile_region,
@@ -123,8 +123,8 @@ class Machine:
         #: Optional commit-log observer (repro.verify.observer): receives
         #: on_epoch_start / on_op / on_rewind / on_commit callbacks.
         self.observer = observer
-        #: Optional repro.obs.tracer.SpanTracer.  Only segment/compile
-        #: granularity is traced — never the per-record hot loop — and
+        #: Optional repro.obs.tracer.SpanTracer.  Only segment, compile
+        #: and warm granularity is traced — never a per-record loop — and
         #: every producer site is guarded by ``tracer is not None``, so
         #: an untraced run executes the original code path.
         self.tracer = tracer
@@ -255,47 +255,102 @@ class Machine:
         order, round-robin over the region width) so each private L1
         warms with its own epochs' lines; stores walk the other L1s'
         invalidations like the timed write-through path does.  Counter
-        pollution from warming (L1/L2 hit/miss tallies, predictor
+        pollution from warming (L2 hit/miss tallies, predictor
         updates) is snapshotted and subtracted in ``_collect_stats``.
+
+        Unlike the timed path, warming does *not* apply L2-eviction
+        inclusion to the L1s (``_apply_inclusion``): a committed line
+        the L2 evicts while warming stays resident in any L1 holding
+        it.  Sampled outputs are pinned against this behaviour.
         """
         width = self._region_width()
-        l2 = self.l2
-        lines_touched = l2.geom.lines_touched
+        assignments = []
         for txn in workload.transactions:
             for segment in txn.segments:
                 if isinstance(segment, SerialSegment):
-                    assignments = [(0, segment.records)]
+                    assignments.append((0, segment.records))
                 elif isinstance(segment, ParallelRegion):
-                    assignments = [
+                    assignments.extend(
                         (i % width, e.records)
                         for i, e in enumerate(segment.epochs)
-                    ]
+                    )
                 else:
                     raise TypeError(f"unknown segment {segment!r}")
-                for cpu_idx, records in assignments:
-                    cpu = self.cpus[cpu_idx]
-                    l1 = cpu.l1
-                    predictor = cpu.pipeline.predictor
-                    others = self._other_l1s[cpu_idx]
-                    for rec in records:
-                        kind = rec[0]
-                        if kind == Rec.LOAD:
-                            addr, size = rec[1], rec[2]
-                            for tag in lines_touched(addr, size):
-                                if not l1.access(tag):
-                                    l1.fill(tag, spec=False)
-                            l2.load(addr, size, -1, None, False)
-                        elif kind == Rec.STORE:
-                            addr, size = rec[1], rec[2]
-                            for tag in lines_touched(addr, size):
-                                if not l1.access(tag):
-                                    l1.fill(tag, spec=False)
-                                for other in others:
-                                    other.invalidate(tag)
-                            l2.store(addr, size, -1, None)
-                        elif kind == Rec.BRANCH:
-                            predictor.predict_and_update(rec[1], rec[2])
+        if self.tracer is not None:
+            with self.tracer.span(
+                "machine.warm",
+                records=sum(len(records) for _, records in assignments),
+            ):
+                self._warm_replay(assignments)
+        else:
+            self._warm_replay(assignments)
         self._warm_metrics = self.metrics().snapshot()
+
+    def _warm_replay(self, assignments) -> None:
+        """The functional-warming loop over ``(cpu index, records)``.
+
+        Non-speculative throughout, so every access takes the committed
+        single-line paths: the L1 LRU is touched in place on a hit (the
+        L1 hit/miss tallies are left alone; ``_collect_stats`` would
+        subtract them anyway) and filled on a miss, and the L2 goes
+        through ``load_line``/``store_line`` once per line touched.
+        Access results (inclusion victims, memory transfers) are
+        discarded: nothing is timed.
+        """
+        l2 = self.l2
+        geom = l2.geom
+        line_mask = geom.line_mask
+        line_size = geom.line_size
+        load_line = l2.load_line
+        store_line = l2.store_line
+        word_mask = l2.word_mask
+        load_kind = Rec.LOAD
+        store_kind = Rec.STORE
+        branch_kind = Rec.BRANCH
+        for cpu_idx, records in assignments:
+            cpu = self.cpus[cpu_idx]
+            l1 = cpu.l1
+            resident = l1.resident
+            l1_sets = l1._sets
+            l1_shift = l1._set_shift
+            l1_mask = l1._set_mask
+            l1_fill = l1.fill
+            predict = cpu.pipeline.predictor.predict_and_update
+            others = self._other_l1s[cpu_idx]
+            for rec in records:
+                kind = rec[0]
+                if kind == load_kind or kind == store_kind:
+                    addr = rec[1]
+                    size = rec[2]
+                    # geom.lines_touched, inlined.
+                    first = addr & line_mask
+                    last = (addr + (size if size > 1 else 1) - 1) & line_mask
+                    if first == last:
+                        tags = (first,)
+                    else:
+                        tags = range(first, last + 1, line_size)
+                    if kind == store_kind:
+                        # One mask for every line, as SpeculativeL2.store
+                        # computes it; a non-speculative store uses it
+                        # only in the violation scan.
+                        words = word_mask(addr, size)
+                    for tag in tags:
+                        if tag in resident:
+                            order = l1_sets[(tag >> l1_shift) & l1_mask]._order
+                            if order[-1] != tag:
+                                order.remove(tag)
+                                order.append(tag)
+                        else:
+                            l1_fill(tag, False)
+                        if kind == load_kind:
+                            load_line(tag, COMMITTED, None, False, 0)
+                        else:
+                            for ol1 in others:
+                                if tag in ol1.resident:
+                                    ol1.invalidate(tag)
+                            store_line(tag, COMMITTED, None, words)
+                elif kind == branch_kind:
+                    predict(rec[1], rec[2])
 
     def run(self, workload: WorkloadTrace) -> SimulationStats:
         """Replay the workload; returns the aggregated statistics."""
@@ -1025,14 +1080,12 @@ class Machine:
         The latch-ordering discipline in the trace generator should make
         this unreachable; if it happens we violate a speculative latch
         *holder* so the waiters can progress, keeping the simulation sound.
+
+        Overflow-parked epochs are woken only when no other step applies.
+        Waking them first can livelock: they overflow again at the same
+        commit horizon and re-park, so the run never gets to the step
+        that unblocks the oldest epoch.
         """
-        if self._overflow_parked:
-            # Overflow-stalled epochs are woken on commit; if the region
-            # has otherwise run dry (e.g. every live epoch is parked),
-            # retrying them is always sound — parking is a scheduling
-            # choice, not a protocol state.
-            self._wake_overflow_parked(self.now)
-            return
         blocked_sync = [
             cpu for cpu in self.cpus
             if cpu.sync_line is not None and cpu.epoch is not None
@@ -1047,10 +1100,6 @@ class Machine:
             cpu for cpu in self.cpus
             if cpu.blocked_latch is not None and cpu.epoch is not None
         ]
-        if not blocked:
-            raise RuntimeError(
-                "region cannot progress: no events and no blocked CPUs"
-            )
         for cpu in sorted(blocked, key=lambda c: c.epoch.order):
             holder = self.latches.holder_of(cpu.blocked_latch)
             if (
@@ -1062,6 +1111,17 @@ class Machine:
                 action = self.engine.force_rewind(holder, 0)
                 self._apply_rewinds([action], self.now)
                 return
+        if self._overflow_parked:
+            # Overflow-stalled epochs are woken on commit; if the region
+            # has otherwise run dry (e.g. every live epoch is parked),
+            # retrying them is always sound — parking is a scheduling
+            # choice, not a protocol state.
+            self._wake_overflow_parked(self.now)
+            return
+        if not blocked:
+            raise RuntimeError(
+                "region cannot progress: no events and no blocked CPUs"
+            )
         raise RuntimeError("unbreakable latch deadlock among epochs")
 
     # ------------------------------------------------------------------

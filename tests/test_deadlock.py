@@ -10,6 +10,11 @@ undisciplined trace and assert forward progress plus accounting.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim import ExecutionMode, Machine, MachineConfig
@@ -23,6 +28,16 @@ from repro.trace.events import (
 from repro.verify import lint_workload
 
 PC = 0x0040_0000
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: A shrunk high-violation fuzz draw (written by
+#: ``repro.verify.fuzz.write_repro``) whose oldest epoch waits on a
+#: latch held by an epoch blocked on a synchronized load, while the
+#: other epochs thrash on overflow squashes.
+OVERFLOW_PARKED_REPRO = (
+    REPO / "tests" / "repros" / "overflow_parked_livelock.json"
+)
 
 
 def _cross_latch_workload() -> WorkloadTrace:
@@ -88,3 +103,26 @@ def test_stat_survives_collection(workload):
     stats = Machine(config).run(workload)
     assert hasattr(stats, "deadlock_breaks")
     assert stats.deadlock_breaks >= 1
+
+
+def test_overflow_parked_epochs_do_not_livelock_the_breaker():
+    """Waking overflow-parked epochs must not starve the other steps.
+
+    The breaker used to wake parked epochs first; they overflowed again
+    at the same commit horizon and re-parked, so it never reached the
+    synchronized-load release that unblocks the oldest epoch.  The
+    replay runs in a subprocess with a timeout so a regression fails
+    instead of hanging the suite.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.verify.fuzz",
+             "--repro", str(OVERFLOW_PARKED_REPRO)],
+            env=env, cwd=REPO, capture_output=True, text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("repro run did not finish: deadlock-breaker livelock")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout

@@ -412,6 +412,59 @@ class TestTracedRunner:
         assert plain == traced
 
 
+#: A sampled Figure-5 run whose later units carry a functional-warming
+#: prefix (one detailed warmup transaction out of four).
+SAMPLED_ARGS = (
+    "figure5", "--tiny", "--sample-rate", "0.3", "--sample-warmup", "1",
+    "--no-trace-cache",
+)
+
+
+@pytest.fixture(scope="module")
+def sampled_runs(tmp_path_factory):
+    """The sampled run traced and untraced (side by side); yields the
+    two output directories."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    traced = tmp_path_factory.mktemp("sampled_traced")
+    plain = tmp_path_factory.mktemp("sampled_plain")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.harness", *SAMPLED_ARGS,
+             "--out", str(out), *extra],
+            env=env, cwd=REPO, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for out, extra in (
+            (traced, ("--trace-out", str(traced / "run.jsonl"))),
+            (plain, ()),
+        )
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+    return traced, plain
+
+
+class TestTracedSampledRun:
+    def test_warm_spans_in_clean_log(self, sampled_runs):
+        traced, _ = sampled_runs
+        log = traced / "run.jsonl"
+        assert lint(log) == []
+        warms = [
+            r for r in map(json.loads, log.read_text().splitlines())
+            if r["type"] == "span" and r["name"] == "machine.warm"
+        ]
+        assert warms
+        assert all(w["parent"] == "harness.job" for w in warms)
+        assert all(w["attrs"]["records"] > 0 for w in warms)
+        assert "machine.warm" in render_report(log)
+
+    def test_tracing_leaves_artifact_bytes_alone(self, sampled_runs):
+        traced, plain = sampled_runs
+        name = "figure5_sampled.json"
+        assert (traced / name).read_bytes() == (plain / name).read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Progress / heartbeats
 # ----------------------------------------------------------------------

@@ -23,12 +23,14 @@ The load-bearing guarantees, each pinned here:
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.harness.export import export_json
 from repro.harness.runner import JobRunner
 from repro.harness.sampled import (
     CYCLE_METRICS,
@@ -54,6 +56,8 @@ COVERAGE_SEEDS = range(20)
 
 #: Minimum hits out of 20 for 90% empirical coverage.
 MIN_HITS = 18
+
+HUGE_SMOKE_GOLDEN = Path(__file__).parent / "golden" / "huge_smoke.json"
 
 
 @pytest.fixture(scope="module")
@@ -323,14 +327,21 @@ def test_sampled_figure5_manifest_block_schema(sampled_figure5):
     assert_valid(json.loads(json.dumps(block)), kind="sampler")
 
 
-def test_run_huge_smoke(runner):
-    """A small run through the huge-scale path end to end: bounded
-    windows, muted generation, paired speedup, valid manifest block."""
-    result = run_huge(
+@pytest.fixture(scope="module")
+def huge_smoke(runner):
+    """A small run through the huge-scale path: 80 transactions with
+    bounded warmup windows (2 detailed + 4 functionally warmed)."""
+    return run_huge(
         n_transactions=80, seed=2, runner=runner,
         sampler=SamplerConfig(rate=0.05, warmup=2, functional_window=4),
         scale=TPCCScale(),
     )
+
+
+def test_run_huge_smoke(huge_smoke):
+    """A small run through the huge-scale path end to end: bounded
+    windows, muted generation, paired speedup, valid manifest block."""
+    result = huge_smoke
     assert set(result.estimates) == {
         ExecutionMode.SEQUENTIAL, ExecutionMode.BASELINE
     }
@@ -344,6 +355,29 @@ def test_run_huge_smoke(runner):
     )
     assert acct.records_total_estimated > 0
     assert_valid(result.manifest_block(), kind="sampler")
+
+
+def test_run_huge_smoke_bytes_pinned(huge_smoke, tmp_path, request):
+    """The exported huge smoke run is pinned to ``tests/golden/
+    huge_smoke.json``: the only tier-1 pin of a run whose functional
+    warming replays a bounded window (``functional_window >= 0``).
+    After an intentional change, refresh it with::
+
+        PYTHONPATH=src python -m pytest tests/test_sampling.py \\
+            -k huge_smoke --update-golden
+    """
+    fresh = tmp_path / "huge_smoke.json"
+    export_json(huge_smoke, fresh)
+    if request.config.getoption("--update-golden"):
+        HUGE_SMOKE_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(fresh, HUGE_SMOKE_GOLDEN)
+    assert HUGE_SMOKE_GOLDEN.exists(), (
+        "no golden file; generate one with --update-golden"
+    )
+    assert fresh.read_bytes() == HUGE_SMOKE_GOLDEN.read_bytes(), (
+        "huge smoke export drifted from tests/golden/huge_smoke.json; "
+        "if the change is intentional, re-run with --update-golden"
+    )
 
 
 def test_run_huge_rejects_unbounded_windows(runner):
