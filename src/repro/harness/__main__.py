@@ -231,11 +231,11 @@ def main(argv=None) -> int:
         metavar="DIR",
         help=(
             "persistent content-addressed result store "
-            "(repro.service.store): simulation results are looked up "
-            "by (trace key, machine config) before dispatch and "
-            "committed after, so identical jobs across invocations are "
-            "store hits instead of re-simulations; the sweep service "
-            "daemon uses the same store format"
+            "(repro.harness.resultstore): simulation results are looked "
+            "up by (trace key, machine config) before dispatch and each "
+            "is committed as its job finishes, so identical jobs across "
+            "invocations are store hits instead of re-simulations, and "
+            "rerunning a killed sweep resumes where it stopped"
         ),
     )
     parser.add_argument(
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         overrides["compile_traces"] = False
     result_store = None
     if args.result_store is not None:
-        from ..service.store import ResultStore
+        from .resultstore import ResultStore
 
         result_store = ResultStore(args.result_store)
     n_jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)

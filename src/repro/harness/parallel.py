@@ -7,16 +7,29 @@ all hardware configurations.  This module fans a job list over a
 ``ProcessPoolExecutor`` while keeping the results in submission order, so
 a parallel run is bit-identical to a serial one.
 
+Each result is handed to the caller's ``on_done`` callback the moment
+its job completes, so :class:`~repro.harness.runner.JobRunner` can
+commit it to the result store before waiting on the next one.
+
 Failure handling is first-class:
 
-* a crash inside a worker surfaces as :class:`JobFailure` naming the
-  failing job (benchmark, trace-spec key, config shape) and carrying the
-  worker's traceback — not an anonymous ``BrokenProcessPool``;
+* an exception inside a worker surfaces as :class:`JobFailure` naming
+  the failing job (benchmark, trace-spec key, config shape) and
+  carrying the worker's traceback;
+* a worker process that dies outright (``kill -9``, the OOM killer)
+  breaks the whole pool; that too surfaces as :class:`JobFailure`, not
+  an anonymous ``BrokenProcessPool``, naming every job that had not
+  finished;
 * the first failure cancels every not-yet-started job instead of
-  grinding through the rest of the sweep;
+  grinding through the rest of the sweep; jobs already running finish
+  and still reach ``on_done``;
 * ``KeyboardInterrupt`` shuts the pool down without waiting for queued
   *or in-flight* work — the interrupt path skips the usual blocking
   ``shutdown(wait=True)``, so ^C returns promptly even mid-simulation.
+
+Nothing is retried: the simulator is deterministic, so a job that
+raised raises again, and a killed run is resumed by rerunning it over
+the same ``--result-store``.
 
 Workers return ``(result, tracecache delta)`` pairs: each process
 counts its own :data:`repro.harness.tracecache.STATS` movement per job
@@ -50,11 +63,15 @@ import os
 import time
 import traceback
 from concurrent.futures import (
-    FIRST_EXCEPTION,
+    FIRST_COMPLETED,
     ProcessPoolExecutor,
     wait,
 )
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from concurrent.futures.process import BrokenProcessPool
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING,
+)
 
 from ..sim import Machine, SimulationStats
 from ..trace import WorkloadTrace
@@ -191,25 +208,38 @@ def _run_job(job: "SimJob", config_overrides=None):
 
 
 def _drain(futures, progress: Optional["ProgressReporter"],
-           heartbeats) -> None:
-    """Wait for futures; fail fast, cancelling everything still queued."""
+           heartbeats) -> Iterator[Tuple[int, object]]:
+    """Yield ``(index, result)`` for each future as it completes.
+
+    The first failure cancels every job not yet started; the jobs
+    already running still finish and are yielded, then the failure is
+    raised.
+    """
+    index = {future: i for i, future in enumerate(futures)}
     pending = set(futures)
+    failure = None
     while pending:
         timeout = None if progress is None else progress.interval
         done, pending = wait(
-            pending, timeout=timeout, return_when=FIRST_EXCEPTION
+            pending, timeout=timeout, return_when=FIRST_COMPLETED
         )
-        for future in done:
+        for future in sorted(done, key=index.__getitem__):
+            if future.cancelled():
+                continue
             exc = future.exception()
-            if exc is not None:
+            if exc is None:
+                yield index[future], future.result()
+            elif failure is None:
+                failure = exc
                 for other in pending:
                     other.cancel()
-                raise exc
         if progress is not None:
             progress.set_done(sum(1 for f in futures if f.done()))
             if heartbeats is not None:
                 progress.observe_heartbeats(dict(heartbeats))
             progress.maybe_render()
+    if failure is not None:
+        raise failure
 
 
 def run_jobs_parallel(
@@ -218,10 +248,16 @@ def run_jobs_parallel(
     trace_cache=None,
     config_overrides=None,
     progress: Optional["ProgressReporter"] = None,
+    on_done: Optional[Callable[[int, SimulationStats], None]] = None,
 ) -> List[SimulationStats]:
-    """Run a job list over ``n_workers`` processes, results in job order."""
+    """Run a job list over ``n_workers`` processes, results in job order.
+
+    ``on_done(index, stats)`` is called in this process as each job
+    completes, in completion order.
+    """
     jobs = list(jobs)
     n_workers = max(1, min(n_workers, len(jobs)))
+    results: List[Optional[SimulationStats]] = [None] * len(jobs)
     manager = None
     heartbeats = None
     if progress is not None:
@@ -246,19 +282,29 @@ def run_jobs_parallel(
             warm = [
                 pool.submit(_warm_spec, spec) for spec in unique.values()
             ]
-            _drain(warm, progress=None, heartbeats=None)
-            for future in warm:
-                merge_tracecache_stats(future.result()[1])
+            for _, (_, delta) in _drain(warm, None, None):
+                merge_tracecache_stats(delta)
         futures = [
             pool.submit(_run_job, job, config_overrides) for job in jobs
         ]
-        _drain(futures, progress, heartbeats)
-        results = []
-        for future in futures:
-            stats, delta = future.result()
+        for i, (stats, delta) in _drain(futures, progress, heartbeats):
             merge_tracecache_stats(delta)
-            results.append(stats)
+            results[i] = stats
+            if on_done is not None:
+                on_done(i, stats)
         return results
+    except BrokenProcessPool as exc:
+        unfinished = [
+            describe_job(job)
+            for job, stats in zip(jobs, results) if stats is None
+        ]
+        raise JobFailure(
+            f"a worker process died abruptly ({exc}); "
+            f"{len(unfinished)} unfinished job(s): "
+            f"{', '.join(unfinished)}.  Rerunning the same command "
+            "with the same --result-store resumes from the jobs that "
+            "finished."
+        ) from exc
     except KeyboardInterrupt:
         # Don't wait for queued jobs on ^C — drop them and let the
         # already-running workers be reaped.  The flag keeps the
@@ -270,6 +316,8 @@ def run_jobs_parallel(
         raise
     finally:
         if not interrupted:
-            pool.shutdown(wait=True)
+            # cancel_futures: if ``on_done`` raised, queued jobs must
+            # not run to completion before the error propagates.
+            pool.shutdown(wait=True, cancel_futures=True)
         if manager is not None:
             manager.shutdown()

@@ -1,13 +1,14 @@
-"""Persistent content-addressed result store.
+"""Persistent content-addressed result store (harness ``--result-store``).
 
-``JobRunner`` has always memoized simulation results in memory keyed by
+``JobRunner`` memoizes simulation results in memory keyed by
 ``(trace spec key, effective machine config)`` — simulation is
 deterministic, so an already-run job is a cache hit.  This module lifts
 that memo to disk: the same identity, hashed into a stable content
 address, maps to a JSON entry holding the full serialized
-:class:`~repro.sim.SimulationStats`.  A re-submitted sweep (same specs,
-same configs) is then a 100% store hit in any later process, and a sweep
-that crashed halfway resumes from whatever already committed.
+:class:`~repro.sim.SimulationStats`.  A repeated sweep (same specs, same
+configs) is then a 100% store hit in any later process, and a sweep that
+was killed halfway resumes from whatever already committed:
+``JobRunner.run`` commits each job as it finishes.
 
 The key is *content-addressed* the same way the trace cache's
 ``spec_key`` is: it hashes the trace's content key plus the
@@ -31,8 +32,7 @@ Layout::
 
 Each entry is self-describing (format, version, key, spec key, config
 document, creation time, stats) — the store needs no global index, so
-there is nothing to corrupt or lock; ``scan()`` walks the tree when a
-manifest of the store's contents is wanted.
+there is nothing to corrupt or lock.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..core.accounting import CycleCounters
-from ..harness.runner import config_identity_doc
 from ..obs.atomicio import atomic_write_json
 from ..sim import SimulationStats
+from .runner import config_identity_doc
 
 STORE_FORMAT = "repro-result-store"
 #: Bump whenever serialized ``SimulationStats`` change meaning without
@@ -108,27 +107,22 @@ def result_key(spec_key: str, config) -> str:
 class ResultStore:
     """Disk-backed simulation-result cache; see the module docstring.
 
-    ``hits``/``misses``/``puts`` count this instance's traffic (the
-    service snapshots them per sweep); the files themselves are shared
-    freely between processes.
+    The files are shared freely between processes: each entry is one
+    atomic write, and a reader sees either nothing or a whole entry.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    # -- raw key interface ---------------------------------------------
-
-    def get(self, key: str) -> Optional[SimulationStats]:
-        path = self._path(key)
+    def get_stats(self, spec_key: str, config) -> Optional[SimulationStats]:
+        """Store lookup by (trace spec key, effective machine config)."""
+        key = result_key(spec_key, config)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self._path(key), encoding="utf-8") as fh:
                 entry = json.load(fh)
             if (
                 entry.get("format") != STORE_FORMAT
@@ -136,79 +130,24 @@ class ResultStore:
                 or entry.get("key") != key
             ):
                 raise ValueError("foreign or stale store entry")
-            stats = stats_from_doc(entry["stats"])
-        except FileNotFoundError:
-            self.misses += 1
+            return stats_from_doc(entry["stats"])
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            # Absent, corrupt or incompatible entry (JSONDecodeError is
+            # a ValueError): a miss, rewritten on commit.
             return None
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            # Corrupt/incompatible entry: a miss, rewritten on commit.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stats
-
-    def put(self, key: str, stats: SimulationStats,
-            spec_key: Optional[str] = None,
-            config_doc: Optional[Dict[str, Any]] = None) -> Path:
-        path = self._path(key)
-        entry = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "key": key,
-            "spec_key": spec_key,
-            "config": config_doc,
-            "created_unix": round(time.time(), 3),
-            "stats": stats_to_doc(stats),
-        }
-        atomic_write_json(path, entry)
-        self.puts += 1
-        return path
-
-    # -- JobRunner interface -------------------------------------------
-
-    def get_stats(self, spec_key: str, config) -> Optional[SimulationStats]:
-        """Store lookup by (trace spec key, effective machine config)."""
-        return self.get(result_key(spec_key, config))
 
     def put_stats(self, spec_key: str, config,
                   stats: SimulationStats) -> Path:
         """Commit one simulation result under its content address."""
-        return self.put(
-            result_key(spec_key, config), stats,
-            spec_key=spec_key, config_doc=config_identity_doc(config),
-        )
-
-    # -- introspection -------------------------------------------------
-
-    def counters(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts}
-
-    def keys(self) -> Iterator[str]:
-        """Keys of every committed entry (walks the tree; no index)."""
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for path in sorted(shard.glob("*.json")):
-                yield path.stem
-
-    def scan(self) -> Dict[str, Any]:
-        """A manifest of the store's contents (entry count, spec keys)."""
-        entries = 0
-        spec_keys: List[str] = []
-        for key in self.keys():
-            entries += 1
-            try:
-                with open(self._path(key), encoding="utf-8") as fh:
-                    entry = json.load(fh)
-                if entry.get("spec_key"):
-                    spec_keys.append(entry["spec_key"])
-            except (OSError, json.JSONDecodeError):
-                continue
-        return {
+        key = result_key(spec_key, config)
+        path = self._path(key)
+        atomic_write_json(path, {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
-            "root": os.fspath(self.root),
-            "entries": entries,
-            "trace_spec_keys": sorted(set(spec_keys)),
-        }
+            "key": key,
+            "spec_key": spec_key,
+            "config": config_identity_doc(config),
+            "created_unix": round(time.time(), 3),
+            "stats": stats_to_doc(stats),
+        })
+        return path

@@ -5,7 +5,10 @@ machine configuration) and hand them to a :class:`JobRunner`, which runs
 them serially or over a process pool (``--jobs N``) and optionally backs
 trace generation with the persistent disk cache in
 :mod:`repro.harness.tracecache`.  Results always come back in job order,
-so serial and parallel runs are bit-identical.
+so serial and parallel runs are bit-identical.  With a result store
+(:mod:`repro.harness.resultstore`, harness ``--result-store``) every job
+is committed to disk as it finishes, so rerunning a sweep that was
+killed midway simulates only the jobs it had not finished.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
 from ..minidb import EngineOptions
 from ..sim import ExecutionMode, Machine, MachineConfig, SimulationStats
@@ -46,10 +51,10 @@ def config_identity(config) -> Tuple:
 def config_identity_doc(config) -> Dict[str, object]:
     """JSON-able form of :func:`config_identity`, field names included.
 
-    The persistent result store (:mod:`repro.service.store`) hashes this
-    document into its content address, so the on-disk key is stable
-    across processes and runs and — like the in-memory memo — blind to
-    provenance-only fields.
+    The persistent result store (:mod:`repro.harness.resultstore`)
+    hashes this document into its content address, so the on-disk key
+    is stable across processes and runs and — like the in-memory memo —
+    blind to provenance-only fields.
     """
     doc: Dict[str, object] = {}
     for f in dataclasses.fields(config):
@@ -113,24 +118,17 @@ class JobRunner:
                                      compare=False)
     #: Render live progress/heartbeats to stderr (harness ``--progress``).
     progress: bool = False
-    #: Optional :class:`repro.service.store.ResultStore` — the in-memory
-    #: result memo lifted to disk.  Misses fall through to simulation
-    #: and commit back to the store, so an identical sweep re-run (even
-    #: in a different process, after a crash) is a store hit instead of
-    #: a re-simulation.  None (the default) keeps results in memory only.
+    #: Optional :class:`repro.harness.resultstore.ResultStore` — the
+    #: in-memory result memo lifted to disk.  Misses fall through to
+    #: simulation and each result commits back to the store as soon as
+    #: its job finishes, so an identical sweep re-run (even in a
+    #: different process, after a crash) is a store hit instead of a
+    #: re-simulation.  None (the default) keeps results in memory only.
     result_store: Optional[object] = field(default=None, repr=False,
                                            compare=False)
-    #: Optional service-dispatch hook: a callable
-    #: ``(jobs, config_overrides) -> List[SimulationStats]`` that
-    #: replaces the built-in serial/process-pool dispatch.  The sweep
-    #: service routes pending jobs through its retrying scheduler this
-    #: way; everything above (memo, store, telemetry, ordering) is
-    #: unchanged.
-    dispatcher: Optional[object] = field(default=None, repr=False,
-                                         compare=False)
     #: Jobs actually sent to a simulator by this runner (memo and store
-    #: hits excluded) — the number a re-submitted sweep should drive to
-    #: zero.
+    #: hits excluded) — the number a repeated sweep over a warm result
+    #: store drives to zero.
     dispatched: int = field(default=0, compare=False)
     #: Jobs answered from the persistent result store.
     store_hits: int = field(default=0, compare=False)
@@ -252,6 +250,12 @@ class JobRunner:
         SEQUENTIAL baselines of a multi-sweep run).  Results are
         byte-identical either way: the simulator is deterministic, so
         the deduped job's stats equal a re-run's.
+
+        Each simulated job enters the memo and the result store the
+        moment it finishes, before the next one is awaited: if the run
+        dies midway, everything it finished is kept, and rerunning the
+        same sweep over the same store simulates only the rest.  Nothing
+        is retried — a deterministic job that raised raises again.
         """
         sim_jobs = list(sim_jobs)
         for job in sim_jobs:
@@ -270,7 +274,7 @@ class JobRunner:
                 if cached is None:
                     # Memo miss: the persistent store may still know
                     # this job from an earlier run (or an earlier,
-                    # partially-crashed attempt at this sweep).
+                    # killed attempt at this sweep).
                     cached = self._store_lookup(job)
                     if cached is not None:
                         self._results[key] = cached
@@ -286,14 +290,16 @@ class JobRunner:
             pending_slots[len(pending)] = [i]
             pending.append(job)
         self.dispatched += len(pending)
-        results = self._dispatch(pending)
-        for pi, stats in enumerate(results):
+
+        def finished(pi: int, stats: SimulationStats) -> None:
             for i in pending_slots[pi]:
                 slots[i] = stats
             key = keys[pending_slots[pi][0]]
             if key is not None:
                 self._results[key] = stats
                 self._store_commit(pending[pi], stats)
+
+        self._dispatch(pending, finished)
         if self.tracer is not None:
             # Deduped jobs still emit their per-job counters (the
             # report's per-mode sums must not depend on memo hits).
@@ -307,24 +313,14 @@ class JobRunner:
                     )
         return slots
 
-    def _dispatch(self, sim_jobs: List[SimJob]) -> List[SimulationStats]:
-        if self.dispatcher is not None:
-            if not sim_jobs:
-                return []
-            # Service-dispatch path: the scheduler owns parallelism,
-            # retries, and crash recovery; telemetry is emitted here
-            # exactly as for the process-pool path (workers cannot
-            # share the tracer).
-            from .parallel import describe_job
-
-            for job in sim_jobs:
-                if job.spec is not None:
-                    self._spec_keys.add(spec_key(job.spec))
-            results = self.dispatcher(sim_jobs, self.config_overrides)
-            if self.tracer is not None:
-                for job, stats in zip(sim_jobs, results):
-                    self._emit_job_telemetry(job, describe_job(job), stats)
-            return results
+    def _dispatch(
+        self,
+        sim_jobs: List[SimJob],
+        finished: Callable[[int, SimulationStats], None],
+    ) -> None:
+        """Simulate ``sim_jobs``, calling ``finished(index, stats)`` as
+        each one completes: in order on the serial path, in completion
+        order under ``--jobs N``."""
         reporter = None
         if self.progress and sim_jobs:
             from ..obs.progress import ProgressReporter
@@ -333,13 +329,10 @@ class JobRunner:
         if self.jobs > 1 and len(sim_jobs) > 1:
             from .parallel import describe_job, run_jobs_parallel
 
-            for job in sim_jobs:
-                if job.spec is not None:
-                    self._spec_keys.add(spec_key(job.spec))
             results = run_jobs_parallel(
                 sim_jobs, self.jobs, self.trace_cache,
                 config_overrides=self.config_overrides,
-                progress=reporter,
+                progress=reporter, on_done=finished,
             )
             if self.tracer is not None:
                 # Workers can't share the tracer; emit their per-job
@@ -347,15 +340,13 @@ class JobRunner:
                 for job, stats in zip(sim_jobs, results):
                     self._emit_job_telemetry(job, describe_job(job), stats)
         else:
-            results = []
-            for job in sim_jobs:
-                results.append(self.run_one(job))
+            for i, job in enumerate(sim_jobs):
+                finished(i, self.run_one(job))
                 if reporter is not None:
                     reporter.job_done()
                     reporter.maybe_render()
         if reporter is not None:
             reporter.finish()
-        return results
 
 
 @dataclass

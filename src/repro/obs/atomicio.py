@@ -15,8 +15,10 @@ operations — after a power loss, an un-fsynced temp file can be
 replayed as empty or truncated even though the rename committed, which
 is exactly the "truncated results/*.json" this module promises never to
 leave behind.  The fsync pair (file before rename, directory after)
-closes that hole; the persistent result store of :mod:`repro.service`
-inherits the guarantee through this helper.
+closes that hole; the persistent result store of
+:mod:`repro.harness.resultstore` inherits the guarantee through this
+helper, which is what lets a killed ``--result-store`` sweep resume from
+every entry it committed.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """One schema for every artifact the harness writes.
 
 Each artifact kind is a row of the table below, walked by one checker:
-``run_log`` (``--trace-out``) and ``journal`` (the service's) JSONL by
-record type; ``manifest`` (a ``*.manifest.json`` sidecar, with its
-``sampler`` or ``predictor`` block); those two blocks alone;
-``trajectory`` (``BENCH_speed.json``); ``result`` (other
-``results/*.json``).  The manifest spec also checks the manifest
-embedded in run logs, ``perf.json`` and trajectory entries.  A spec
-gives each field's type, whether it may be absent or null, and its
-object's cross-field rules (``t1 >= t0``, ``dur == t1 - t0``, ``low <=
-point <= high``); JSONL records also need a ``seq`` counting up from 0,
-so truncated and interleaved files are detectable.  No writer calls
-the lint; tests, CI and ``python -m repro.obs lint`` do.
+``run_log`` (``--trace-out`` JSONL) by record type; ``manifest`` (a
+``*.manifest.json`` sidecar, with its ``sampler`` or ``predictor``
+block); those two blocks alone; ``trajectory`` (``BENCH_speed.json``);
+``result`` (other ``results/*.json``).  The manifest spec also checks
+the manifest embedded in run logs, ``perf.json`` and trajectory
+entries.  A spec gives each field's type, whether it may be absent or
+null, and its object's cross-field rules (``t1 >= t0``, ``dur == t1 -
+t0``, ``low <= point <= high``); JSONL records also need a ``seq``
+counting up from 0, so truncated and interleaved files are detectable.
+No writer calls the lint; tests, CI and ``python -m repro.obs lint``
+do.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ def scalar(ok: Callable[[Any], bool], want: str) -> Check:
     def check(value: Any, path: str, out: List[str]) -> None:
         if not ok(value):
             out.append(_bad(path, want, value))
-    return check
-
-
-def one_of(label: str, values: str) -> Check:
-    """An enumerated value; ``values`` is space-separated."""
-    def check(value: Any, path: str, out: List[str]) -> None:
-        if value not in values.split():
-            out.append(f"unknown {label} {value!r}")
     return check
 
 
@@ -169,33 +161,22 @@ ENTRY = obj({
 })
 
 
-#: JSONL kinds: record ``type`` -> spec.
-LOGS = {
-    "run_log": {
-        # The run log opens with the in-flight manifest: no wall time yet.
-        "manifest": obj({"manifest": obj(
-            {**_MANIFEST_FIELDS, "wall_seconds": opt(NONNEG, present=True)}
-        )}),
-        "span": obj({"name": STR, "t0": NONNEG, "t1": NUM, "dur": NUM,
-                     "parent": opt(STR, present=True), "attrs": ATTRS}, rules=(
-            (("t0", "t1"), lambda t0, t1: t1 >= t0,
-             "span ends before it starts: t1 < t0"),
-            (("t0", "t1", "dur"), lambda t0, t1, dur:
-             abs(dur - (t1 - t0)) <= DUR_TOLERANCE, "dur != t1 - t0"),
-        )),
-        "counter": obj({"name": STR, "t": NONNEG, "values": obj(rest=NUM),
-                        "attrs": ATTRS}),
-        "event": obj({"name": STR, "t": NONNEG, "attrs": ATTRS}),
-    },
-    "journal": {
-        "service": obj({"t": NONNEG, "event": one_of(
-            "service event", "start recovered drain stop")}),
-        "sweep": obj({"t": NONNEG, "sweep": STR, "event": one_of(
-            "sweep event", "accepted running done failed interrupted")}),
-        "job": obj({"t": NONNEG, "sweep": STR, "job": STR,
-                    "attempt": AT_LEAST_1, "event": one_of(
-            "job event", "dispatch store_hit done crash retry quarantine")}),
-    },
+#: The JSONL ``run_log`` kind: record ``type`` -> spec.
+RUN_LOG = {
+    # The run log opens with the in-flight manifest: no wall time yet.
+    "manifest": obj({"manifest": obj(
+        {**_MANIFEST_FIELDS, "wall_seconds": opt(NONNEG, present=True)}
+    )}),
+    "span": obj({"name": STR, "t0": NONNEG, "t1": NUM, "dur": NUM,
+                 "parent": opt(STR, present=True), "attrs": ATTRS}, rules=(
+        (("t0", "t1"), lambda t0, t1: t1 >= t0,
+         "span ends before it starts: t1 < t0"),
+        (("t0", "t1", "dur"), lambda t0, t1, dur:
+         abs(dur - (t1 - t0)) <= DUR_TOLERANCE, "dur != t1 - t0"),
+    )),
+    "counter": obj({"name": STR, "t": NONNEG, "values": obj(rest=NUM),
+                    "attrs": ATTRS}),
+    "event": obj({"name": STR, "t": NONNEG, "attrs": ATTRS}),
 }
 
 
@@ -225,7 +206,7 @@ DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "predictor": PREDICTOR,
         "trajectory": _trajectory, "result": _result}
 
 
-def _lint_log(text: str, kind: Optional[str]) -> List[str]:
+def _lint_log(text: str) -> List[str]:
     """Each JSONL record: its ``seq``, then the spec of its ``type``."""
     out: List[str] = []
     n = 0
@@ -241,17 +222,16 @@ def _lint_log(text: str, kind: Optional[str]) -> List[str]:
             out.append(loc + _bad("", "an object", rec))
             continue
         rtype, seq = rec.get("type"), rec.get("seq")
-        kind = kind or ("journal" if rtype in LOGS["journal"] else "run_log")
-        if n == 0 and kind == "run_log" and rtype != "manifest":
+        if n == 0 and rtype != "manifest":
             out.append(loc + "first record must be the run manifest")
         n += 1
-        if rtype not in LOGS[kind]:
+        if rtype not in RUN_LOG:
             out.append(loc + f"unknown record type {rtype!r}")
             continue
         if not _int(seq) or seq != n - 1:
             out.append(loc + f"seq {seq!r} is not the expected {n - 1} "
                        "(truncated or reordered file?)")
-        out.extend(_issues(LOGS[kind][rtype], rec, loc))
+        out.extend(_issues(RUN_LOG[rtype], rec, loc))
     return out if n else out + ["file has no records"]
 
 
@@ -267,7 +247,7 @@ def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
             raise ValueError(f"in-memory lint needs a kind in {sorted(DOCS)}")
         return _issues(DOCS[kind], path_or_doc)
     name = os.path.basename(os.fspath(path_or_doc))
-    jsonl = kind in LOGS or (kind is None and name.endswith(".jsonl"))
+    jsonl = kind == "run_log" or (kind is None and name.endswith(".jsonl"))
     try:
         with open(path_or_doc, encoding="utf-8") as fh:
             text = fh.read()
@@ -275,7 +255,7 @@ def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
     except (OSError, ValueError) as exc:
         return [f"unreadable {kind or 'artifact'}: {exc}"]
     if jsonl:
-        return _lint_log(text, kind)
+        return _lint_log(text)
     if kind is None:
         first = doc[0] if isinstance(doc, list) and doc else None
         kind = "trajectory" if name.startswith("BENCH") or (

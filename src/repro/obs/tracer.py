@@ -17,7 +17,9 @@
 All timestamps come from ``time.perf_counter`` — monotonic by
 construction, so an NTP step mid-run can never produce a negative span.
 Records carry a strictly increasing ``seq`` so truncation and reordering
-are detectable; :func:`repro.obs.lint` checks the whole file.
+are detectable; :func:`repro.obs.lint` checks the whole file.  Writes are
+buffered and flushed on :meth:`SpanTracer.close`, so read the log after
+the run; ``--progress`` is the live view.
 
 Tracing is strictly opt-in.  Every producer call site is guarded by
 ``tracer is not None``, so a run without ``--trace-out`` executes the
@@ -35,8 +37,7 @@ from typing import Any, Dict, Iterator, List, Optional
 class SpanTracer:
     """Writes spans/counters/events as JSONL; see the module docstring."""
 
-    def __init__(self, path, manifest: Optional[Dict[str, Any]] = None,
-                 autoflush: bool = False):
+    def __init__(self, path, manifest: Optional[Dict[str, Any]] = None):
         self.path = os.fspath(path)
         directory = os.path.dirname(self.path)
         if directory:
@@ -47,11 +48,6 @@ class SpanTracer:
         self._seq = 0
         self._stack: List[str] = []
         self._closed = False
-        #: Flush after every record.  The sweep service streams a live
-        #: run log to ``watch`` subscribers, which only works if each
-        #: record is visible as soon as it is written; batch runs keep
-        #: the default (buffered) behavior.
-        self.autoflush = autoflush
         if manifest is not None:
             self._write({"type": "manifest", "manifest": manifest})
 
@@ -68,8 +64,6 @@ class SpanTracer:
         self._seq += 1
         self._fh.write(json.dumps(record, sort_keys=True, default=str))
         self._fh.write("\n")
-        if self.autoflush:
-            self._fh.flush()
 
     # -- producers -----------------------------------------------------
 

@@ -80,6 +80,11 @@ def region_of(*epoch_records):
     )
 
 
+def crashing_workload():
+    """A trace whose replay raises (unknown record kind)."""
+    return one_txn_workload([region_of([(99, 0)])], name="bad")
+
+
 def load_pass(base, n, stride=32, pc=PC):
     """``n`` single-line loads, one per ``stride``-spaced line."""
     return [(Rec.LOAD, base + stride * i, 4, pc + 8 * i) for i in range(n)]

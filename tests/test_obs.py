@@ -4,16 +4,26 @@ from __future__ import annotations
 
 import glob
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from conftest import crashing_workload
 
 from repro.core.profiling import DependenceProfiler, ExposedLoadTable
 from repro.harness.export import export_json
-from repro.harness.parallel import JobFailure, run_jobs_parallel
+from repro.harness.parallel import (
+    JobFailure,
+    _run_job,
+    describe_job,
+    run_jobs_parallel,
+)
 from repro.harness.runner import JobRunner, SimJob
+from repro.harness.tracecache import TraceSpec
 from repro.obs import (
     MetricsRegistry,
     ProgressReporter,
@@ -32,9 +42,9 @@ from repro.obs import (
     write_manifest,
 )
 from repro.obs.schema import RunLogError
-from repro.service import Journal
-from repro.sim import Machine, MachineConfig
+from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.sim.stats import METRIC_SOURCES
+from repro.tpcc import TPCCScale
 from repro.trace.events import (
     EpochTrace,
     ParallelRegion,
@@ -64,15 +74,6 @@ def tiny_workload(work: int = 200) -> WorkloadTrace:
         name="t", segments=[ParallelRegion(epochs=epochs)]
     )
     return WorkloadTrace(name="tiny", transactions=[txn])
-
-
-def crashing_workload() -> WorkloadTrace:
-    """A trace whose replay raises (unknown record kind)."""
-    txn = TransactionTrace(
-        name="t",
-        segments=[ParallelRegion(epochs=[EpochTrace(0, [(99, 0)])])],
-    )
-    return WorkloadTrace(name="bad", transactions=[txn])
 
 
 # ----------------------------------------------------------------------
@@ -536,6 +537,29 @@ class TestParallelFailures:
         assert "cpus=4" in message
         assert "unknown record kind 99" in message
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker entry reaches workers only by fork",
+    )
+    def test_killed_worker_names_the_unfinished_jobs(self, monkeypatch):
+        monkeypatch.setattr("repro.harness.parallel._run_job",
+                            _sigkill_on_baseline)
+        spec = TraceSpec(kind="tpcc", benchmark="new_order", tls_mode=True,
+                         n_transactions=1, seed=42, scale=TPCCScale.tiny())
+        jobs = [
+            SimJob(config=MachineConfig.for_mode(mode), spec=spec)
+            for mode in (ExecutionMode.TLS_SEQ, ExecutionMode.BASELINE,
+                         ExecutionMode.NO_SUBTHREAD)
+        ]
+        with pytest.raises(JobFailure) as exc_info:
+            run_jobs_parallel(jobs, n_workers=2)
+        message = str(exc_info.value)
+        assert "died abruptly" in message
+        assert describe_job(jobs[1]) in message
+        assert "unfinished job(s)" in message
+        assert "same --result-store resumes" in message
+        assert isinstance(exc_info.value.__cause__, BrokenProcessPool)
+
     def test_success_path_matches_serial(self):
         jobs = [
             SimJob(config=MachineConfig(), trace=tiny_workload()),
@@ -544,6 +568,17 @@ class TestParallelFailures:
         parallel = run_jobs_parallel(jobs, n_workers=2)
         serial = [Machine(j.config).run(j.trace) for j in jobs]
         assert parallel == serial
+
+
+def _sigkill_on_baseline(job, config_overrides=None):
+    """Worker entry that dies like ``kill -9`` on the BASELINE job.
+
+    Module-level so the pool can pickle it by name; a forked worker
+    finds this module already imported.
+    """
+    if job.config.mode_label == ExecutionMode.BASELINE:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_job(job, config_overrides)
 
 
 # ----------------------------------------------------------------------
@@ -692,18 +727,9 @@ def _clean_run_log(tmp_path):
     return _jsonl(path)
 
 
-def _clean_journal(tmp_path):
-    path = tmp_path / "clean-journal.jsonl"
-    with Journal(path) as journal:
-        journal.append("service", "start")
-        journal.append("job", "dispatch", sweep="s1", job="j", attempt=1)
-    return _jsonl(path)
-
-
 #: Clean artifact per kind, and the file name it is linted under.
 CLEAN = {
     "run_log": (_clean_run_log, "run.jsonl"),
-    "journal": (_clean_journal, "journal.jsonl"),
     "sampler": (lambda _: _repo_json(
         "results", "figure5_sampled.manifest.json")["sampler"], None),
     "predictor": (lambda _: _repo_json(
@@ -737,10 +763,6 @@ LINT_RULES = [
      "attrs is not an object"),
     ("event-t", "run_log", lambda d: _record(d, "event").update(t="x"),
      "t is not a non-negative number"),
-    ("journal-t", "journal", lambda d: d[0].pop("t"),
-     "line 1: missing t key"),
-    ("job-label", "journal", lambda d: _record(d, "job").pop("job"),
-     "line 2: missing job key"),
     ("sampler-point", "sampler",
      lambda d: _estimate(d).update(point=_estimate(d)["high"] + 1),
      "point outside its own interval"),
