@@ -4,7 +4,7 @@ One package owns everything the harness knows about *how a run went*
 (as opposed to what it computed):
 
 * :mod:`repro.obs.atomicio` — crash-safe artifact writes (temp file +
-  ``os.replace``) shared by every results/bench/trajectory writer;
+  ``os.replace``) shared by every artifact and cache writer;
 * :mod:`repro.obs.manifest` — the run manifest attached to every
   artifact (config hash, trace-spec keys, seed, git SHA, versions,
   wall time, CPU count);

@@ -1,8 +1,8 @@
 """Atomic artifact writes shared by every file-producing subsystem.
 
 An interrupted harness run must never leave a truncated ``results/*.json``,
-bench artifact, or trace-cache entry behind — downstream tooling treats
-those files as ground truth.  Every writer funnels through
+result-store entry, or trace-cache entry behind — downstream tooling
+treats those files as ground truth.  Every writer funnels through
 :func:`atomic_output_file`: the content is written to a temp file in the
 destination directory, **fsynced**, and moved into place with
 ``os.replace``, which is atomic on POSIX filesystems (and the same

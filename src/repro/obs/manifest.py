@@ -1,12 +1,12 @@
 """Run manifests: what produced this artifact, exactly.
 
-Every ``results/*.json`` and bench artifact gets a manifest recording the
-full provenance of the run — resolved configuration (and its hash), the
+Every ``results/*.json`` artifact gets a manifest recording the full
+provenance of the run — resolved configuration (and its hash), the
 content-hash keys of every trace it replayed, the seed, the git SHA,
 package/Python versions, wall time, and host CPU count.  With it, any
 number in any artifact can be traced back to the code and inputs that
 produced it, which is what makes the paper's profile-tune-rerun loop
-(and our BENCH trajectory) auditable.
+auditable.
 
 Manifests ride as a sidecar file (``figure5.json`` →
 ``figure5.manifest.json``) rather than embedded in the artifact: result

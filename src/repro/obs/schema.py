@@ -3,15 +3,13 @@
 Each artifact kind is a row of the table below, walked by one checker:
 ``run_log`` (``--trace-out`` JSONL) by record type; ``manifest`` (a
 ``*.manifest.json`` sidecar, with its ``sampler`` or ``predictor``
-block); those two blocks alone; ``trajectory`` (``BENCH_speed.json``);
-``result`` (other ``results/*.json``).  The manifest spec also checks
-the manifest embedded in run logs, ``perf.json`` and trajectory
-entries.  A spec gives each field's type, whether it may be absent or
-null, and its object's cross-field rules (``t1 >= t0``, ``dur == t1 -
-t0``, ``low <= point <= high``); JSONL records also need a ``seq``
-counting up from 0, so truncated and interleaved files are detectable.
-No writer calls the lint; tests, CI and ``python -m repro.obs lint``
-do.
+block); those two blocks alone; ``result`` (other ``results/*.json``).
+The manifest spec also checks the manifest embedded in run logs.  A
+spec gives each field's type, whether it may be absent or null, and its
+object's cross-field rules (``t1 >= t0``, ``dur == t1 - t0``, ``low <=
+point <= high``); JSONL records also need a ``seq`` counting up from 0,
+so truncated and interleaved files are detectable.  No writer calls the
+lint; tests, CI and ``python -m repro.obs lint`` do.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ def obj(fields: Optional[dict] = None, rest: Optional[Check] = None,
 
 NUM = scalar(_num, "a finite number")
 NONNEG = scalar(lambda v: _num(v) and v >= 0, "a non-negative number")
-POS = scalar(lambda v: _num(v) and v > 0, "a positive number")
 FRACTION = scalar(lambda v: _num(v) and 0 <= v <= 1, "a number in [0, 1]")
 COUNT = scalar(lambda v: _int(v) and v >= 0, "a non-negative int")
 AT_LEAST_1 = scalar(lambda v: _int(v) and v >= 1, "an int >= 1")
@@ -145,20 +142,9 @@ PREDICTOR = obj({
     })}, rest=obj(rest=NUM, nonempty=True)),
 })
 
-#: A finished manifest (sidecars, ``perf.json``, trajectory entries).
+#: A finished manifest (sidecars, and results that embed one).
 MANIFEST = obj({**_MANIFEST_FIELDS,
                 "sampler": opt(SAMPLER), "predictor": opt(PREDICTOR)})
-
-#: One trajectory entry: what the per-scenario regression gate reads.
-#: ``manifest`` is null only in entries that predate it.
-ENTRY = obj({
-    "runner": STR, "scale": STR, "scenario": STR, "python": STR,
-    "records": POS, "records_per_second": POS,
-    "manifest": opt(MANIFEST, present=True),
-    "ratio_to_previous": opt(POS),
-    "median_records_per_second": opt(NONNEG),
-    "stdev_records_per_second": opt(NONNEG),
-})
 
 
 #: The JSONL ``run_log`` kind: record ``type`` -> spec.
@@ -186,16 +172,6 @@ def _issues(spec: Check, value: Any, prefix: str = "") -> List[str]:
     return [prefix + issue for issue in out]
 
 
-def _trajectory(doc: Any, path: str, out: List[str]) -> None:
-    if not isinstance(doc, list):
-        out.append("trajectory is not a JSON array")
-        return
-    if not doc:
-        out.append("trajectory is empty")
-    for idx, entry in enumerate(doc):
-        out.extend(_issues(ENTRY, entry, f"entry {idx}: "))
-
-
 def _result(doc: Any, path: str, out: List[str]) -> None:
     if not isinstance(doc, list):  # list results carry no manifest
         obj({"manifest": opt(MANIFEST)})(doc, path, out)
@@ -203,7 +179,7 @@ def _result(doc: Any, path: str, out: List[str]) -> None:
 
 #: Whole-document kinds: kind -> spec.
 DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "predictor": PREDICTOR,
-        "trajectory": _trajectory, "result": _result}
+        "result": _result}
 
 
 def _lint_log(text: str) -> List[str]:
@@ -238,9 +214,10 @@ def _lint_log(text: str) -> List[str]:
 def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
     """Lint one artifact; returns its (possibly empty) issue list.
 
-    A path's kind comes from its name (``*.jsonl``, ``BENCH*.json``,
-    ``*.manifest.json``) or its first record; an in-memory document
-    (a result's ``manifest_block()``) must name its ``kind``.
+    A path's kind comes from its name: ``*.jsonl`` is a run log,
+    ``*.manifest.json`` a manifest, anything else a result.  An
+    in-memory document (a result's ``manifest_block()``) must name its
+    ``kind``.
     """
     if not isinstance(path_or_doc, (str, os.PathLike)):
         if kind not in DOCS:
@@ -257,10 +234,7 @@ def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
     if jsonl:
         return _lint_log(text)
     if kind is None:
-        first = doc[0] if isinstance(doc, list) and doc else None
-        kind = "trajectory" if name.startswith("BENCH") or (
-            isinstance(first, dict) and "scenario" in first
-        ) else "manifest" if name.endswith(".manifest.json") else "result"
+        kind = "manifest" if name.endswith(".manifest.json") else "result"
     return _issues(DOCS[kind], doc)
 
 

@@ -623,85 +623,6 @@ class TestDependenceProfilerPairs:
         ]
 
 
-class TestBenchTrajectoryLint:
-    def _entry(self, **over):
-        entry = {
-            "runner": "local",
-            "scale": "tiny",
-            "scenario": "inner_loop",
-            "python": "3.11.7",
-            "records": 1000,
-            "records_per_second": 50000.0,
-            "manifest": None,
-        }
-        entry.update(over)
-        return entry
-
-    def _write(self, tmp_path, entries):
-        path = tmp_path / "BENCH_speed.json"
-        path.write_text(json.dumps(entries))
-        return path
-
-    def test_valid_trajectory_clean(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                self._entry(),
-                self._entry(
-                    scenario="speculative",
-                    ratio_to_previous=1.02,
-                    median_records_per_second=49000.0,
-                    stdev_records_per_second=120.0,
-                ),
-            ],
-        )
-        assert lint(path) == []
-        assert_valid(path)
-
-    def test_repo_trajectory_clean(self):
-        repo = os.path.join(os.path.dirname(__file__), "..")
-        path = os.path.join(repo, "BENCH_speed.json")
-        assert lint(path) == []
-
-    def test_missing_manifest_key_flagged(self, tmp_path):
-        entry = self._entry()
-        del entry["manifest"]
-        path = self._write(tmp_path, [entry])
-        issues = "\n".join(lint(path))
-        assert "missing manifest key" in issues
-
-    def test_bad_entries_flagged(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                self._entry(records=0),
-                self._entry(records_per_second="fast"),
-                self._entry(scenario=""),
-                self._entry(ratio_to_previous=-1.0),
-                "not-an-object",
-            ],
-        )
-        issues = "\n".join(lint(path))
-        assert "entry 0: records" in issues
-        assert "entry 1: records_per_second" in issues
-        assert "entry 2: scenario" in issues
-        assert "entry 3" in issues
-        assert "entry 4: not an object" in issues
-        with pytest.raises(RunLogError):
-            assert_valid(path)
-
-    def test_not_an_array(self, tmp_path):
-        path = self._write(tmp_path, {"runner": "x"})
-        assert lint(path) == [
-            "trajectory is not a JSON array"
-        ]
-
-    def test_unreadable(self, tmp_path):
-        assert "unreadable trajectory" in lint(
-            tmp_path / "absent.json", kind="trajectory"
-        )[0]
-
-
 # ----------------------------------------------------------------------
 # One schema: every rule names the field it rejects
 # ----------------------------------------------------------------------
@@ -734,8 +655,6 @@ CLEAN = {
         "results", "figure5_sampled.manifest.json")["sampler"], None),
     "predictor": (lambda _: _repo_json(
         "results", "figure6_pruned.manifest.json")["predictor"], None),
-    "trajectory": (lambda _: _repo_json("BENCH_speed.json"),
-                   "BENCH_speed.json"),
     "manifest": (lambda _: _repo_json(
         "results", "figure6_pruned.manifest.json"),
         "figure6_pruned.manifest.json"),
@@ -783,9 +702,6 @@ LINT_RULES = [
     ("negative-mae", "predictor",
      lambda d: d["errors"]["l2_miss_ratio"].update(mae=-0.1),
      "errors.l2_miss_ratio.mae is not a non-negative number"),
-    ("trajectory-median", "trajectory",
-     lambda d: d[0].update(median_records_per_second=-1.0),
-     "entry 0: median_records_per_second is not a non-negative number"),
 ] + [
     (f"manifest-{key}", "manifest", lambda d, key=key: d.pop(key),
      f"missing {key} key")
@@ -820,10 +736,15 @@ def test_lint_names_the_rejected_field(tmp_path, artifact, corrupt, field):
     assert any(field in issue for issue in issues), issues
 
 
+def test_lint_unreadable_path(tmp_path):
+    assert "unreadable manifest" in lint(
+        tmp_path / "absent.json", kind="manifest"
+    )[0]
+
+
 def test_lint_cli_exit_status(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     artifacts = sorted(glob.glob(os.path.join(REPO, "results", "*.json")))
-    artifacts.append(os.path.join(REPO, "BENCH_speed.json"))
 
     def cli(*paths):
         return subprocess.run(

@@ -18,6 +18,7 @@ from repro.harness import (
     TraceSpec,
     materialize,
     run_figure5,
+    run_figure6,
     spec_key,
 )
 from repro.harness.export import export_json
@@ -113,20 +114,28 @@ class TestSimJob:
 class TestParallelDeterminism:
     """Serial and parallel execution must be byte-identical."""
 
-    def _export(self, tmp_path, name, jobs):
-        ctx = ExperimentContext(
-            n_transactions=2, scale=TPCCScale.tiny(),
-            runner=JobRunner(jobs=jobs),
-        )
-        result = run_figure5(ctx, benchmarks=["new_order"])
-        path = tmp_path / name
-        export_json(result, path)
-        return path
+    def _assert_serial_vs_jobs2(self, tmp_path, sweep):
+        exported = []
+        for jobs in (1, 2):
+            ctx = ExperimentContext(
+                n_transactions=2, scale=TPCCScale.tiny(),
+                runner=JobRunner(jobs=jobs),
+            )
+            path = tmp_path / f"jobs{jobs}.json"
+            export_json(sweep(ctx), path)
+            exported.append(path.read_bytes())
+        assert exported[0] == exported[1]
 
     def test_figure5_serial_vs_jobs2(self, tmp_path):
-        serial = self._export(tmp_path, "serial.json", jobs=1)
-        parallel = self._export(tmp_path, "parallel.json", jobs=2)
-        assert serial.read_bytes() == parallel.read_bytes()
+        self._assert_serial_vs_jobs2(
+            tmp_path, lambda ctx: run_figure5(ctx, benchmarks=["new_order"])
+        )
+
+    def test_figure6_serial_vs_jobs2(self, tmp_path):
+        self._assert_serial_vs_jobs2(tmp_path, lambda ctx: run_figure6(
+            ctx, benchmarks=("new_order", "delivery_outer"),
+            counts=(2, 8), spacings=(100, 400),
+        ))
 
     def test_run_jobs_parallel_preserves_order(self):
         trace = materialize(_tiny_spec(), cache_dir=None)

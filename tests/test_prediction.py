@@ -176,7 +176,8 @@ class TestHarnessExtensions:
         plain = result.point("all-or-nothing")
         # The paper's finding: synchronization trades failed speculation
         # for stall (at tiny scale the trade shows up on at least one
-        # side; the robust magnitude test is the new_order_150 bench).
+        # side; the robust magnitude test is test_paper_claims.py's
+        # TestExtensionShapes::test_sync_prediction_over_synchronizes).
         assert (
             sync_point.violations <= plain.violations
             or sync_point.sync_fraction >= plain.sync_fraction
