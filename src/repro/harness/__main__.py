@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pathlib
 import sys
@@ -28,13 +29,6 @@ from .figure5 import run_figure5
 from .figure6 import run_figure6
 from .kvstudy import run_kv_study
 from .mixstudy import run_mix_latency
-from .prune import (
-    PruneOptions,
-    dry_run_text,
-    merge_predictor_blocks,
-    run_figure6_pruned,
-    run_victim_cache_ablation_pruned,
-)
 from .runner import ExperimentContext, JobRunner
 from .sampled import run_figure5_sampled, run_huge
 from ..trace.sampling import SamplerConfig
@@ -69,11 +63,6 @@ NOT_IN_ALL = ("huge", "all")
 
 #: Experiments that understand the ``--sample-*`` flags.
 SAMPLED_EXPERIMENTS = ("figure5", "huge", "all")
-
-#: Experiments that understand ``--prune`` (and, sweeps only,
-#: ``--dry-run``).
-PRUNED_EXPERIMENTS = ("figure6", "ablations", "all")
-DRY_RUN_EXPERIMENTS = ("figure6", "ablations")
 
 #: Non-experiment commands sharing the entry point.
 COMMANDS = EXPERIMENTS + ("report",)
@@ -156,39 +145,6 @@ def main(argv=None) -> int:
             "detailed warmup tail per sampled transaction: K "
             "predecessors are detail-simulated and subtracted out "
             "(default 4; -1 = full prefix, exact but O(N) per unit)"
-        ),
-    )
-    parser.add_argument(
-        "--prune",
-        action="store_true",
-        help=(
-            "prune sweep grids with the analytical reuse-distance "
-            "predictor (repro.trace.reuse): profile each trace once, "
-            "rank all grid cells, simulate only the predicted frontier "
-            "plus a validation sample, and record predicted-vs-"
-            "simulated error in the manifest; only for figure6 and "
-            "ablations"
-        ),
-    )
-    parser.add_argument(
-        "--prune-top-k",
-        type=int,
-        default=4,
-        metavar="K",
-        help=(
-            "simulated frontier cells per benchmark grid under "
-            "--prune (default 4; the per-count predicted bests are "
-            "always kept)"
-        ),
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help=(
-            "print the planned job list (with --prune: the predicted "
-            "ranking and which cells would be skipped) without "
-            "dispatching any simulation; only for figure6 and "
-            "ablations"
         ),
     )
     parser.add_argument(
@@ -286,6 +242,23 @@ def main(argv=None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.transactions is not None and args.transactions < 1:
+        parser.error("--transactions must be >= 1")
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 = all CPUs)")
+    # The --sample-* flags as one SamplerConfig, set one flag at a time
+    # so its validation names the flag at fault.  The functional-warming
+    # window is per experiment (see the figure5 and huge branches).
+    sampler = None
+    if args.sample_rate is not None:
+        sampler = SamplerConfig()
+        for field in ("rate", "strata", "seed", "warmup"):
+            try:
+                sampler = dataclasses.replace(
+                    sampler, **{field: getattr(args, f"sample_{field}")}
+                )
+            except ValueError as exc:
+                parser.error(f"--sample-{field}: {exc}")
 
     if args.experiment == "report":
         if args.report_file is None:
@@ -323,33 +296,6 @@ def main(argv=None) -> int:
             "--sample-rate only applies to the figure5 and huge "
             "experiments"
         )
-    if args.prune and args.experiment not in PRUNED_EXPERIMENTS:
-        parser.error(
-            "--prune only applies to the figure6 and ablations "
-            "experiments"
-        )
-    if args.dry_run and args.experiment not in DRY_RUN_EXPERIMENTS:
-        parser.error(
-            "--dry-run only applies to the figure6 and ablations "
-            "experiments"
-        )
-    prune_options = PruneOptions(top_k=args.prune_top_k)
-
-    def sampler_config(functional_window: int) -> SamplerConfig:
-        """The ``--sample-*`` flags as a SamplerConfig.
-
-        The functional-warming window differs per experiment: figure5
-        traces are small enough to warm from the whole prefix (-1),
-        while the huge path must bound the window or each unit's warm
-        cost grows with its position.
-        """
-        return SamplerConfig(
-            rate=args.sample_rate,
-            strata=args.sample_strata,
-            seed=args.sample_seed,
-            warmup=args.sample_warmup,
-            functional_window=functional_window,
-        )
     if args.no_trace_cache:
         cache_dir = None
     else:
@@ -383,13 +329,6 @@ def main(argv=None) -> int:
         runner=runner,
     )
 
-    if args.dry_run:
-        print(dry_run_text(
-            ctx, args.experiment,
-            prune_options if args.prune else None,
-        ))
-        return 0
-
     def experiment_results(name: str):
         """Run one experiment; returns (results, rendered_text, artifact)."""
         artifact = name
@@ -406,10 +345,10 @@ def main(argv=None) -> int:
         elif name == "figure4":
             result = run_figure4()
         elif name == "figure5":
-            if args.sample_rate is not None and args.sample_rate < 1.0:
-                result = run_figure5_sampled(
-                    ctx, sampler_config(functional_window=-1)
-                )
+            if sampler is not None and sampler.rate < 1.0:
+                # figure5 traces are small enough to warm functionally
+                # from the whole prefix (SamplerConfig's default, -1).
+                result = run_figure5_sampled(ctx, sampler)
                 artifact = "figure5_sampled"
             else:
                 # rate >= 1.0 covers every transaction: take the
@@ -420,29 +359,21 @@ def main(argv=None) -> int:
             result = run_huge(
                 n_transactions=n_transactions,
                 seed=args.seed,
+                # The huge path must bound the functional-warming
+                # window, or each unit's warm cost grows with its
+                # position.
                 sampler=(
-                    None if args.sample_rate is None
-                    else sampler_config(functional_window=16)
+                    None if sampler is None
+                    else dataclasses.replace(sampler, functional_window=16)
                 ),
                 runner=runner,
                 scale=scale,
             )
         elif name == "figure6":
-            if args.prune:
-                result = run_figure6_pruned(ctx, options=prune_options)
-                artifact = "figure6_pruned"
-            else:
-                result = run_figure6(ctx)
+            result = run_figure6(ctx)
         elif name == "ablations":
-            if args.prune:
-                a1 = run_victim_cache_ablation_pruned(
-                    ctx, options=prune_options
-                )
-                artifact = "ablations_pruned"
-            else:
-                a1 = run_victim_cache_ablation(ctx)
             results = [
-                a1,
+                run_victim_cache_ablation(ctx),
                 run_start_cost_ablation(ctx),
                 run_load_granularity_ablation(ctx),
                 run_l1_tracking_ablation(ctx),
@@ -507,11 +438,6 @@ def main(argv=None) -> int:
             "seed": args.sample_seed,
             "warmup": args.sample_warmup,
         }
-    if args.prune:
-        config["prune"] = {
-            "top_k": prune_options.top_k,
-            "validation": prune_options.validation,
-        }
     manifest = build_manifest(
         command=main_command(argv),
         config=config,
@@ -544,33 +470,16 @@ def main(argv=None) -> int:
                     profiler.disable()
             elapsed = time.perf_counter() - t0
             print(text)
-            # Results may attach a named manifest section (the sampled
-            # drivers' "sampler" block, the pruned sweeps' "predictor"
-            # block — MANIFEST_KEY picks the name).  The ablations list
-            # can carry several pruned sweeps; their predictor blocks
-            # merge into one section.
-            carriers = [
-                r for r in (result if isinstance(result, list)
-                            else [result])
-                if hasattr(r, "manifest_block")
-            ]
-            block_key = (
-                getattr(carriers[0], "MANIFEST_KEY", "sampler")
-                if carriers else "sampler"
+            # The sampled drivers' results attach a "sampler" section
+            # to the manifest.
+            sampler_block = (
+                result.manifest_block()
+                if hasattr(result, "manifest_block") else None
             )
-            if len(carriers) > 1:
-                sampler_block = merge_predictor_blocks(
-                    [r.manifest_block() for r in carriers]
-                )
-            elif carriers:
-                sampler_block = carriers[0].manifest_block()
-            else:
-                sampler_block = None
             if tracer is not None and sampler_block is not None:
                 tracer.event(
-                    f"{block_key}.estimates",
-                    experiment=name,
-                    **{block_key: sampler_block},
+                    "sampler.estimates", experiment=name,
+                    sampler=sampler_block,
                 )
             if args.out is not None:
                 done = finish_manifest(
@@ -579,7 +488,7 @@ def main(argv=None) -> int:
                 )
                 done["artifact"] = artifact
                 if sampler_block is not None:
-                    done[block_key] = sampler_block
+                    done["sampler"] = sampler_block
                 if name == "table1":
                     export_text(
                         text, args.out / "table1.txt", manifest=done

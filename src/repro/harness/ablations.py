@@ -356,15 +356,3 @@ def run_load_granularity_ablation(
             )
         )
     return result
-
-
-#: (title, job-list builder) per ablation, in the order the
-#: ``ablations`` experiment runs them — ``--dry-run`` enumerates these.
-ABLATION_JOB_BUILDERS = (
-    ("A1 — victim-cache size sweep", victim_cache_jobs),
-    ("A2 — sub-thread start cost sweep", start_cost_jobs),
-    ("A3 — load-tracking granularity", load_granularity_jobs),
-    ("A4 — L1 sub-thread tracking", l1_tracking_jobs),
-    ("A5 — adaptive sub-thread spacing", adaptive_spacing_jobs),
-    ("A6 — load-miss overlap model", overlap_loads_jobs),
-)

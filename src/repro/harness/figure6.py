@@ -149,7 +149,8 @@ def figure6_jobs(
 ) -> List[SimJob]:
     """The full Figure 6 job list: per benchmark, one SEQUENTIAL
     baseline followed by every (count, spacing) TLS cell in grid order.
-    Shared by the sweep driver, ``--dry-run``, and the pruning planner.
+    Shared by the sweep driver and the end-to-end benchmark's worker,
+    which times the same grid.
     """
     jobs = []
     for benchmark in benchmarks:

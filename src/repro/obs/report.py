@@ -202,51 +202,6 @@ def _render_sampler_section(event: dict, render_table) -> str:
     return header + "\n" + table
 
 
-def _predictor_events(records: List[dict]) -> List[dict]:
-    """``predictor.estimates`` event payloads, in file order.
-
-    Pruned sweeps (``--prune``) emit one event each carrying the
-    planning params, dispatch accounting, and predicted-vs-simulated
-    error per metric.
-    """
-    return [
-        rec.get("attrs", {})
-        for rec in records
-        if rec.get("type") == "event"
-        and rec.get("name") == "predictor.estimates"
-    ]
-
-
-def _render_predictor_section(event: dict, render_table) -> str:
-    block = event.get("predictor", {})
-    params = block.get("params", {})
-    header = (
-        f"pruned sweep ({event.get('experiment', '?')}): "
-        f"dispatched {block.get('simulated_cells')}/"
-        f"{block.get('grid_cells')} cells "
-        f"({block.get('dispatch_fraction', 0.0):.0%})  "
-        f"top-k {params.get('top_k')}  "
-        f"validation {params.get('validation')}"
-    )
-    rows = [
-        [
-            metric,
-            f"{entry.get('mae', 0.0):.4f}",
-            f"{entry.get('max_abs', 0.0):.4f}",
-            int(entry.get("cells", 0)),
-            f"{entry.get('mae_all_simulated', 0.0):.4f}",
-        ]
-        for metric, entry in sorted(block.get("errors", {}).items())
-    ]
-    table = render_table(
-        ["metric", "MAE (validation)", "max abs", "cells",
-         "MAE (all simulated)"],
-        rows,
-        title="Predictor honesty (predicted vs simulated)",
-    )
-    return header + "\n" + table
-
-
 def _pc_text(pc: Any) -> str:
     if pc is None:
         return "?"
@@ -338,9 +293,6 @@ def render_report(path, top_spans: int = 12, top_pairs: int = 10) -> str:
 
     for event in _sampler_events(records):
         sections.append(_render_sampler_section(event, render_table))
-
-    for event in _predictor_events(records):
-        sections.append(_render_predictor_section(event, render_table))
 
     ranked_pairs = _dependence_totals(records)[:top_pairs]
     if ranked_pairs:

@@ -2,8 +2,8 @@
 
 Each artifact kind is a row of the table below, walked by one checker:
 ``run_log`` (``--trace-out`` JSONL) by record type; ``manifest`` (a
-``*.manifest.json`` sidecar, with its ``sampler`` or ``predictor``
-block); those two blocks alone; ``result`` (other ``results/*.json``).
+``*.manifest.json`` sidecar, with the sampled drivers' ``sampler``
+block); that block alone; ``result`` (other ``results/*.json``).
 The manifest spec also checks the manifest embedded in run logs.  A
 spec gives each field's type, whether it may be absent or null, and its
 object's cross-field rules (``t1 >= t0``, ``dur == t1 - t0``, ``low <=
@@ -92,7 +92,6 @@ def obj(fields: Optional[dict] = None, rest: Optional[Check] = None,
 
 NUM = scalar(_num, "a finite number")
 NONNEG = scalar(lambda v: _num(v) and v >= 0, "a non-negative number")
-FRACTION = scalar(lambda v: _num(v) and 0 <= v <= 1, "a number in [0, 1]")
 COUNT = scalar(lambda v: _int(v) and v >= 0, "a non-negative int")
 AT_LEAST_1 = scalar(lambda v: _int(v) and v >= 1, "an int >= 1")
 STR = scalar(lambda v: isinstance(v, str) and v != "", "a non-empty string")
@@ -127,24 +126,8 @@ SAMPLER = obj({
     "speedup": opt(ESTIMATE),
 })
 
-#: ``predictor`` block: the ``--prune`` knobs and cost-model
-#: coefficients, dispatch accounting, and validation error per metric.
-PREDICTOR = obj({
-    "params": obj({key: NUM for key in (
-        "top_k", "validation", "l1_lines", "line_size", "n_cpus",
-        "retry_gain", "retry_floor", "far_dep_weight", "violation_penalty",
-    )}),
-    "grid_cells": COUNT, "simulated_cells": COUNT,
-    "dispatch_fraction": FRACTION,
-    "errors": obj({"l2_miss_ratio": obj({
-        "mae": NONNEG, "max_abs": NONNEG, "cells": COUNT,
-        "mae_all_simulated": NONNEG,
-    })}, rest=obj(rest=NUM, nonempty=True)),
-})
-
 #: A finished manifest (sidecars, and results that embed one).
-MANIFEST = obj({**_MANIFEST_FIELDS,
-                "sampler": opt(SAMPLER), "predictor": opt(PREDICTOR)})
+MANIFEST = obj({**_MANIFEST_FIELDS, "sampler": opt(SAMPLER)})
 
 
 #: The JSONL ``run_log`` kind: record ``type`` -> spec.
@@ -178,8 +161,7 @@ def _result(doc: Any, path: str, out: List[str]) -> None:
 
 
 #: Whole-document kinds: kind -> spec.
-DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "predictor": PREDICTOR,
-        "result": _result}
+DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "result": _result}
 
 
 def _lint_log(text: str) -> List[str]:

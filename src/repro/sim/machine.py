@@ -257,11 +257,6 @@ class Machine:
         invalidations like the timed write-through path does.  Counter
         pollution from warming (L2 hit/miss tallies, predictor
         updates) is snapshotted and subtracted in ``_collect_stats``.
-
-        Unlike the timed path, warming does *not* apply L2-eviction
-        inclusion to the L1s (``_apply_inclusion``): a committed line
-        the L2 evicts while warming stays resident in any L1 holding
-        it.  Sampled outputs are pinned against this behaviour.
         """
         width = self._region_width()
         assignments = []
@@ -294,8 +289,8 @@ class Machine:
         L1 hit/miss tallies are left alone; ``_collect_stats`` would
         subtract them anyway) and filled on a miss, and the L2 goes
         through ``load_line``/``store_line`` once per line touched.
-        Access results (inclusion victims, memory transfers) are
-        discarded: nothing is timed.
+        Lines the L2 evicts leave the L1s too (inclusion, as on the
+        timed path); memory transfers are discarded: nothing is timed.
         """
         l2 = self.l2
         geom = l2.geom
@@ -304,6 +299,7 @@ class Machine:
         load_line = l2.load_line
         store_line = l2.store_line
         word_mask = l2.word_mask
+        apply_inclusion = self._apply_inclusion
         load_kind = Rec.LOAD
         store_kind = Rec.STORE
         branch_kind = Rec.BRANCH
@@ -343,12 +339,18 @@ class Machine:
                         else:
                             l1_fill(tag, False)
                         if kind == load_kind:
-                            load_line(tag, COMMITTED, None, False, 0)
+                            result = load_line(
+                                tag, COMMITTED, None, False, 0
+                            )[1]
                         else:
                             for ol1 in others:
                                 if tag in ol1.resident:
                                     ol1.invalidate(tag)
-                            store_line(tag, COMMITTED, None, words)
+                            result = store_line(
+                                tag, COMMITTED, None, words
+                            )[1]
+                        if result is not None and result.invalidated_lines:
+                            apply_inclusion(result.invalidated_lines)
                 elif kind == branch_kind:
                     predict(rec[1], rec[2])
 

@@ -21,15 +21,6 @@ from .events import (
     record_instruction_count,
 )
 from .recorder import NullRecorder, TraceRecorder, TransactionTraceBuilder
-from .reuse import (
-    CachePoint,
-    CachePrediction,
-    ReuseProfile,
-    naive_stack_distances,
-    predict_cache,
-    profile_workload,
-    subthread_violation_cost,
-)
 from .serialize import (
     load_workload,
     save_workload,
@@ -58,13 +49,6 @@ __all__ = [
     "NullRecorder",
     "TraceRecorder",
     "TransactionTraceBuilder",
-    "CachePoint",
-    "CachePrediction",
-    "ReuseProfile",
-    "naive_stack_distances",
-    "predict_cache",
-    "profile_workload",
-    "subthread_violation_cost",
     "load_workload",
     "save_workload",
     "workload_from_dict",

@@ -609,131 +609,6 @@ def run_sampling_seed(seed: int, profile: str = "default"
     return None
 
 
-def run_prediction_seed(seed: int, profile: str = "default"
-                        ) -> Optional[str]:
-    """The prediction fuzz axis: reuse-distance model self-consistency.
-
-    Draws a random workload and checks the analytical cache model
-    (:mod:`repro.trace.reuse`) against its own ground truths:
-
-    1. **Fenwick vs naive** — the O(log n) LRU stack must produce the
-       exact stack distances of the O(n*u) move-to-front reference on a
-       random line stream.
-    2. **Mattson monotonicity** — predicted misses and miss ratio must
-       be non-increasing in capacity over a geometry ladder (the
-       inclusion property the pruner's ranking relies on), with every
-       prediction finite, non-negative, and ratio <= 1.
-    3. **Additivity** — per-transaction profiles merged together must
-       equal the whole-workload profile field-for-field (the
-       per-transaction stack reset makes this exact).
-    4. **Violation-cost sanity** — finite and non-negative over the
-       (count, spacing) grid, and zero sub-threads degrade gracefully.
-
-    Returns the failure message, or None when every check agrees.
-    """
-    import math
-
-    from ..trace.reuse import (
-        CachePoint,
-        _LRUStack,
-        naive_stack_distances,
-        predict_cache,
-        profile_workload,
-        subthread_violation_cost,
-    )
-
-    rng = random.Random(f"prediction-axis:{seed}")
-    bad: List[str] = []
-
-    lines = [rng.randrange(48) for _ in range(rng.randint(50, 300))]
-    stack = _LRUStack(len(lines))
-    fenwick = [stack.access(line) for line in lines]
-    naive = naive_stack_distances(lines)
-    if fenwick != naive:
-        first = next(
-            i for i, (a, b) in enumerate(zip(fenwick, naive)) if a != b
-        )
-        bad.append(
-            f"fenwick != naive at access {first}: "
-            f"{fenwick[first]} vs {naive[first]}"
-        )
-
-    workload = random_workload(rng, profile=profile)
-    try:
-        assert_clean(workload)
-    except TraceLintError as exc:
-        return f"seed {seed}: lint: {exc}"
-    line_size = rng.choice((16, 32, 64))
-    l1_lines = rng.choice((4, 16, 1024))
-    reuse = profile_workload(
-        workload, line_size=line_size, l1_lines=l1_lines,
-        n_cpus=rng.choice((2, 4)),
-    )
-
-    ladder = [
-        CachePoint(sets=1, ways=c, victim_entries=8, line_size=line_size)
-        for c in (1, 2, 4, 8, 16, 64, 256, 4096)
-    ]
-    prev = None
-    for point in ladder:
-        pred = predict_cache(reuse, point)
-        fields = (
-            pred.l2_accesses, pred.l2_misses, pred.l2_miss_ratio,
-            pred.victim_spill_lines, pred.victim_pressure,
-            pred.overflow_risk,
-        )
-        if any(not math.isfinite(v) or v < 0.0 for v in fields):
-            bad.append(f"capacity {point.capacity_lines}: "
-                       f"non-finite/negative prediction {fields}")
-            break
-        if pred.l2_miss_ratio > 1.0 + 1e-9:
-            bad.append(f"capacity {point.capacity_lines}: "
-                       f"miss ratio {pred.l2_miss_ratio} > 1")
-        if pred.l2_misses > pred.l2_accesses + 1e-9:
-            bad.append(f"capacity {point.capacity_lines}: misses "
-                       f"{pred.l2_misses} > accesses {pred.l2_accesses}")
-        if (reuse.misses_at(point.capacity_lines)
-                < reuse.misses_at(point.capacity_lines + 1)):
-            bad.append(f"misses_at not monotone at "
-                       f"{point.capacity_lines}")
-        if prev is not None and (
-            pred.l2_misses > prev.l2_misses + 1e-9
-            or pred.l2_miss_ratio > prev.l2_miss_ratio + 1e-9
-        ):
-            bad.append(
-                f"capacity {point.capacity_lines}: prediction not "
-                f"monotone ({prev.l2_misses:.6g} -> "
-                f"{pred.l2_misses:.6g} misses)"
-            )
-        prev = pred
-
-    if len(workload.transactions) > 1:
-        slices = []
-        for txn in workload.transactions:
-            piece = WorkloadTrace(name="slice")
-            piece.transactions.append(txn)
-            slices.append(profile_workload(
-                piece, line_size=reuse.line_size,
-                l1_lines=reuse.l1_lines, n_cpus=reuse.n_cpus,
-            ))
-        merged = slices[0]
-        for piece in slices[1:]:
-            merged = merged + piece
-        if merged.to_dict() != reuse.to_dict():
-            bad.append("merged slice profiles != whole-workload profile")
-
-    for count in (0, 1, 4, 32):
-        for spacing in (1, 10, 100):
-            cost = subthread_violation_cost(reuse, count, spacing)
-            if not math.isfinite(cost) or cost < 0.0:
-                bad.append(f"violation cost ({count}, {spacing}) = "
-                           f"{cost}")
-
-    if bad:
-        return f"seed {seed}: prediction model: " + "; ".join(bad)
-    return None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.fuzz",
@@ -763,32 +638,8 @@ def main(argv=None) -> int:
                              "against rate-0.25 stratified estimates "
                              "(repro.trace.sampling) and flag any metric "
                              "outside a widened 3-sigma interval")
-    parser.add_argument("--prediction", action="store_true",
-                        help="fuzz the reuse-distance cache model "
-                             "instead: per seed, check the Fenwick LRU "
-                             "stack against the naive reference, "
-                             "Mattson monotonicity over a capacity "
-                             "ladder, profile additivity over "
-                             "transaction slices, and violation-cost "
-                             "sanity (repro.trace.reuse)")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.prediction:
-        prediction_failures: List[str] = []
-        for seed in range(args.start, args.start + args.seeds):
-            error = run_prediction_seed(seed, profile=args.profile)
-            if error is not None:
-                prediction_failures.append(error)
-                print(f"FAIL {error}")
-            elif not args.quiet:
-                print(f"ok   seed {seed}")
-        if prediction_failures:
-            print(f"\n{len(prediction_failures)} failure(s) over "
-                  f"{args.seeds} seeds")
-            return 1
-        print(f"\nall {args.seeds} prediction seeds passed")
-        return 0
 
     if args.sampling:
         sampling_failures: List[str] = []

@@ -653,11 +653,9 @@ CLEAN = {
     "run_log": (_clean_run_log, "run.jsonl"),
     "sampler": (lambda _: _repo_json(
         "results", "figure5_sampled.manifest.json")["sampler"], None),
-    "predictor": (lambda _: _repo_json(
-        "results", "figure6_pruned.manifest.json")["predictor"], None),
     "manifest": (lambda _: _repo_json(
-        "results", "figure6_pruned.manifest.json"),
-        "figure6_pruned.manifest.json"),
+        "results", "figure5_sampled.manifest.json"),
+        "figure5_sampled.manifest.json"),
 }
 
 
@@ -693,15 +691,6 @@ LINT_RULES = [
     ("huge-speedup", "sampler",
      lambda d: d.update(speedup=dict(_estimate(d), low=1e12)),
      "speedup: point outside its own interval"),
-    ("dispatch-fraction", "predictor",
-     lambda d: d.update(dispatch_fraction=1.5),
-     "dispatch_fraction is not a number in [0, 1]"),
-    ("l2-miss-ratio", "predictor",
-     lambda d: d["errors"].pop("l2_miss_ratio"),
-     "missing errors.l2_miss_ratio key"),
-    ("negative-mae", "predictor",
-     lambda d: d["errors"]["l2_miss_ratio"].update(mae=-0.1),
-     "errors.l2_miss_ratio.mae is not a non-negative number"),
 ] + [
     (f"manifest-{key}", "manifest", lambda d, key=key: d.pop(key),
      f"missing {key} key")
@@ -754,9 +743,9 @@ def test_lint_cli_exit_status(tmp_path):
 
     clean = cli(*artifacts)
     assert clean.returncode == 0, clean.stdout
-    manifest = _repo_json("results", "figure6_pruned.manifest.json")
+    manifest = _repo_json("results", "figure5_sampled.manifest.json")
     del manifest["config_hash"]
-    broken = tmp_path / "figure6_pruned.manifest.json"
+    broken = tmp_path / "figure5_sampled.manifest.json"
     broken.write_text(json.dumps(manifest))
     result = cli(artifacts[0], str(broken))
     assert result.returncode == 1

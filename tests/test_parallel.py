@@ -192,9 +192,18 @@ class TestTracecacheStatsAggregation:
         # because the generations happened in (and died with) workers.
         assert serial["generated"] == len(specs)
         assert parallel["generated"] == serial["generated"]
-        # Workers load the warmed traces from the shared disk cache —
-        # those per-worker hits are visible to the parent now too.
-        assert parallel["disk_hits"] >= len(specs)
+
+        # Rerun over the cache the first run warmed.  Its pre-warm phase
+        # reads every spec from disk in fresh workers, so the disk-hit
+        # floor holds whichever worker then runs which job (a worker
+        # serves the spec it pre-warmed from its own memo).
+        before = dict(STATS)
+        run_jobs_parallel(jobs, n_workers=2,
+                          trace_cache=tmp_path / "parallel")
+        rerun = self._delta(before, STATS)
+        assert rerun["generated"] == 0
+        # Those per-worker hits are visible to the parent too.
+        assert rerun["disk_hits"] >= len(specs)
 
 
 class TestKeyboardInterruptShutdown:

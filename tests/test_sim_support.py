@@ -155,6 +155,28 @@ class TestHarnessCLI:
         with pytest.raises(SystemExit):
             harness_main(["bogus"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["table2", "--transactions", "0"], "--transactions"),
+        (["table2", "--transactions", "-2"], "--transactions"),
+        (["table1", "--jobs", "-3"], "--jobs"),
+        (["figure5", "--sample-rate", "0"], "--sample-rate"),
+        (["huge", "--sample-rate", "-0.5"], "--sample-rate"),
+        (["all", "--sample-rate", "0.3", "--sample-strata", "0"],
+         "--sample-strata"),
+        (["all", "--sample-rate", "0.3", "--sample-warmup", "-2"],
+         "--sample-warmup"),
+    ], ids=["transactions-0", "transactions-neg", "jobs-neg",
+            "sample-rate-0", "sample-rate-neg", "sample-strata-0",
+            "sample-warmup-neg"])
+    def test_out_of_range_flag_rejected_before_running(self, capsys,
+                                                       argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            harness_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "###" not in captured.out
+
 
 class TestOverlapLoads:
     def _strided_workload(self):

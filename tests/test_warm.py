@@ -59,7 +59,8 @@ def reference_warm(machine, workload):
                         for tag in lines_touched(addr, size):
                             if not l1.access(tag):
                                 l1.fill(tag, spec=False)
-                        l2.load(addr, size, -1, None, False)
+                        result = l2.load(addr, size, -1, None, False)
+                        self._apply_inclusion(result.invalidated_lines)
                     elif kind == Rec.STORE:
                         addr, size = rec[1], rec[2]
                         for tag in lines_touched(addr, size):
@@ -67,7 +68,8 @@ def reference_warm(machine, workload):
                                 l1.fill(tag, spec=False)
                             for other in others:
                                 other.invalidate(tag)
-                        l2.store(addr, size, -1, None)
+                        result = l2.store(addr, size, -1, None)
+                        self._apply_inclusion(result.invalidated_lines)
                     elif kind == Rec.BRANCH:
                         predictor.predict_and_update(rec[1], rec[2])
     self._warm_metrics = self.metrics().snapshot()
@@ -198,12 +200,12 @@ def test_straddling_access_warms_both_lines():
     assert machine.l2._line_versions[0x2040][0].dirty
 
 
-def test_warming_skips_l2_inclusion():
-    """Documented gap: warming never applies L2-eviction inclusion.
+def test_warming_applies_l2_inclusion():
+    """Warming applies L2-eviction inclusion, as the timed path does.
 
     With a 2-set 1-way L2, loading 0x40 evicts 0x0 from the L2 (same
-    set), but the L1 keeps its copy of 0x0 — the timed path would have
-    invalidated it (``Machine._apply_inclusion``).
+    set), so the L1 must drop its copy of 0x0 too
+    (``Machine._apply_inclusion``).
     """
     config = dataclasses.replace(
         MachineConfig.for_mode(ExecutionMode.BASELINE),
@@ -214,5 +216,5 @@ def test_warming_skips_l2_inclusion():
         (Rec.LOAD, 0x0, 4, PC),
         (Rec.LOAD, 0x40, 4, PC),
     ])]))
-    assert 0x0 in machine.cpus[0].l1.resident
+    assert 0x0 not in machine.cpus[0].l1.resident
     assert 0x0 not in machine.l2._line_versions
