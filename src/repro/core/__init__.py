@@ -12,7 +12,6 @@ from .epoch import EpochExecution, EpochStatus, SubThreadCheckpoint
 from .latches import LatchTable
 from .prediction import ViolatingLoadPredictor
 from .profiling import DependenceProfiler, ExposedLoadTable, ProfiledDependence
-from .rwlatches import READ, WRITE, RWLatchTable
 from .starttable import SubThreadStartTable
 
 __all__ = [
@@ -26,9 +25,6 @@ __all__ = [
     "SubThreadCheckpoint",
     "LatchTable",
     "ViolatingLoadPredictor",
-    "READ",
-    "WRITE",
-    "RWLatchTable",
     "DependenceProfiler",
     "ExposedLoadTable",
     "ProfiledDependence",

@@ -494,9 +494,6 @@ class TLSEngine:
     # Introspection
     # ------------------------------------------------------------------
 
-    def oldest_active(self) -> Optional[EpochExecution]:
-        return self.active.get(self.commit_horizon)
-
     def check_invariants(self, deep: bool = True) -> None:
         """Protocol-state invariants; raises AssertionError on violation.
 

@@ -20,7 +20,7 @@ L2's speculative-state bits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..trace.events import EpochTrace
 from .accounting import CycleCounters

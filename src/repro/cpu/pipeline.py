@@ -21,7 +21,7 @@ The simplifications are documented in DESIGN.md ("Substitutions").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..trace.events import Op

@@ -92,12 +92,13 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
+    scale_group = parser.add_mutually_exclusive_group()
+    scale_group.add_argument(
         "--tiny",
         action="store_true",
         help="use the tiny TPC-C scale (fast, for smoke tests)",
     )
-    parser.add_argument(
+    scale_group.add_argument(
         "--scale",
         choices=("default", "tiny", "paper", "huge"),
         default=None,
@@ -165,7 +166,8 @@ def main(argv=None) -> int:
             "bit-identical either way)"
         ),
     )
-    parser.add_argument(
+    cache_group = parser.add_mutually_exclusive_group()
+    cache_group.add_argument(
         "--trace-cache",
         type=pathlib.Path,
         default=None,
@@ -175,7 +177,7 @@ def main(argv=None) -> int:
             "$REPRO_TRACE_CACHE or ~/.cache/repro-traces)"
         ),
     )
-    parser.add_argument(
+    cache_group.add_argument(
         "--no-trace-cache",
         action="store_true",
         help="regenerate traces in memory; do not touch the disk cache",
@@ -209,17 +211,6 @@ def main(argv=None) -> int:
             "disable trace pre-compilation (repro.trace.compile) and run "
             "every record through the interpreted path; slower escape "
             "hatch — results are byte-identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--profile-out",
-        type=pathlib.Path,
-        default=None,
-        metavar="PSTATS",
-        help=(
-            "profile the experiment phase under cProfile and write the "
-            "pstats dump to this file (inspect with python -m pstats); "
-            "forces --jobs 1 semantics for the profiled work in-process"
         ),
     )
     parser.add_argument(
@@ -311,12 +302,6 @@ def main(argv=None) -> int:
 
         result_store = ResultStore(args.result_store)
     n_jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    if args.profile_out is not None and n_jobs > 1:
-        # Worker processes would not appear in the parent's profile;
-        # keep the profiled simulation work in this interpreter.
-        print("[--profile-out: running in-process, --jobs forced to 1]",
-              flush=True)
-        n_jobs = 1
     runner = JobRunner(
         jobs=n_jobs,
         trace_cache=cache_dir,
@@ -447,27 +432,16 @@ def main(argv=None) -> int:
     if args.trace_out is not None:
         tracer = SpanTracer(args.trace_out, manifest=manifest)
         runner.tracer = tracer
-    profiler = None
-    if args.profile_out is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
     run_t0 = time.perf_counter()
     try:
         for name in wanted:
             print(f"\n### {name} ###", flush=True)
             t0 = time.perf_counter()
-            if profiler is not None:
-                profiler.enable()
-            try:
-                if tracer is not None:
-                    with tracer.span(f"experiment.{name}"):
-                        result, text, artifact = experiment_results(name)
-                else:
+            if tracer is not None:
+                with tracer.span(f"experiment.{name}"):
                     result, text, artifact = experiment_results(name)
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+            else:
+                result, text, artifact = experiment_results(name)
             elapsed = time.perf_counter() - t0
             print(text)
             # The sampled drivers' results attach a "sampler" section
@@ -506,12 +480,6 @@ def main(argv=None) -> int:
                 flush=True,
             )
     finally:
-        if profiler is not None:
-            # Even a partial run leaves a usable dump: inspect with
-            # python -m pstats, or snakeviz where available.
-            args.profile_out.parent.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(str(args.profile_out))
-            print(f"[profile written to {args.profile_out}]", flush=True)
         if tracer is not None:
             from .tracecache import STATS as trace_cache_stats
 

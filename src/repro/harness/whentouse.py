@@ -29,7 +29,6 @@ better of the two at each extreme.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..minidb import Database, EngineOptions, KeyNotFound
 from ..trace import (

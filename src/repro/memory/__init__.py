@@ -7,7 +7,7 @@ load bits, word-granularity mod bits, multi-version sets), a 64-entry
 speculative victim cache, and banked-crossbar / memory-bandwidth timing.
 """
 
-from .cache import CacheGeometry, LRUSet, SimpleCache
+from .cache import CacheGeometry, LRUSet
 from .l1 import L1Cache, L1Line
 from .l2 import (
     COMMITTED,
@@ -23,7 +23,6 @@ from .victim import VictimCache
 __all__ = [
     "CacheGeometry",
     "LRUSet",
-    "SimpleCache",
     "L1Cache",
     "L1Line",
     "COMMITTED",

@@ -8,7 +8,7 @@ own implementation, but reuses the geometry helpers here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 
 def _is_pow2(x: int) -> bool:
@@ -141,52 +141,3 @@ class LRUSet:
 
     def is_full(self) -> bool:
         return len(self._by_tag) >= self.assoc
-
-
-class SimpleCache:
-    """A plain set-associative cache of tags (no payload metadata).
-
-    Used for structures that only need presence/LRU behaviour.  Returns
-    hit/miss and the evicted tag (if any) on fills.
-    """
-
-    def __init__(self, geometry: CacheGeometry):
-        self.geom = geometry
-        self._sets = [LRUSet(geometry.assoc) for _ in range(geometry.n_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def _set_for(self, addr: int) -> LRUSet:
-        return self._sets[self.geom.set_index(addr)]
-
-    def lookup(self, addr: int) -> bool:
-        """True if the line containing ``addr`` is present (touches LRU)."""
-        tag = self.geom.tag(addr)
-        hit = self._set_for(addr).get(tag) is not None
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    def fill(self, addr: int) -> Optional[int]:
-        """Bring the line in; returns the evicted line address, if any."""
-        tag = self.geom.tag(addr)
-        cset = self._set_for(addr)
-        if tag in cset:
-            cset.get(tag)
-            return None
-        evicted = None
-        if cset.is_full():
-            evicted = cset.victim_tag()
-            cset.remove(evicted)
-        cset.put(tag, True)
-        return evicted
-
-    def invalidate(self, addr: int) -> bool:
-        tag = self.geom.tag(addr)
-        return self._set_for(addr).remove(tag) is not None
-
-    def contains(self, addr: int) -> bool:
-        tag = self.geom.tag(addr)
-        return self._set_for(addr).peek(tag) is not None

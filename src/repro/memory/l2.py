@@ -95,12 +95,6 @@ class L2Entry:
             or bool(self.spec_mod)
         )
 
-    def mod_mask(self) -> int:
-        mask = 0
-        for m in self.spec_mod.values():
-            mask |= m
-        return mask
-
 
 @dataclass(slots=True)
 class Violation:

@@ -7,7 +7,6 @@ simulator replays.
 """
 
 from .btree import BTree
-from .cursor import Cursor
 from .bufferpool import BufferPool
 from .db import Database, EngineOptions
 from .errors import (
@@ -21,12 +20,10 @@ from .errors import (
 from .locks import EXCLUSIVE, SHARED, LockManager
 from .log import LogRecord, WriteAheadLog
 from .page import BRANCH, LEAF, Page, PageAllocator
-from .recovery import committed_transactions, recover, verify_recovery
 from .txn import Transaction, TransactionManager
 
 __all__ = [
     "BTree",
-    "Cursor",
     "BufferPool",
     "Database",
     "EngineOptions",
@@ -45,9 +42,6 @@ __all__ = [
     "LEAF",
     "Page",
     "PageAllocator",
-    "committed_transactions",
-    "recover",
-    "verify_recovery",
     "Transaction",
     "TransactionManager",
 ]

@@ -51,23 +51,11 @@ class BTree:
         page_size: int = 2048,
         entry_size: int = 64,
         tree_id: int = 0,
-        journal=None,
-        rebalance_on_delete: bool = False,
     ):
         self.name = name
         self.pool = pool
         self.allocator = allocator
         self.recorder = recorder
-        #: Optional physical-logging hook: called as
-        #: journal(table, op, key, value) on every modification.
-        self.journal = journal
-        #: When True, deletes that underflow a leaf borrow from or merge
-        #: with a sibling (BerkeleyDB-style space reclamation).  Off by
-        #: default: the TPC-C traces use lazy deletion, and rebalancing
-        #: would perturb the calibrated dependence patterns.
-        self.rebalance_on_delete = rebalance_on_delete
-        self.merges = 0
-        self.borrows = 0
         self.page_size = page_size
         self.entry_size = entry_size
         self.tree_id = tree_id
@@ -145,7 +133,7 @@ class BTree:
         path.append(page)
         while not page.is_leaf:
             slot = self._search_page(page, key, f"{site}.branch")
-            # child_for semantics: first key strictly greater.
+            # The child to descend into: first separator strictly greater.
             lo, hi = 0, len(page.keys)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -218,8 +206,6 @@ class BTree:
                     f"{self.name}.insert.overwrite",
                 )
                 self._stamp_page_lsn(leaf, f"{self.name}.insert")
-                if self.journal is not None:
-                    self.journal(self.name, "put", key, value)
                 return
             rec.compute(rec.costs.leaf_insert)
             leaf.keys.insert(slot, key)
@@ -243,8 +229,6 @@ class BTree:
                 rec.addr_map.fsm_addr(leaf.page_id), 8,
                 f"{self.name}.insert.fsm_write",
             )
-            if self.journal is not None:
-                self.journal(self.name, "put", key, value)
             if len(leaf.keys) > self.leaf_capacity:
                 self._split(path)
         finally:
@@ -269,8 +253,6 @@ class BTree:
                 f"{self.name}.update.cell",
             )
             self._stamp_page_lsn(leaf, f"{self.name}.update")
-            if self.journal is not None:
-                self.journal(self.name, "put", key, value)
         finally:
             rec.latch_release(leaf.page_id)
             self._unpin_path(path)
@@ -304,8 +286,6 @@ class BTree:
                 f"{self.name}.rmw.write",
             )
             self._stamp_page_lsn(leaf, f"{self.name}.rmw")
-            if self.journal is not None:
-                self.journal(self.name, "put", key, new_value)
             return new_value
         finally:
             rec.latch_release(leaf.page_id)
@@ -343,14 +323,6 @@ class BTree:
                 rec.addr_map.fsm_addr(leaf.page_id), 8,
                 f"{self.name}.delete.fsm_write",
             )
-            if self.journal is not None:
-                self.journal(self.name, "delete", key, None)
-            if (
-                self.rebalance_on_delete
-                and len(path) > 1
-                and len(leaf.keys) < self.leaf_capacity // 3
-            ):
-                self._rebalance(path)
             return value
         finally:
             rec.latch_release(leaf.page_id)
@@ -476,7 +448,6 @@ class BTree:
             del page.values[mid:]
             sep_key = new_page.keys[0]
             new_page.next_leaf = page.next_leaf
-            new_page.prev_leaf = page.page_id
             page.next_leaf = new_page.page_id
         else:
             sep_key = page.keys[mid]
@@ -531,138 +502,7 @@ class BTree:
                 if branches else 0.0
             ),
             "splits": self.splits,
-            "merges": self.merges,
-            "borrows": self.borrows,
         }
-
-    def cursor(self):
-        """Open a positional cursor over this tree (BerkeleyDB-style)."""
-        from .cursor import Cursor
-
-        return Cursor(self)
-
-    # ------------------------------------------------------------------
-    # Delete rebalancing (borrow / merge / root collapse)
-    # ------------------------------------------------------------------
-
-    def _rebalance(self, path: List[Page]) -> None:
-        """Fix an under-full node at the end of ``path``.
-
-        Structure modification: serializes on the tree latch, like
-        splits.  Borrows one entry from an adjacent sibling when the
-        sibling can spare it, otherwise merges the two nodes and removes
-        the separator from the parent (recursing if the parent in turn
-        underflows).  A branch root left with a single child is
-        collapsed, shrinking the tree height.
-        """
-        rec = self.recorder
-        rec.latch_acquire(self.tree_latch, f"{self.name}.rebalance.latch")
-        try:
-            level = len(path) - 1
-            while level > 0:
-                node = path[level]
-                parent = path[level - 1]
-                min_keys = (
-                    self.leaf_capacity if node.is_leaf
-                    else self.branch_capacity
-                ) // 3
-                if len(node.keys) >= min_keys:
-                    break
-                idx = parent.children.index(node.page_id)
-                if not self._borrow(parent, idx, node):
-                    self._merge(parent, idx, node)
-                level -= 1
-            # Root collapse: a branch root with one child is redundant.
-            root = self.pool.get_any(self.root_id)
-            while not root.is_leaf and len(root.children) == 1:
-                self.root_id = root.children[0]
-                self.height -= 1
-                rec.store(
-                    self._header_addr(root), 8,
-                    f"{self.name}.rebalance.root_collapse",
-                )
-                root = self.pool.get_any(self.root_id)
-        finally:
-            rec.latch_release(self.tree_latch)
-
-    def _sibling(self, parent: Page, idx: int):
-        """Prefer the right sibling; fall back to the left."""
-        if idx + 1 < len(parent.children):
-            return self.pool.fetch(parent.children[idx + 1]), idx, True
-        return self.pool.fetch(parent.children[idx - 1]), idx - 1, False
-
-    def _borrow(self, parent: Page, idx: int, node: Page) -> bool:
-        """Move one entry from a sibling through the parent separator."""
-        rec = self.recorder
-        sibling, sep_idx, from_right = self._sibling(parent, idx)
-        try:
-            capacity = (
-                self.leaf_capacity if node.is_leaf
-                else self.branch_capacity
-            )
-            if len(sibling.keys) <= capacity // 2:
-                return False
-            self.borrows += 1
-            rec.compute(rec.costs.leaf_insert)
-            if node.is_leaf:
-                if from_right:
-                    node.keys.append(sibling.keys.pop(0))
-                    node.values.append(sibling.values.pop(0))
-                    parent.keys[sep_idx] = sibling.keys[0]
-                else:
-                    node.keys.insert(0, sibling.keys.pop())
-                    node.values.insert(0, sibling.values.pop())
-                    parent.keys[sep_idx] = node.keys[0]
-            else:
-                if from_right:
-                    node.keys.append(parent.keys[sep_idx])
-                    parent.keys[sep_idx] = sibling.keys.pop(0)
-                    node.children.append(sibling.children.pop(0))
-                else:
-                    node.keys.insert(0, parent.keys[sep_idx])
-                    parent.keys[sep_idx] = sibling.keys.pop()
-                    node.children.insert(0, sibling.children.pop())
-            rec.store(self._cell_addr(node, 0), self.entry_size,
-                      f"{self.name}.rebalance.borrow_dst")
-            rec.store(self._cell_addr(sibling, 0), self.entry_size,
-                      f"{self.name}.rebalance.borrow_src")
-            rec.store(self._header_addr(parent), 8,
-                      f"{self.name}.rebalance.separator")
-            return True
-        finally:
-            self.pool.unpin(sibling.page_id)
-
-    def _merge(self, parent: Page, idx: int, node: Page) -> None:
-        """Merge ``node`` with a sibling; drop the parent separator."""
-        rec = self.recorder
-        sibling, sep_idx, from_right = self._sibling(parent, idx)
-        try:
-            self.merges += 1
-            left, right = (node, sibling) if from_right else (sibling,
-                                                              node)
-            rec.compute(rec.costs.page_split)
-            if left.is_leaf:
-                left.keys.extend(right.keys)
-                left.values.extend(right.values)
-                left.next_leaf = right.next_leaf
-                if right.next_leaf is not None:
-                    nxt = self.pool.get_any(right.next_leaf)
-                    if nxt is not None:
-                        nxt.prev_leaf = left.page_id
-            else:
-                left.keys.append(parent.keys[sep_idx])
-                left.keys.extend(right.keys)
-                left.children.extend(right.children)
-            parent.keys.pop(sep_idx)
-            parent.children.remove(right.page_id)
-            rec.store(self._cell_addr(left, 0),
-                      min(self.page_size - HEADER_BYTES,
-                          self.entry_size * max(1, len(left.keys))),
-                      f"{self.name}.rebalance.merge_copy")
-            rec.store(self._header_addr(parent), 8,
-                      f"{self.name}.rebalance.merge_sep")
-        finally:
-            self.pool.unpin(sibling.page_id)
 
     # ------------------------------------------------------------------
     # Invariant checking (tests)

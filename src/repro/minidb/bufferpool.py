@@ -18,7 +18,7 @@ for smaller pools.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..trace.recorder import NullRecorder
 from .errors import MiniDBError

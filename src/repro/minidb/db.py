@@ -14,9 +14,8 @@ Section 3 (see ``examples/tuning_walkthrough.py``).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..trace.recorder import NullRecorder
 from .btree import BTree
@@ -71,18 +70,10 @@ class Database:
         options: Optional[EngineOptions] = None,
         pool_capacity_pages: int = 1 << 20,
         page_size: int = 2048,
-        physical_logging: bool = False,
     ):
         self.recorder = recorder if recorder is not None else NullRecorder()
         self.options = options or EngineOptions.unoptimized()
         self.page_size = page_size
-        #: When True, every B-tree modification appends a physical redo
-        #: record to the WAL, enabling :func:`repro.minidb.recovery.
-        #: recover` to rebuild committed state after a crash.
-        self.physical_logging = physical_logging
-        #: Transaction currently mutating the database (trace generation
-        #: is single-threaded, so one suffices).  0 = engine-internal.
-        self.active_txn_id = 0
         self.allocator = PageAllocator()
         self.pool = BufferPool(
             self.recorder,
@@ -114,23 +105,9 @@ class Database:
             page_size=self.page_size,
             entry_size=entry_size,
             tree_id=len(self._tables),
-            journal=self._journal if self.physical_logging else None,
         )
         self._tables[name] = tree
         return tree
-
-    def _journal(self, table: str, op: str, key, value) -> None:
-        """Physical redo logging hook called by the B-trees.
-
-        The value is deep-copied: callers routinely mutate row dicts in
-        place after the operation, and a redo record must capture the
-        at-log-time image.
-        """
-        self.log.append(
-            self.active_txn_id,
-            "phys",
-            (table, op, key, copy.deepcopy(value)),
-        )
 
     def table(self, name: str) -> BTree:
         tree = self._tables.get(name)

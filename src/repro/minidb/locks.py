@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..trace.recorder import NullRecorder
 from .errors import DeadlockError
@@ -176,6 +176,3 @@ class LockManager:
 
     def held_by(self, txn_id: int) -> Set[Tuple]:
         return set(self._held.get(txn_id, set()))
-
-    def is_waiting(self, txn_id: int) -> bool:
-        return txn_id in self._waiting

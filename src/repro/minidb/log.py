@@ -9,14 +9,13 @@ whose contents are spliced into the shared log at transaction commit, in
 serial code — removing the dependence from the parallel region.
 
 Both behaviours are implemented; ``shared_tail`` selects them.  The log
-content itself is real (records are retained) so recovery-style tests can
-assert on it.
+content itself is real (records are retained) so tests can assert on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from ..trace.recorder import NullRecorder
 

@@ -33,15 +33,10 @@ class Page:
     children: List[int] = field(default_factory=list)
     #: Leaf sibling chain for range scans.
     next_leaf: Optional[int] = None
-    prev_leaf: Optional[int] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.kind == LEAF
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.keys)
 
     def find_slot(self, key) -> int:
         """Binary search: index of first key >= ``key``."""
@@ -53,23 +48,6 @@ class Page:
             else:
                 hi = mid
         return lo
-
-    def child_for(self, key) -> int:
-        """Branch page: child page id to descend into for ``key``."""
-        assert self.kind == BRANCH
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key < self.keys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.children[lo]
-
-    def probe_count(self) -> int:
-        """Number of binary-search probes for this page's occupancy."""
-        n = max(1, len(self.keys))
-        return max(1, n.bit_length())
 
 
 class PageAllocator:
@@ -84,7 +62,3 @@ class PageAllocator:
         self._next += 1
         self.allocated += 1
         return page_id
-
-    @property
-    def high_water(self) -> int:
-        return self._next

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..trace.recorder import NullRecorder
 from .errors import TransactionError
-from .locks import EXCLUSIVE, SHARED, LockManager
-from .log import WriteAheadLog
+from .locks import EXCLUSIVE
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -23,7 +22,6 @@ class Transaction:
         self.state = ACTIVE
         self.reads = 0
         self.writes = 0
-        db.active_txn_id = txn_id
 
     def _check_active(self) -> None:
         if self.state != ACTIVE:
@@ -46,16 +44,12 @@ class Transaction:
         self.db.log.append(self.txn_id, "commit", ())
         self.db.locks.release_all(self.txn_id)
         self.state = COMMITTED
-        if self.db.active_txn_id == self.txn_id:
-            self.db.active_txn_id = 0
 
     def abort(self) -> None:
         self._check_active()
         self.db.log.append(self.txn_id, "abort", ())
         self.db.locks.release_all(self.txn_id)
         self.state = ABORTED
-        if self.db.active_txn_id == self.txn_id:
-            self.db.active_txn_id = 0
 
 
 class TransactionManager:

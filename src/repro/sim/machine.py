@@ -647,13 +647,6 @@ class Machine:
     # Memory references
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _sub_access(addr: int, size: int, line: int, line_size: int):
-        """Clip an access to the part falling within one cache line."""
-        sub_addr = max(addr, line)
-        sub_end = min(addr + max(size, 1), line + line_size)
-        return sub_addr, max(1, sub_end - sub_addr)
-
     def _do_load(self, cpu: _CPU, epoch: EpochExecution, rec, now: float):
         _, addr, size, pc = rec
         geom = self.l2.geom
@@ -691,7 +684,7 @@ class Machine:
         access_end = addr + (size if size > 1 else 1)
         stall = 0.0
         for line in geom.lines_touched(addr, size):
-            # Clip the access to this line (inline of _sub_access).
+            # Clip the access to this line.
             sub_addr = addr if addr >= line else line
             sub_end = line + line_size
             if access_end < sub_end:
@@ -769,7 +762,7 @@ class Machine:
         access_end = addr + (size if size > 1 else 1)
         self_rewound = False
         for line in geom.lines_touched(addr, size):
-            # Clip the access to this line (inline of _sub_access).
+            # Clip the access to this line.
             sub_addr = addr if addr >= line else line
             sub_end = line + line_size
             if access_end < sub_end:

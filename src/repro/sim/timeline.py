@@ -21,7 +21,7 @@ Legend: ``=`` executing, ``x`` violation received, ``~`` stalled
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Event kinds recorded by the machine.
 EPOCH_START = "epoch_start"

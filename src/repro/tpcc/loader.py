@@ -8,7 +8,6 @@ every page is resident in the buffer pool.
 from __future__ import annotations
 
 import random
-from typing import Dict
 
 from ..minidb import Database
 from . import schema as S

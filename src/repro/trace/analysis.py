@@ -14,7 +14,7 @@ This module computes that metric, plus where the dependences come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .events import ParallelRegion, Rec, WorkloadTrace
 

@@ -122,10 +122,6 @@ class EpochTrace:
             )
         return self._instr_count
 
-    def memory_records(self) -> List[Record]:
-        """All LOAD/STORE records, in program order."""
-        return [r for r in self.records if r[0] in (Rec.LOAD, Rec.STORE)]
-
 
 def _segment_getstate(self) -> dict:
     """Pickle segments without their attached compiled-entry cache.

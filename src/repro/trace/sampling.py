@@ -416,16 +416,3 @@ def jackknife_statistic(
         point=point, half_width=half, std_error=std_error, df=df,
         method="jackknife",
     )
-
-
-def estimate_all(
-    plan: SamplePlan, values: Dict[int, Dict[str, float]]
-) -> Dict[str, Estimate]:
-    """`estimate_total` for every metric present in the unit vectors."""
-    if not values:
-        return {}
-    metrics = sorted(next(iter(values.values())).keys())
-    return {
-        m: estimate_total(plan, {i: v[m] for i, v in values.items()})
-        for m in metrics
-    }

@@ -36,7 +36,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.engine import TLSConfig
 from ..cpu.pipeline import PipelineConfig

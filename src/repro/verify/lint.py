@@ -32,7 +32,7 @@ Use :func:`lint_workload` for a report, or :func:`assert_clean` to raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..trace.addressmap import AddressMap
 from ..trace.events import (

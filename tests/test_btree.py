@@ -193,80 +193,6 @@ class TestHypothesisInvariants:
         t.check_invariants()
 
 
-def rebalancing_tree(page_size=256, entry_size=64):
-    from repro.minidb.btree import BTree
-    from repro.minidb.bufferpool import BufferPool
-    from repro.minidb.page import PageAllocator
-    from repro.trace import NullRecorder
-
-    rec = NullRecorder()
-    return BTree(
-        "t", BufferPool(rec), PageAllocator(), rec,
-        page_size=page_size, entry_size=entry_size,
-        rebalance_on_delete=True,
-    )
-
-
-class TestDeleteRebalancing:
-    def test_merges_reclaim_structure(self):
-        t = rebalancing_tree()
-        for i in range(120):
-            t.insert((i,), i)
-        grown = t.height
-        for i in range(118):
-            t.delete((i,))
-            t.check_invariants()
-        assert t.merges > 0
-        assert t.height < grown
-
-    def test_borrow_preferred_when_sibling_rich(self):
-        t = rebalancing_tree()
-        for i in range(12):
-            t.insert((i,), i)
-        # Delete from the first leaf only: its rich right sibling lends.
-        t.delete((0,))
-        t.delete((1,))
-        t.check_invariants()
-
-    def test_scan_correct_after_heavy_churn(self):
-        t = rebalancing_tree()
-        import random
-
-        rng = random.Random(7)
-        live = set()
-        for _ in range(600):
-            k = rng.randrange(0, 150)
-            if k in live and rng.random() < 0.6:
-                t.delete((k,))
-                live.remove(k)
-            elif k not in live:
-                t.insert((k,), k)
-                live.add(k)
-        t.check_invariants()
-        assert [k[0] for k, _ in t.scan_range((-1,))] == sorted(live)
-
-    def test_disabled_by_default(self):
-        t = fresh_tree(page_size=256)
-        for i in range(50):
-            t.insert((i,), i)
-        for i in range(49):
-            t.delete((i,))
-        assert t.merges == 0
-
-    @given(st.lists(st.integers(0, 120), unique=True, min_size=10,
-                    max_size=120))
-    @settings(max_examples=25, deadline=None)
-    def test_hypothesis_insert_then_delete_all(self, keys):
-        t = rebalancing_tree()
-        for k in keys:
-            t.insert((k,), k)
-        for k in keys:
-            t.delete((k,))
-            t.check_invariants()
-        assert t.entry_total == 0
-        assert list(t.scan_range((-1,))) == []
-
-
 class TestStats:
     def test_stats_shape(self):
         t = fresh_tree(page_size=256)
@@ -286,15 +212,3 @@ class TestStats:
         assert stats["entries"] == 0
         assert stats["leaf_pages"] == 1
         assert stats["leaf_fill"] == 0.0
-
-    def test_fill_improves_with_rebalancing(self):
-        lazy = fresh_tree(page_size=256)
-        eager = rebalancing_tree(page_size=256)
-        for t in (lazy, eager):
-            for i in range(150):
-                t.insert((i,), i)
-            for i in range(0, 150, 2):
-                t.delete((i,))
-        assert (
-            eager.stats()["leaf_pages"] <= lazy.stats()["leaf_pages"]
-        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import CacheGeometry, LRUSet, SimpleCache
+from repro.memory.cache import CacheGeometry, LRUSet
 
 
 class TestCacheGeometry:
@@ -125,29 +125,3 @@ class TestLRUSet:
             s.put(tag, tag)
             reference.append(tag)
         assert s.tags() == reference
-
-
-class TestSimpleCache:
-    def test_miss_then_hit(self):
-        geom = CacheGeometry(size_bytes=1024, assoc=2, line_size=32)
-        c = SimpleCache(geom)
-        assert not c.lookup(0x100)
-        c.fill(0x100)
-        assert c.lookup(0x104)  # same line
-        assert c.hits == 1 and c.misses == 1
-
-    def test_fill_evicts_lru_line(self):
-        geom = CacheGeometry(size_bytes=64, assoc=2, line_size=32)
-        c = SimpleCache(geom)  # one set, two ways
-        c.fill(0x000)
-        c.fill(0x020)
-        evicted = c.fill(0x040)
-        assert evicted == 0x000
-
-    def test_invalidate(self):
-        geom = CacheGeometry(size_bytes=1024, assoc=2, line_size=32)
-        c = SimpleCache(geom)
-        c.fill(0x100)
-        assert c.invalidate(0x100)
-        assert not c.contains(0x100)
-        assert not c.invalidate(0x100)

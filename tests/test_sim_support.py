@@ -165,9 +165,13 @@ class TestHarnessCLI:
          "--sample-strata"),
         (["all", "--sample-rate", "0.3", "--sample-warmup", "-2"],
          "--sample-warmup"),
+        (["table1", "--tiny", "--scale", "huge"], "--tiny"),
+        (["table1", "--trace-cache", "unused-cache-dir", "--no-trace-cache"],
+         "--trace-cache"),
     ], ids=["transactions-0", "transactions-neg", "jobs-neg",
             "sample-rate-0", "sample-rate-neg", "sample-strata-0",
-            "sample-warmup-neg"])
+            "sample-warmup-neg", "tiny-with-scale",
+            "trace-cache-with-no-trace-cache"])
     def test_out_of_range_flag_rejected_before_running(self, capsys,
                                                        argv, flag):
         with pytest.raises(SystemExit) as exc:
