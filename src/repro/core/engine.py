@@ -7,7 +7,7 @@ engine owns:
   homefree-token commit order;
 * the **hardware thread contexts** — ``max_subthreads`` per CPU, one per
   sub-thread (Section 2.2: "a speculative thread context per sub-thread");
-  the engine is the :class:`~repro.memory.l2.ContextDirectory` the L2
+  the engine keeps the :class:`~repro.memory.l2.ContextDirectory` the L2
   consults to interpret context ids;
 * the **sub-thread start policy** (a new sub-thread every
   ``subthread_spacing`` speculative instructions, while contexts remain);
@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..memory.l2 import AccessResult, SpeculativeL2, Violation
+from ..memory.l2 import (
+    AccessResult,
+    ContextDirectory,
+    SpeculativeL2,
+    Violation,
+)
 from ..trace.events import EpochTrace
 from .accounting import CycleCounters
 from .epoch import EpochExecution, EpochStatus
@@ -127,9 +132,9 @@ class TLSEngine:
         self.active: Dict[int, EpochExecution] = {}
         #: Commit horizon: every epoch with order < horizon has committed.
         self.commit_horizon = 0
-        # Context directory state: ctx -> (order, subidx).
-        self._ctx_order: Dict[int, int] = {}
-        self._ctx_subidx: Dict[int, int] = {}
+        #: ctx -> (order, subidx), for the L2.  A separate object so the
+        #: L2 need not reference the engine that references it.
+        self.directory = ContextDirectory()
         self._ctx_free: Dict[int, List[int]] = {
             cpu: list(
                 range(
@@ -155,14 +160,14 @@ class TLSEngine:
         self.value_predictions_used = 0
 
     # ------------------------------------------------------------------
-    # ContextDirectory interface (consulted by the L2)
+    # ContextDirectory interface (tests bind the engine to an L2)
     # ------------------------------------------------------------------
 
     def order_of(self, ctx: int) -> int:
-        return self._ctx_order[ctx]
+        return self.directory.order[ctx]
 
     def subidx_of(self, ctx: int) -> int:
-        return self._ctx_subidx[ctx]
+        return self.directory.subidx[ctx]
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -213,8 +218,8 @@ class TLSEngine:
     def _open_subthread(self, epoch: EpochExecution, now: float) -> None:
         ctx = self._ctx_free[epoch.cpu].pop(0)
         idx = len(epoch.subthreads)
-        self._ctx_order[ctx] = epoch.order
-        self._ctx_subidx[ctx] = idx
+        self.directory.order[ctx] = epoch.order
+        self.directory.subidx[ctx] = idx
         epoch.start_subthread(ctx, now)
         self.subthreads_started += 1
         # Broadcast subthreadStart to all logically-later active epochs.
@@ -523,8 +528,8 @@ class TLSEngine:
                     f"ctx {ctx} outside cpu {epoch.cpu}'s context range"
                 )
                 assert ctx not in free, f"live ctx {ctx} also in free pool"
-                assert self._ctx_order[ctx] == order
-                assert self._ctx_subidx[ctx] == i
+                assert self.directory.order[ctx] == order
+                assert self.directory.subidx[ctx] == i
         for cpu, pool in self._ctx_free.items():
             assert len(set(pool)) == len(pool), (
                 f"duplicate ctx in cpu {cpu}'s free pool"

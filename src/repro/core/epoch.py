@@ -20,7 +20,7 @@ L2's speculative-state bits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..trace.events import EpochTrace
 from .accounting import CycleCounters
@@ -117,10 +117,10 @@ class EpochExecution:
         #: Disjoint, sorted wall intervals already charged as Failed for
         #: this epoch (see :meth:`charge_failed_interval`).
         self.failed_intervals: List[Tuple[float, float]] = []
-        #: Compiled entry list parallel to ``trace.records`` (see
+        #: Compiled entries parallel to ``trace.records`` (see
         #: :mod:`repro.trace.compile`); None when trace compilation is
         #: disabled.  Replay metadata only — never protocol state.
-        self.compiled: Optional[list] = None
+        self.compiled: Optional[Sequence] = None
         #: Union of every live sub-thread's store mask, per line — makes
         #: :meth:`covers_load` a single dict probe.  Rebuilt from the
         #: surviving sub-threads on rewind.

@@ -17,7 +17,7 @@ set overflow into a small fully-associative victim cache
 
 A *thread context* (``ctx``) is an integer naming one sub-thread of one
 in-flight epoch.  The L2 itself does not know about epochs or logical
-order; it consults a :class:`ContextDirectory` (implemented by the TLS
+order; it consults a :class:`ContextDirectory` (kept current by the TLS
 engine) to map a context to its epoch's logical order and its sub-thread
 index.  This mirrors the paper's hardware split: the cache holds the bits,
 the TLS logic interprets them.
@@ -54,18 +54,26 @@ def full_mask(n_words: int) -> int:
 
 
 class ContextDirectory:
-    """Interface the TLS engine implements so the L2 can interpret contexts.
+    """What the L2 needs to interpret contexts; the TLS engine fills it.
 
     ``order_of(ctx)`` returns the logical order (a monotonically increasing
     global epoch sequence number) of the epoch owning the context, and
     ``subidx_of(ctx)`` the context's sub-thread index within that epoch.
+    Any object with those two methods can serve the L2 (unit tests bind
+    plain dicts, or the engine itself).
     """
 
+    __slots__ = ("order", "subidx")
+
+    def __init__(self):
+        self.order: Dict[int, int] = {}
+        self.subidx: Dict[int, int] = {}
+
     def order_of(self, ctx: int) -> int:
-        raise NotImplementedError
+        return self.order[ctx]
 
     def subidx_of(self, ctx: int) -> int:
-        raise NotImplementedError
+        return self.subidx[ctx]
 
 
 @dataclass(slots=True)

@@ -25,7 +25,8 @@ kind of internal-structure dependence the paper observes in BerkeleyDB.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..trace.recorder import NullRecorder
 from .bufferpool import BufferPool
@@ -69,6 +70,8 @@ class BTree:
         self.height = 1
         self.entry_total = 0
         self.splits = 0
+        #: site -> its (header, probe, cmp) PC names in _search_page.
+        self._search_sites: Dict[str, Tuple[str, str, str]] = {}
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -106,19 +109,47 @@ class BTree:
     # ------------------------------------------------------------------
 
     def _search_page(self, page: Page, key, site: str) -> int:
-        """Binary search emitting a probe load + branch per step."""
+        """Binary search emitting a probe load + branch per step.
+
+        Without a record target the instrumentation would be discarded,
+        so the search runs bare; a muted target only interns the PC
+        names a recorded search would.
+        """
         rec = self.recorder
-        rec.load(self._header_addr(page), 8, f"{site}.header")
-        lo, hi = 0, len(page.keys)
+        keys = page.keys
+        if not rec.recording:
+            return bisect_left(keys, key)
+        names = self._search_sites.get(site)
+        if names is None:
+            names = (f"{site}.header", f"{site}.probe", f"{site}.cmp")
+            self._search_sites[site] = names
+        header, probe, cmp = names
+        if rec.muted:
+            pc = rec.pcs.pc
+            pc(header)
+            if keys:
+                pc(probe)
+                pc(cmp)
+            return bisect_left(keys, key)
+        load, branch, compute = rec.load, rec.branch, rec.compute
+        key_compare = rec.costs.key_compare
+        load(self._header_addr(page), 8, header)
+        # _cell_addr, hoisted: the cell base, size and slot clamp.
+        base = self._cell_addr(page, 0)
+        if page.is_leaf:
+            size, last = self.entry_size, self.leaf_capacity - 1
+        else:
+            size, last = BRANCH_ENTRY_BYTES, self.branch_capacity - 1
+        lo, hi = 0, len(keys)
         while lo < hi:
             mid = (lo + hi) // 2
-            rec.compute(rec.costs.key_compare)
-            rec.load(self._cell_addr(page, mid), 8, f"{site}.probe")
-            if page.keys[mid] < key:
-                rec.branch(f"{site}.cmp", True)
+            compute(key_compare)
+            load(base + (mid if mid < last else last) * size, 8, probe)
+            if keys[mid] < key:
+                branch(cmp, True)
                 lo = mid + 1
             else:
-                rec.branch(f"{site}.cmp", False)
+                branch(cmp, False)
                 hi = mid
         return lo
 

@@ -55,10 +55,8 @@ class PageAllocator:
 
     def __init__(self, first_id: int = 1):
         self._next = first_id
-        self.allocated = 0
 
     def allocate(self) -> int:
         page_id = self._next
         self._next += 1
-        self.allocated += 1
         return page_id

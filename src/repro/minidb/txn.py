@@ -20,8 +20,6 @@ class Transaction:
         self.txn_id = txn_id
         self.db = db
         self.state = ACTIVE
-        self.reads = 0
-        self.writes = 0
 
     def _check_active(self) -> None:
         if self.state != ACTIVE:
@@ -58,7 +56,6 @@ class TransactionManager:
     def __init__(self, recorder: NullRecorder):
         self.recorder = recorder
         self._next_id = 1
-        self.begun = 0
 
     def begin(self, db: "Database") -> Transaction:
         rec = self.recorder
@@ -67,5 +64,4 @@ class TransactionManager:
         rec.store(rec.addr_map.txn_counter_addr(), 8, "txn.next_id_write")
         txn = Transaction(self._next_id, db)
         self._next_id += 1
-        self.begun += 1
         return txn

@@ -3,7 +3,8 @@
 Each artifact kind is a row of the table below, walked by one checker:
 ``run_log`` (``--trace-out`` JSONL) by record type; ``manifest`` (a
 ``*.manifest.json`` sidecar, with the sampled drivers' ``sampler``
-block); that block alone; ``result`` (other ``results/*.json``).
+block); that block alone; ``e2e`` (the ``benchmarks/e2e/run.py --out``
+report); ``result`` (other ``results/*.json``).
 The manifest spec also checks the manifest embedded in run logs.  A
 spec gives each field's type, whether it may be absent or null, and its
 object's cross-field rules (``t1 >= t0``, ``dur == t1 - t0``, ``low <=
@@ -97,6 +98,8 @@ AT_LEAST_1 = scalar(lambda v: _int(v) and v >= 1, "an int >= 1")
 STR = scalar(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 KEYS = scalar(lambda v: isinstance(v, list)
               and all(isinstance(k, str) for k in v), "a list of strings")
+NUMS = scalar(lambda v: isinstance(v, list) and all(map(_num, v)),
+              "a list of finite numbers")
 ATTRS = obj()
 
 # -- the table ---------------------------------------------------------
@@ -128,6 +131,30 @@ SAMPLER = obj({
 
 #: A finished manifest (sidecars, and results that embed one).
 MANIFEST = obj({**_MANIFEST_FIELDS, "sampler": opt(SAMPLER)})
+
+#: The ``benchmarks/e2e/run.py --out`` report: the run's options, then
+#: per workload its median metrics, per-repetition samples and artifact
+#: hash (null when no repetition succeeded).
+E2E_REPORT = obj({
+    "config": obj({
+        "seed": scalar(_int, "an int"), "repeat": AT_LEAST_1,
+        "seconds": opt(NONNEG, present=True),
+        "smoke": scalar(lambda v: isinstance(v, bool), "a bool"),
+        "trace": opt(COUNT, present=True), "python": STR,
+        "cpus": opt(AT_LEAST_1, present=True),
+    }),
+    "workloads": obj(rest=obj({
+        "metrics": obj(rest=obj({"value": NUM, "unit": STR}),
+                       nonempty=True),
+        "samples": obj(rest=NUMS),
+        "artifact_sha256": opt(STR, present=True),
+        "repetitions": COUNT, "attempted": COUNT, "failed": COUNT,
+        "errors": KEYS,
+    }, rules=(
+        (("failed", "attempted"), lambda failed, attempted:
+         failed <= attempted, "more runs failed than were attempted"),
+    )), nonempty=True),
+})
 
 
 #: The JSONL ``run_log`` kind: record ``type`` -> spec.
@@ -161,7 +188,8 @@ def _result(doc: Any, path: str, out: List[str]) -> None:
 
 
 #: Whole-document kinds: kind -> spec.
-DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "result": _result}
+DOCS = {"manifest": MANIFEST, "sampler": SAMPLER, "e2e": E2E_REPORT,
+        "result": _result}
 
 
 def _lint_log(text: str) -> List[str]:
@@ -197,9 +225,10 @@ def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
     """Lint one artifact; returns its (possibly empty) issue list.
 
     A path's kind comes from its name: ``*.jsonl`` is a run log,
-    ``*.manifest.json`` a manifest, anything else a result.  An
-    in-memory document (a result's ``manifest_block()``) must name its
-    ``kind``.
+    ``*.manifest.json`` a manifest; any other document is an e2e report
+    if it has top-level ``config`` and ``workloads`` keys, else a
+    result.  An in-memory document (a result's ``manifest_block()``)
+    must name its ``kind``.
     """
     if not isinstance(path_or_doc, (str, os.PathLike)):
         if kind not in DOCS:
@@ -216,7 +245,12 @@ def lint(path_or_doc: Any, kind: Optional[str] = None) -> List[str]:
     if jsonl:
         return _lint_log(text)
     if kind is None:
-        kind = "manifest" if name.endswith(".manifest.json") else "result"
+        if name.endswith(".manifest.json"):
+            kind = "manifest"
+        elif isinstance(doc, dict) and {"config", "workloads"} <= doc.keys():
+            kind = "e2e"
+        else:
+            kind = "result"
     return _issues(DOCS[kind], doc)
 
 

@@ -24,7 +24,7 @@ the other CPUs idle.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.accounting import Category, CycleCounters
 from ..core.engine import RewindAction, TLSEngine
@@ -138,14 +138,17 @@ class Machine:
             )
         self.l2 = SpeculativeL2(
             geometry=self.config.l2_geometry(),
-            directory=None,  # bound to the engine below
+            directory=None,  # bound to the engine's directory below
             victim_entries=self.config.victim_entries,
             line_granularity_loads=self.config.tls.line_granularity_loads,
         )
         self.engine = TLSEngine(
             l2=self.l2, n_cpus=self.config.n_cpus, config=self.config.tls
         )
-        self.l2.directory = self.engine
+        # Not the engine itself: the engine holds the L2, and an L2
+        # holding the engine back would make every finished Machine
+        # cyclic garbage that only a full collection frees.
+        self.l2.directory = self.engine.directory
         self.msys = MemorySystemTiming(
             l2_banks=self.config.l2_banks,
             l2_bank_occupancy=self.config.l2_bank_occupancy,
@@ -222,7 +225,7 @@ class Machine:
             self.config.pipeline,
             not self._overlap_loads,
         )
-        self._region_compiled: Optional[Dict[int, list]] = None
+        self._region_compiled: Optional[Dict[int, Sequence]] = None
         #: Regions whose lowered entries came out of a cache (the
         #: process-wide memo or the segment-attached dict) instead of
         #: being recompiled.

@@ -49,7 +49,7 @@ replays every workload under both paths and asserts stats equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cpu.pipeline import PipelineConfig
 from ..trace.events import EpochTrace, Op, Rec
@@ -68,7 +68,7 @@ MEM = 1
 #: harness workers are forked, entries compiled before the fork are
 #: inherited copy-on-write: each region is lowered at most once per
 #: worker, and never re-pickled per job.
-REGION_MEMO: Dict[tuple, List[list]] = {}
+REGION_MEMO: Dict[tuple, List[Sequence]] = {}
 
 #: Soft cap on memoized regions; a long-lived process sweeping many
 #: geometries wholesale-clears rather than growing without bound (the
@@ -79,7 +79,7 @@ _REGION_MEMO_CAP = 1024
 MEMO_STATS = {"hits": 0, "misses": 0}
 
 
-def memo_get(token: tuple) -> Optional[List[list]]:
+def memo_get(token: tuple) -> Optional[List[Sequence]]:
     """Memoized per-epoch entry lists for a region token, if compiled."""
     entries = REGION_MEMO.get(token)
     if entries is not None:
@@ -87,7 +87,7 @@ def memo_get(token: tuple) -> Optional[List[list]]:
     return entries
 
 
-def memo_put(token: tuple, entries: List[list]) -> None:
+def memo_put(token: tuple, entries: List[Sequence]) -> None:
     """Memoize a freshly-compiled region under its token."""
     if len(REGION_MEMO) >= _REGION_MEMO_CAP:
         REGION_MEMO.clear()
@@ -117,10 +117,11 @@ def _op_latency_table(pipeline: PipelineConfig) -> Dict[int, float]:
 class RegionCompilation:
     """Compiled form of one region (or one serial segment)."""
 
-    #: Per-epoch entry lists, parallel to the region's epoch list.  Each
-    #: entry list is parallel to the epoch's record list; ``None`` means
-    #: "interpret this record normally".
-    epochs: List[list] = field(default_factory=list)
+    #: Per-epoch entry tuples, parallel to the region's epoch list.  Each
+    #: is parallel to the epoch's record list; ``None`` means "interpret
+    #: this record normally".  Tuples, so that once their entries are
+    #: untracked the cyclic GC stops tracking (and walking) them too.
+    epochs: List[Sequence] = field(default_factory=list)
     #: Line classification census (tests / telemetry).
     private_lines: int = 0
     shared_lines: int = 0
@@ -246,6 +247,6 @@ def compile_region(
                 i = j
             else:
                 i = j if j > i else i + 1
-        out.epochs.append(entries)
+        out.epochs.append(tuple(entries))
     return out
 

@@ -39,7 +39,7 @@ Record layouts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 
 class Rec:
@@ -109,7 +109,8 @@ class EpochTrace:
     """
 
     epoch_id: int
-    records: List[Record] = field(default_factory=list)
+    #: A tuple once recorded or loaded (see TransactionTraceBuilder.finish).
+    records: Sequence[Record] = field(default_factory=list)
 
     _instr_count: int = field(default=-1, repr=False)
 
@@ -142,7 +143,7 @@ def _segment_getstate(self) -> dict:
 class SerialSegment:
     """A non-parallelized stretch of the transaction (runs on one CPU)."""
 
-    records: List[Record] = field(default_factory=list)
+    records: Sequence[Record] = field(default_factory=list)
 
     __getstate__ = _segment_getstate
 

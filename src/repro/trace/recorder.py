@@ -4,6 +4,9 @@
 log append, and unit of compute work.  A :class:`TraceRecorder` appends the
 corresponding records to whatever record list is *current*; the workload
 driver switches the current list at epoch and serial-segment boundaries.
+Code that would build arguments only to have them discarded checks
+``recording`` (False while there is no target) and ``muted`` (True while
+the target is :data:`MUTED`) first.
 
 A :class:`NullRecorder` with the same interface lets minidb run untraced
 (used by the storage-engine unit tests).
@@ -11,7 +14,7 @@ A :class:`NullRecorder` with the same interface lets minidb run untraced
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .addressmap import AddressMap, PCRegistry
 from .costs import CostModel, default_costs
@@ -25,8 +28,29 @@ from .events import (
 )
 
 
+class _Muted:
+    """Type of :data:`MUTED`."""
+
+    __slots__ = ()
+
+
+#: Record target of a muted transaction.  Loads, stores, branches and
+#: latch acquires intern their PC names, so the :class:`PCRegistry`
+#: numbers sites exactly as a recorded run would (later recorded
+#: transactions depend on that numbering); nothing else happens, and
+#: pending compute is dropped at the next flush.
+MUTED = _Muted()
+
+Target = Union[List[Record], _Muted, None]
+
+
 class NullRecorder:
     """Recorder that discards everything; lets minidb run untraced."""
+
+    #: A record target is selected (see :meth:`TraceRecorder.set_target`).
+    recording = False
+    #: The selected target is :data:`MUTED`.
+    muted = False
 
     def __init__(self):
         self.addr_map = AddressMap()
@@ -91,7 +115,7 @@ class TraceRecorder(NullRecorder):
             self.addr_map = addr_map
         if pcs is not None:
             self.pcs = pcs
-        self._current: Optional[List[Record]] = None
+        self._current: Target = None
         #: Pending COMPUTE count, coalesced into one record at the next
         #: non-compute event (keeps record counts small).
         self._pending_compute = 0
@@ -101,13 +125,16 @@ class TraceRecorder(NullRecorder):
     # Target selection
     # ------------------------------------------------------------------
 
-    def set_target(self, records: Optional[List[Record]]) -> None:
-        """Direct subsequent records into ``records`` (None = discard)."""
+    def set_target(self, records: Target) -> None:
+        """Direct subsequent records into ``records`` (None = discard,
+        :data:`MUTED` = intern PCs only)."""
         self._flush()
         self._current = records
+        self.recording = records is not None
+        self.muted = records is MUTED
 
     def _flush(self) -> None:
-        if self._current is None:
+        if self._current is None or self._current is MUTED:
             self._pending_compute = 0
             self._pending_overhead = 0
             return
@@ -127,42 +154,56 @@ class TraceRecorder(NullRecorder):
             self._pending_compute += count
 
     def op(self, op_class: int, count: int = 1) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None or cur is MUTED:
             return
         self._flush()
-        self._current.append((Rec.OP, op_class, count))
+        cur.append((Rec.OP, op_class, count))
 
     def load(self, addr: int, size: int, pc_name: str) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None:
             return
-        self._flush()
-        self._current.append((Rec.LOAD, addr, size, self.pcs.pc(pc_name)))
+        pc = self.pcs.pc(pc_name)
+        if cur is not MUTED:
+            self._flush()
+            cur.append((Rec.LOAD, addr, size, pc))
 
     def store(self, addr: int, size: int, pc_name: str) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None:
             return
-        self._flush()
-        self._current.append((Rec.STORE, addr, size, self.pcs.pc(pc_name)))
+        pc = self.pcs.pc(pc_name)
+        if cur is not MUTED:
+            self._flush()
+            cur.append((Rec.STORE, addr, size, pc))
 
     def branch(self, pc_name: str, taken: bool) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None:
             return
-        self._flush()
-        self._current.append((Rec.BRANCH, self.pcs.pc(pc_name), taken))
+        pc = self.pcs.pc(pc_name)
+        if cur is not MUTED:
+            self._flush()
+            cur.append((Rec.BRANCH, pc, taken))
 
     def latch_acquire(self, latch_id: int, pc_name: str) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None:
             return
-        self.compute(self.costs.latch_op)
-        self._flush()
-        self._current.append((Rec.LATCH_ACQ, latch_id, self.pcs.pc(pc_name)))
+        pc = self.pcs.pc(pc_name)
+        if cur is not MUTED:
+            self.compute(self.costs.latch_op)
+            self._flush()
+            cur.append((Rec.LATCH_ACQ, latch_id, pc))
 
     def latch_release(self, latch_id: int) -> None:
-        if self._current is None:
+        cur = self._current
+        if cur is None or cur is MUTED:
             return
         self.compute(self.costs.latch_op)
         self._flush()
-        self._current.append((Rec.LATCH_REL, latch_id))
+        cur.append((Rec.LATCH_REL, latch_id))
 
     def tls_overhead(self, count: int) -> None:
         if count > 0:
@@ -195,12 +236,10 @@ class TransactionTraceBuilder:
         #: one serial segment (used to build the SEQUENTIAL trace, which is
         #: no TLS instructions at all).
         self.tls_mode = tls_mode
-        #: When False, the transaction records normally — so the shared
-        #: recorder's state (PC registry interning order, pending-compute
-        #: flushes) evolves byte-identically to a recorded run — but
-        #: ``finish`` drops the records and returns an empty placeholder
-        #: transaction.  Memory for a muted transaction is transient
-        #: (one transaction's records, freed at ``finish``), which is
+        #: When False, the recorder is pointed at :data:`MUTED` instead
+        #: of the segments' record lists: the shared PC registry interns
+        #: exactly what a recorded run would, but no record is built, and
+        #: ``finish`` returns an empty placeholder transaction.  That is
         #: what lets the sampled huge-scale driver path run hundreds of
         #: thousands of transactions while retaining only the sampled
         #: windows.
@@ -215,7 +254,7 @@ class TransactionTraceBuilder:
         if self._serial is None:
             self._serial = SerialSegment()
             self._trace.segments.append(self._serial)
-        self.recorder.set_target(self._serial.records)
+        self.recorder.set_target(self._target(self._serial.records))
         self.recorder.epoch_hint = -1
 
     def begin_parallel(self) -> None:
@@ -238,7 +277,7 @@ class TransactionTraceBuilder:
         epoch = EpochTrace(epoch_id=self._epoch_counter)
         self._epoch_counter += 1
         self._region.epochs.append(epoch)
-        self.recorder.set_target(epoch.records)
+        self.recorder.set_target(self._target(epoch.records))
         self.recorder.epoch_hint = epoch.epoch_id
         # Thread-spawn software overhead (TLS-transformed code only).
         self.recorder.tls_overhead(self.recorder.costs.tls_spawn)
@@ -254,14 +293,25 @@ class TransactionTraceBuilder:
         self._close_serial()
         self.recorder.set_target(None)
         if not self.record:
-            # Muted transaction: drop the records, keep the placeholder
-            # so transaction indices stay aligned with the full run.
+            # Muted transaction: keep a placeholder so transaction
+            # indices stay aligned with the full run.
             return TransactionTrace(name=self.name)
         # Drop empty segments so coverage numbers aren't polluted.
         self._trace.segments = [
             s for s in self._trace.segments if s.instruction_count > 0
         ]
+        # Freeze the records: CPython stops tracking a tuple whose items
+        # are all untracked, so full collections stop walking them.
+        for seg in self._trace.segments:
+            if isinstance(seg, SerialSegment):
+                seg.records = tuple(seg.records)
+            else:
+                for epoch in seg.epochs:
+                    epoch.records = tuple(epoch.records)
         return self._trace
+
+    def _target(self, records: List[Record]) -> Target:
+        return records if self.record else MUTED
 
     def _close_region(self) -> None:
         if self._region is not None:

@@ -13,7 +13,7 @@ arrays (tuples round-trip as lists and are converted back on load).
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Sequence
 
 from .events import (
     EpochTrace,
@@ -27,15 +27,16 @@ from .events import (
 FORMAT_VERSION = 1
 
 
-def _records_out(records: List[Record]) -> list:
+def _records_out(records: Sequence[Record]) -> list:
     # JSON encodes a tuple exactly like a list, so the record tuples go
     # into the document unconverted: a per-record list() would cost more
     # than encoding the whole document.
     return list(records)
 
 
-def _records_in(raw: list) -> List[Record]:
-    return [tuple(r) for r in raw]
+def _records_in(raw: list) -> Sequence[Record]:
+    # A tuple, as TransactionTraceBuilder.finish leaves recorded traces.
+    return tuple(map(tuple, raw))
 
 
 def workload_to_dict(workload: WorkloadTrace) -> dict:

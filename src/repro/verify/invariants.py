@@ -178,7 +178,7 @@ class InvariantChecker:
                 ("mod", entry.spec_mod),
             ):
                 for ctx in ctx_mask:
-                    order = engine._ctx_order.get(ctx)
+                    order = engine.directory.order.get(ctx)
                     epoch = (
                         engine.active.get(order)
                         if order is not None else None
@@ -209,7 +209,7 @@ class InvariantChecker:
                 raise InvariantError(str(exc)) from exc
         # The ctx -> lines index must point at real speculative state.
         for ctx in l2._ctx_lines:
-            order = engine._ctx_order.get(ctx)
+            order = engine.directory.order.get(ctx)
             epoch = engine.active.get(order) if order is not None else None
             if epoch is None or ctx not in epoch.all_ctxs():
                 _fail(

@@ -8,9 +8,8 @@ import os
 import pytest
 from hypothesis import settings
 
-from repro.core.engine import TLSConfig, TLSEngine
 from repro.memory.cache import CacheGeometry
-from repro.memory.l2 import SpeculativeL2
+from repro.memory.l2 import ContextDirectory, SpeculativeL2
 from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import TPCCScale, generate_workload
 from repro.trace import TraceRecorder, default_costs
@@ -41,23 +40,13 @@ def pytest_addoption(parser):
     )
 
 
-class DictDirectory:
-    """A ContextDirectory backed by plain dicts (for L2 unit tests)."""
-
-    def __init__(self):
-        self.orders = {}
-        self.subidxs = {}
+class DictDirectory(ContextDirectory):
+    """A ContextDirectory filled by hand (for L2 unit tests)."""
 
     def bind(self, ctx: int, order: int, subidx: int = 0):
-        self.orders[ctx] = order
-        self.subidxs[ctx] = subidx
+        self.order[ctx] = order
+        self.subidx[ctx] = subidx
         return ctx
-
-    def order_of(self, ctx: int) -> int:
-        return self.orders[ctx]
-
-    def subidx_of(self, ctx: int) -> int:
-        return self.subidxs[ctx]
 
 
 #: Base PC of the crafted memory-access passes below.

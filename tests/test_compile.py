@@ -26,7 +26,6 @@ from repro.tpcc import TPCCScale
 from repro.trace.compile import (
     BATCH,
     MEM,
-    RegionCompilation,
     classify_lines,
     compile_region,
 )
@@ -62,7 +61,7 @@ class TestBatches:
         kind, end, busy, overhead, instrs, branches = entries[0][:6]
         assert kind == BATCH
         assert end == len(records)
-        assert entries[1:] == [None] * (len(records) - 1)
+        assert list(entries[1:]) == [None] * (len(records) - 1)
         # The pre-summed static cost must equal dispatching every record
         # through CorePipeline one at a time (same per-record rounding).
         pipeline = CorePipeline(PipelineConfig())
@@ -114,7 +113,7 @@ class TestBatches:
         comp = compile_region(
             [_epoch(records)], _l2(), PipelineConfig(), batches=False
         )
-        assert comp.epochs[0] == [None, None, None]
+        assert list(comp.epochs[0]) == [None, None, None]
 
 
 # ----------------------------------------------------------------------

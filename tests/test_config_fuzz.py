@@ -12,9 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
-from repro.core.accounting import Category
 from repro.sim import Machine, MachineConfig
 from repro.trace.events import (
     EpochTrace,

@@ -1,7 +1,5 @@
 """Tests for static dependence analysis (E12)."""
 
-import pytest
-
 from repro.harness import run_dependence_analysis
 from repro.tpcc import TPCCScale
 from repro.trace import dependence_stats

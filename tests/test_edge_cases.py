@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import ExecutionMode, Machine, MachineConfig
+from repro.sim import Machine, MachineConfig
 from repro.trace import TraceRecorder, TransactionTraceBuilder
 from repro.trace.events import (
     EpochTrace,

@@ -1,7 +1,5 @@
 """Tests for the TLS engine: lifecycle, violations, commit, contexts."""
 
-import pytest
-
 from repro.core.engine import TLSConfig, TLSEngine
 from repro.memory.cache import CacheGeometry
 from repro.memory.l2 import SpeculativeL2

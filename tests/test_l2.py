@@ -298,8 +298,6 @@ class TestVersionIsolationProperty:
     logically-later epoch, under arbitrary interleavings."""
 
     def test_random_traffic_version_isolation(self, directory):
-        import random
-
         from hypothesis import given, settings
         from hypothesis import strategies as st
 

@@ -13,7 +13,7 @@ from repro.minidb import (
     WriteAheadLog,
 )
 from repro.minidb.bufferpool import BufferPool
-from repro.minidb.page import LEAF, Page, PageAllocator
+from repro.minidb.page import LEAF, Page
 from repro.trace import NullRecorder, TraceRecorder
 
 

@@ -648,6 +648,28 @@ def _clean_run_log(tmp_path):
     return _jsonl(path)
 
 
+def _clean_e2e_report(_):
+    """A report in the shape ``benchmarks/e2e/run.py --out`` writes (CI
+    lints a real smoke report)."""
+    return {
+        "config": {"seed": 42, "repeat": 1, "seconds": None, "smoke": True,
+                   "trace": None, "python": "3.11.7", "cpus": 2},
+        "workloads": {"figure5_cold": {
+            "metrics": {
+                "error_rate": {"value": 0.0, "unit": "fraction"},
+                "sim_records_per_s": {"value": 2.0e5, "unit": "records/s"},
+            },
+            "samples": {"setup_s": [0.1], "sim_records_per_s": [2.0e5]},
+            "artifact_sha256": "d0180f91", "repetitions": 1,
+            "attempted": 1, "failed": 0, "errors": [],
+        }},
+    }
+
+
+def _e2e_workload(doc):
+    return doc["workloads"]["figure5_cold"]
+
+
 #: Clean artifact per kind, and the file name it is linted under.
 CLEAN = {
     "run_log": (_clean_run_log, "run.jsonl"),
@@ -656,6 +678,8 @@ CLEAN = {
     "manifest": (lambda _: _repo_json(
         "results", "figure5_sampled.manifest.json"),
         "figure5_sampled.manifest.json"),
+    # Named like any result: the kind comes from the top-level keys.
+    "e2e": (_clean_e2e_report, "e2e.json"),
 }
 
 
@@ -691,6 +715,17 @@ LINT_RULES = [
     ("huge-speedup", "sampler",
      lambda d: d.update(speedup=dict(_estimate(d), low=1e12)),
      "speedup: point outside its own interval"),
+    ("e2e-config", "e2e", lambda d: d["config"].pop("seed"),
+     "missing config.seed key"),
+    ("e2e-metric", "e2e",
+     lambda d: _e2e_workload(d)["metrics"]["sim_records_per_s"].update(
+         value=float("inf")),
+     "['sim_records_per_s'].value is not a finite number"),
+    ("e2e-samples", "e2e",
+     lambda d: _e2e_workload(d)["samples"]["setup_s"].append(None),
+     "['setup_s'] is not a list of finite numbers"),
+    ("e2e-failed", "e2e", lambda d: _e2e_workload(d).update(failed=2),
+     "more runs failed than were attempted"),
 ] + [
     (f"manifest-{key}", "manifest", lambda d, key=key: d.pop(key),
      f"missing {key} key")

@@ -43,8 +43,8 @@ from repro.harness.sampled import (
 from repro.harness.runner import ExperimentContext
 from repro.obs import assert_valid
 from repro.sim import ExecutionMode, Machine, MachineConfig
-from repro.tpcc import TPCCScale, generate_mix_workload, \
-    generate_sampled_mix_workload, generate_workload
+from repro.tpcc import TPCCScale, generate_sampled_mix_workload, \
+    generate_workload
 from repro.trace.sampling import SamplerConfig, build_plan, \
     transaction_density
 
@@ -259,7 +259,8 @@ def test_sample_rate_one_cli_byte_identity(tmp_path):
 
 def test_muted_generation_keeps_recorded_txns_identical():
     """The huge-scale driver's muting must not perturb what IS recorded:
-    kept transactions are byte-identical to a fully-recorded run."""
+    kept transactions are byte-identical to a fully-recorded run, and
+    muted ones intern every PC name a recorded run would, in order."""
     kept = {1, 4, 5}
     full = generate_sampled_mix_workload(
         n_transactions=8, seed=11, scale=TPCCScale.tiny(),
@@ -278,6 +279,8 @@ def test_muted_generation_keeps_recorded_txns_identical():
         assert not partial.trace.transactions[i].segments, (
             f"muted transaction {i} retained records"
         )
+    assert list(partial.recorder.pcs._by_name.items()) == \
+        list(full.recorder.pcs._by_name.items())
 
 
 def test_mix_type_sequence_matches_unsampled_recording():

@@ -134,9 +134,11 @@ class TestAllRecordKinds:
         wl = self._workload()
         again = workload_from_dict(workload_to_dict(wl))
         serial, region = again.transactions[0].segments
-        assert serial.records == self.ALL_KINDS
-        assert region.epochs[0].records == self.ALL_KINDS
-        assert region.epochs[1].records == list(reversed(self.ALL_KINDS))
+        assert list(serial.records) == self.ALL_KINDS
+        assert list(region.epochs[0].records) == self.ALL_KINDS
+        assert list(region.epochs[1].records) == list(
+            reversed(self.ALL_KINDS)
+        )
 
     def test_file_round_trip_bytes_stable(self, tmp_path):
         wl = self._workload()
@@ -227,6 +229,6 @@ class TestPropertyRoundTrip:
             ],
         )
         again = workload_from_dict(workload_to_dict(wl))
-        assert again.transactions[0].segments[0].epochs[0].records == list(
-            records
-        )
+        assert list(
+            again.transactions[0].segments[0].epochs[0].records
+        ) == list(records)

@@ -19,7 +19,6 @@ from repro.sim.timeline import (
     STALL_END,
     SUBTHREAD_START,
     VIOLATION,
-    TimelineEvent,
 )
 from repro.trace.events import (
     EpochTrace,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minidb import Database, EngineOptions
+from repro.minidb import EngineOptions
 from repro.tpcc import (
     BENCHMARKS,
     InputGenerator,
