@@ -31,8 +31,6 @@ from .runner import (
     config_identity,
     config_identity_doc,
     mode_trace,
-    run_config,
-    run_mode,
 )
 from .scalability import ScalabilityResult, run_scalability
 from .tracecache import TraceSpec, default_cache_dir, materialize, spec_key
@@ -73,8 +71,6 @@ __all__ = [
     "materialize",
     "spec_key",
     "mode_trace",
-    "run_config",
-    "run_mode",
     "Table2Result",
     "run_table2",
     "ScalabilityResult",

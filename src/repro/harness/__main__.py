@@ -323,12 +323,9 @@ def main(argv=None) -> int:
         if name == "table2":
             result = run_table2(ctx)
         elif name == "figure2":
-            result = run_figure2(
-                n_transactions=n_transactions, seed=args.seed,
-                scale=scale,
-            )
+            result = run_figure2(ctx)
         elif name == "figure4":
-            result = run_figure4()
+            result = run_figure4(ctx)
         elif name == "figure5":
             if sampler is not None and sampler.rate < 1.0:
                 # figure5 traces are small enough to warm functionally

@@ -57,31 +57,19 @@ class SweepResult:
         )
 
 
-#: A1's default geometry sweep (victim-cache entries).
-VICTIM_SIZES = (0, 4, 16, 64, 256)
-
-
-def victim_cache_jobs(
-    ctx: ExperimentContext,
-    benchmark: str = "delivery_outer",
-    sizes=VICTIM_SIZES,
-) -> List[SimJob]:
-    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-    return [
-        SimJob(config=replace(MachineConfig(), victim_entries=size),
-               spec=spec)
-        for size in sizes
-    ]
-
-
 def run_victim_cache_ablation(
     ctx: Optional[ExperimentContext] = None,
     benchmark: str = "delivery_outer",
-    sizes=VICTIM_SIZES,
+    sizes=(0, 4, 16, 64, 256),
 ) -> SweepResult:
     """A1: sweep the speculative victim cache size."""
     ctx = ctx or ExperimentContext()
-    stats_list = ctx.run(victim_cache_jobs(ctx, benchmark, sizes))
+    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
+    stats_list = ctx.run(
+        SimJob(config=replace(MachineConfig(), victim_entries=size),
+               spec=spec)
+        for size in sizes
+    )
     result = SweepResult(
         title=f"A1 — victim-cache size sweep ({benchmark})",
         parameter="entries",
@@ -100,19 +88,6 @@ def run_victim_cache_ablation(
     return result
 
 
-def start_cost_jobs(
-    ctx: ExperimentContext,
-    benchmark: str = "new_order",
-    costs=(0, 10, 50, 200, 1000),
-) -> List[SimJob]:
-    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-    return [
-        SimJob(config=MachineConfig().with_tls(subthread_start_cost=cost),
-               spec=spec)
-        for cost in costs
-    ]
-
-
 def run_start_cost_ablation(
     ctx: Optional[ExperimentContext] = None,
     benchmark: str = "new_order",
@@ -120,7 +95,12 @@ def run_start_cost_ablation(
 ) -> SweepResult:
     """A2: sweep the cycles charged per sub-thread checkpoint."""
     ctx = ctx or ExperimentContext()
-    stats_list = ctx.run(start_cost_jobs(ctx, benchmark, costs))
+    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
+    stats_list = ctx.run(
+        SimJob(config=MachineConfig().with_tls(subthread_start_cost=cost),
+               spec=spec)
+        for cost in costs
+    )
     result = SweepResult(
         title=f"A2 — sub-thread start cost sweep ({benchmark})",
         parameter="cycles/checkpoint",
@@ -134,33 +114,6 @@ def run_start_cost_ablation(
             )
         )
     return result
-
-
-def overlap_loads_jobs(
-    ctx: ExperimentContext,
-    benchmark: str = "stock_level",
-    models=(("blocking (default)", False),
-            ("overlapped (MSHR=8, ROB window)", True)),
-) -> List[SimJob]:
-    tls_spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-    seq_spec = ctx.spec(benchmark, mode=ExecutionMode.SEQUENTIAL)
-    jobs = []
-    for _label, overlap in models:
-        jobs.append(SimJob(
-            config=replace(
-                MachineConfig.for_mode(ExecutionMode.SEQUENTIAL),
-                overlap_loads=overlap,
-            ),
-            spec=seq_spec,
-        ))
-        jobs.append(SimJob(
-            config=replace(
-                MachineConfig.for_mode(ExecutionMode.BASELINE),
-                overlap_loads=overlap,
-            ),
-            spec=tls_spec,
-        ))
-    return jobs
 
 
 def run_overlap_loads_ablation(
@@ -179,7 +132,16 @@ def run_overlap_loads_ablation(
     ctx = ctx or ExperimentContext()
     models = (("blocking (default)", False),
               ("overlapped (MSHR=8, ROB window)", True))
-    stats_list = iter(ctx.run(overlap_loads_jobs(ctx, benchmark, models)))
+    jobs = []
+    for _label, overlap in models:
+        for mode in (ExecutionMode.SEQUENTIAL, ExecutionMode.BASELINE):
+            jobs.append(SimJob(
+                config=replace(
+                    MachineConfig.for_mode(mode), overlap_loads=overlap
+                ),
+                spec=ctx.spec(benchmark, mode=mode),
+            ))
+    stats_list = iter(ctx.run(jobs))
     result = SweepResult(
         title=f"A6 — load-miss overlap model ({benchmark})",
         parameter="model",
@@ -205,24 +167,6 @@ def run_overlap_loads_ablation(
     return result
 
 
-def adaptive_spacing_jobs(
-    ctx: ExperimentContext,
-    benchmarks=("new_order", "new_order_150", "delivery_outer"),
-) -> List[SimJob]:
-    jobs = []
-    for benchmark in benchmarks:
-        spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-        jobs.append(SimJob(
-            config=MachineConfig.for_mode(ExecutionMode.BASELINE),
-            spec=spec,
-        ))
-        jobs.append(SimJob(
-            config=MachineConfig().with_tls(adaptive_spacing=True),
-            spec=spec,
-        ))
-    return jobs
-
-
 def run_adaptive_spacing_ablation(
     ctx: Optional[ExperimentContext] = None,
     benchmarks=("new_order", "new_order_150", "delivery_outer"),
@@ -236,7 +180,18 @@ def run_adaptive_spacing_ablation(
     and compare against the fixed-spacing baseline per benchmark.
     """
     ctx = ctx or ExperimentContext()
-    stats_list = iter(ctx.run(adaptive_spacing_jobs(ctx, benchmarks)))
+    jobs = []
+    for benchmark in benchmarks:
+        spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
+        jobs.append(SimJob(
+            config=MachineConfig.for_mode(ExecutionMode.BASELINE),
+            spec=spec,
+        ))
+        jobs.append(SimJob(
+            config=MachineConfig().with_tls(adaptive_spacing=True),
+            spec=spec,
+        ))
+    stats_list = iter(ctx.run(jobs))
     result = SweepResult(
         title="A5 — adaptive sub-thread spacing",
         parameter="benchmark",
@@ -259,22 +214,6 @@ def run_adaptive_spacing_ablation(
     return result
 
 
-def l1_tracking_jobs(
-    ctx: ExperimentContext,
-    benchmark: str = "new_order_150",
-    designs=(("sub-thread-unaware (paper)", False),
-             ("per-sub-thread tracking", True)),
-) -> List[SimJob]:
-    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-    return [
-        SimJob(
-            config=replace(MachineConfig(), l1_subthread_tracking=tracking),
-            spec=spec,
-        )
-        for _label, tracking in designs
-    ]
-
-
 def run_l1_tracking_ablation(
     ctx: Optional[ExperimentContext] = None,
     benchmark: str = "new_order_150",
@@ -291,7 +230,14 @@ def run_l1_tracking_ablation(
         ("sub-thread-unaware (paper)", False),
         ("per-sub-thread tracking", True),
     )
-    stats_list = ctx.run(l1_tracking_jobs(ctx, benchmark, designs))
+    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
+    stats_list = ctx.run(
+        SimJob(
+            config=replace(MachineConfig(), l1_subthread_tracking=tracking),
+            spec=spec,
+        )
+        for _label, tracking in designs
+    )
     result = SweepResult(
         title=f"A4 — L1 sub-thread tracking ({benchmark})",
         parameter="L1 design",
@@ -310,21 +256,6 @@ def run_l1_tracking_ablation(
     return result
 
 
-def load_granularity_jobs(
-    ctx: ExperimentContext,
-    benchmark: str = "new_order",
-    granularities=(("line (paper)", True), ("word", False)),
-) -> List[SimJob]:
-    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
-    return [
-        SimJob(
-            config=MachineConfig().with_tls(line_granularity_loads=gran),
-            spec=spec,
-        )
-        for _label, gran in granularities
-    ]
-
-
 def run_load_granularity_ablation(
     ctx: Optional[ExperimentContext] = None,
     benchmark: str = "new_order",
@@ -337,8 +268,13 @@ def run_load_granularity_ablation(
     """
     ctx = ctx or ExperimentContext()
     granularities = (("line (paper)", True), ("word", False))
+    spec = ctx.spec(benchmark, mode=ExecutionMode.BASELINE)
     stats_list = ctx.run(
-        load_granularity_jobs(ctx, benchmark, granularities)
+        SimJob(
+            config=MachineConfig().with_tls(line_granularity_loads=gran),
+            spec=spec,
+        )
+        for _label, gran in granularities
     )
     result = SweepResult(
         title=f"A3 — load-tracking granularity ({benchmark})",

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..minidb import EngineOptions
-from ..sim import ExecutionMode
-from ..tpcc import TPCCScale, generate_workload
+from ..sim import ExecutionMode, MachineConfig
 from .report import render_table
-from .runner import run_mode
+from .runner import ExperimentContext, SimJob
 
 #: The tuning sequence: flags switched off one per step.
 TUNING_STEPS = (
@@ -89,27 +88,26 @@ class Figure2Result:
 
 
 def run_figure2(
+    ctx: Optional[ExperimentContext] = None,
     benchmark: str = "new_order",
-    n_transactions: int = 4,
-    seed: int = 42,
-    scale: Optional[TPCCScale] = None,
 ) -> Figure2Result:
+    ctx = ctx or ExperimentContext()
     result = Figure2Result(benchmark=benchmark)
+    jobs = []
     options = EngineOptions.unoptimized()
     for label, flag in TUNING_STEPS:
         if flag is not None:
             options = options.without(flag)
-        gw = generate_workload(
-            benchmark,
-            tls_mode=True,
-            options=options,
-            n_transactions=n_transactions,
-            seed=seed,
-            scale=scale,
-        )
-        step = TuningStep(label=label, options=options)
-        aon = run_mode(gw.trace, ExecutionMode.NO_SUBTHREAD)
-        sub = run_mode(gw.trace, ExecutionMode.BASELINE)
+        result.steps.append(TuningStep(label=label, options=options))
+        spec = ctx.spec(benchmark, tls_mode=True, options=options)
+        for mode in (ExecutionMode.NO_SUBTHREAD, ExecutionMode.BASELINE):
+            jobs.append(
+                SimJob(config=MachineConfig.for_mode(mode), spec=spec)
+            )
+    stats_list = iter(ctx.run(jobs))
+    for step in result.steps:
+        aon = next(stats_list)
+        sub = next(stats_list)
         step.all_or_nothing_cycles = aon.total_cycles
         step.subthread_cycles = sub.total_cycles
         step.all_or_nothing_violations = (
@@ -118,5 +116,4 @@ def run_figure2(
         step.subthread_violations = (
             sub.primary_violations + sub.secondary_violations
         )
-        result.steps.append(step)
     return result

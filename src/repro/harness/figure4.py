@@ -18,9 +18,9 @@ table run must waste strictly less.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
-from ..sim import Machine, MachineConfig
+from ..sim import MachineConfig
 from ..trace.events import (
     EpochTrace,
     ParallelRegion,
@@ -28,6 +28,7 @@ from ..trace.events import (
     TransactionTrace,
     WorkloadTrace,
 )
+from .runner import ExperimentContext, SimJob
 
 #: Addresses used by the microbenchmark.
 ADDR_X = 0x1000_0000  # the violated location
@@ -99,20 +100,26 @@ class Figure4Result:
         return "\n".join(lines)
 
 
-def run_figure4(work: int = 2000, spacing: int = 250) -> Figure4Result:
+def run_figure4(
+    ctx: Optional[ExperimentContext] = None,
+    work: int = 2000,
+    spacing: int = 250,
+) -> Figure4Result:
+    ctx = ctx or ExperimentContext()
     workload = figure4_workload(work=work)
-    results = {}
-    for start_tables in (False, True):
-        config = MachineConfig().with_tls(
-            start_tables=start_tables,
-            subthread_spacing=spacing,
-            max_subthreads=8,
+    without_stats, with_stats = ctx.run(
+        SimJob(
+            config=MachineConfig().with_tls(
+                start_tables=start_tables,
+                subthread_spacing=spacing,
+                max_subthreads=8,
+            ),
+            trace=workload,
         )
-        stats = Machine(config).run(workload)
-        failed = sum(c.get("failed") for c in stats.per_cpu)
-        results[start_tables] = (stats, failed)
-    with_stats, with_failed = results[True]
-    without_stats, without_failed = results[False]
+        for start_tables in (False, True)
+    )
+    with_failed = sum(c.get("failed") for c in with_stats.per_cpu)
+    without_failed = sum(c.get("failed") for c in without_stats.per_cpu)
     return Figure4Result(
         with_tables_cycles=with_stats.total_cycles,
         without_tables_cycles=without_stats.total_cycles,

@@ -10,13 +10,14 @@ grids.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import ExecutionMode, MachineConfig
 from ..tpcc import DISPLAY_NAMES
 from .report import render_table
-from .runner import ExperimentContext, SimJob, run_config, run_mode
+from .runner import ExperimentContext, SimJob
 
 #: Benchmarks shown in Figure 6 (the TLS-profitable five).
 FIGURE6_BENCHMARKS = (
@@ -93,13 +94,12 @@ class Figure6Result:
 
 
 def run_figure6_paper_size(
+    ctx: Optional[ExperimentContext] = None,
     benchmark: str = "new_order",
-    n_transactions: int = 3,
-    seed: int = 42,
     spacings=(250, 1000, 6250, 25000),
 ) -> Figure6Result:
     """Figure 6 at *paper-sized* threads (costs scale 1.0, ~50k-instr
-    epochs for NEW ORDER).
+    epochs for NEW ORDER); the default context runs 3 transactions.
 
     At these sizes the paper's observation bites hard: the scaled-down
     default spacing covers only a sliver of each thread, so sub-threads
@@ -107,38 +107,15 @@ def run_figure6_paper_size(
     (the analog of the paper's 5,000-instruction choice) restores the
     benefit.
     """
-    from ..tpcc import generate_workload
-    from ..trace import paper_scale_costs
-
-    costs = paper_scale_costs()
-    seq_trace = generate_workload(
-        benchmark, tls_mode=False, n_transactions=n_transactions,
-        seed=seed, costs=costs,
-    ).trace
-    tls_trace = generate_workload(
-        benchmark, tls_mode=True, n_transactions=n_transactions,
-        seed=seed, costs=costs,
-    ).trace
-    seq = run_mode(seq_trace, ExecutionMode.SEQUENTIAL)
-    result = Figure6Result()
-    result.sequential_cycles[benchmark] = seq.total_cycles
-    for count in (2, 8):
-        for spacing in spacings:
-            config = MachineConfig().with_tls(
-                max_subthreads=count, subthread_spacing=spacing
-            )
-            stats = run_config(tls_trace, config)
-            result.cells.append(
-                Figure6Cell(
-                    benchmark=benchmark,
-                    subthreads=count,
-                    spacing=spacing,
-                    normalized=stats.total_cycles / seq.total_cycles,
-                    failed_fraction=stats.breakdown_fractions()["failed"],
-                    primary_violations=stats.primary_violations,
-                )
-            )
-    return result
+    ctx = ctx or ExperimentContext(n_transactions=3)
+    benchmarks, counts = (benchmark,), (2, 8)
+    jobs = [
+        dataclasses.replace(
+            job, spec=dataclasses.replace(job.spec, cost_scale=1.0)
+        )
+        for job in figure6_jobs(ctx, benchmarks, counts, spacings)
+    ]
+    return _figure6_result(ctx.run(jobs), benchmarks, counts, spacings)
 
 
 def figure6_jobs(
@@ -178,7 +155,13 @@ def run_figure6(
 ) -> Figure6Result:
     ctx = ctx or ExperimentContext()
     jobs = figure6_jobs(ctx, benchmarks, counts, spacings)
-    stats_list = iter(ctx.run(jobs))
+    return _figure6_result(ctx.run(jobs), benchmarks, counts, spacings)
+
+
+def _figure6_result(stats_list, benchmarks, counts, spacings
+                    ) -> Figure6Result:
+    """Assemble the grid from stats in :func:`figure6_jobs` order."""
+    stats_list = iter(stats_list)
     result = Figure6Result()
     for benchmark in benchmarks:
         seq = next(stats_list)

@@ -42,18 +42,20 @@ mapping so the parent can render jobs done/total, ETA, and flag hung
 workers.  Without one, no Manager process is started and workers run the
 original code path.
 
-Three rules keep the workers cheap and picklable:
+Each worker process runs its jobs through one
+:class:`~repro.harness.runner.JobRunner` of its own, built by the pool
+initializer with the parent's trace cache and config overrides, so a
+job runs the same code in a worker as in the parent.  Three rules keep
+the workers cheap and picklable:
 
 * jobs that reference a :class:`~repro.harness.tracecache.TraceSpec`
   ship the (small) spec, not the (large) trace, and each worker
-  materializes it locally with a per-process memo — when a shared disk
-  cache is in use the trace is generated once and loaded everywhere else;
+  materializes it locally through its runner's trace memo — when a
+  shared disk cache is in use the trace is generated once and loaded
+  everywhere else;
 * compiled entry lists never cross the process boundary: segments strip
-  their ``_compile_cache`` when pickled, and each worker lowers a
-  region at most once per (trace content hash, cache geometry) via the
-  process-wide :data:`repro.trace.compile.REGION_MEMO` — which forked
-  workers inherit copy-on-write, so regions the parent already compiled
-  are free everywhere;
+  their ``_compile_cache`` when pickled, and each worker compiles the
+  regions it runs onto its own copy of the trace;
 * all worker entry points are module-level functions.
 """
 
@@ -73,14 +75,13 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from ..sim import Machine, SimulationStats
-from ..trace import WorkloadTrace
+from ..sim import SimulationStats
+from .runner import JobRunner, SimJob
 from .tracecache import STATS as TRACECACHE_STATS
-from .tracecache import TraceSpec, materialize, spec_key
+from .tracecache import TraceSpec, spec_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.progress import ProgressReporter
-    from .runner import SimJob
 
 
 class JobFailure(RuntimeError):
@@ -91,7 +92,7 @@ class JobFailure(RuntimeError):
     """
 
 
-def describe_job(job: "SimJob") -> str:
+def describe_job(job: SimJob) -> str:
     """Short human label identifying a job in errors/heartbeats."""
     if job.spec is not None:
         name = "kv" if job.spec.kind == "kv" else job.spec.benchmark
@@ -102,22 +103,21 @@ def describe_job(job: "SimJob") -> str:
 
 
 # Per-worker state, installed by the pool initializer.
-_worker_cache_dir = None
-_worker_memo: Dict[str, WorkloadTrace] = {}
+_worker_runner: Optional[JobRunner] = None
 #: Shared heartbeat mapping (pid -> (job label, monotonic stamp)), or
 #: None when progress reporting is off.
 _worker_heartbeats = None
 
 
-def _init_worker(cache_dir, heartbeats=None) -> None:
-    global _worker_cache_dir, _worker_heartbeats
-    _worker_cache_dir = cache_dir
+def _init_worker(cache_dir, config_overrides=None, heartbeats=None) -> None:
+    """Install this worker's runner: the parent's trace cache and config
+    overrides, a trace memo of its own, and no tracer (the parent emits
+    the per-job telemetry from the returned stats)."""
+    global _worker_runner, _worker_heartbeats
+    _worker_runner = JobRunner(
+        trace_cache=cache_dir, config_overrides=config_overrides
+    )
     _worker_heartbeats = heartbeats
-    _worker_memo.clear()
-    # repro.trace.compile.REGION_MEMO is deliberately NOT cleared here:
-    # under the fork start method the worker inherits every region the
-    # parent has already lowered, copy-on-write, keyed by content hash —
-    # the zero-copy counterpart of the trace memo above.
 
 
 def _beat(label: str) -> None:
@@ -128,15 +128,6 @@ def _beat(label: str) -> None:
         _worker_heartbeats[os.getpid()] = (label, time.monotonic())
     except Exception:  # Manager gone during shutdown, etc.
         pass
-
-
-def _worker_trace(spec: TraceSpec) -> WorkloadTrace:
-    key = spec_key(spec)
-    trace = _worker_memo.get(key)
-    if trace is None:
-        trace = materialize(spec, _worker_cache_dir)
-        _worker_memo[key] = trace
-    return trace
 
 
 def _stats_delta(before: Dict[str, int]) -> Dict[str, int]:
@@ -173,7 +164,7 @@ def _warm_spec(spec: TraceSpec):
     _beat(label)
     before = dict(TRACECACHE_STATS)
     try:
-        _worker_trace(spec)
+        _worker_runner.trace_for(spec)
     except Exception:
         raise JobFailure(
             f"trace generation failed for {label}:\n"
@@ -182,24 +173,13 @@ def _warm_spec(spec: TraceSpec):
     return None, _stats_delta(before)
 
 
-def _run_job(job: "SimJob", config_overrides=None):
+def _run_job(job: SimJob):
     """Simulate one job; returns ``(SimulationStats, tracecache delta)``."""
     label = describe_job(job)
     _beat(label)
     before = dict(TRACECACHE_STATS)
     try:
-        trace = (
-            job.trace if job.trace is not None else _worker_trace(job.spec)
-        )
-        config = job.config
-        if config_overrides:
-            import dataclasses
-
-            config = dataclasses.replace(config, **config_overrides)
-        machine = Machine(config)
-        if job.warmup is not None:
-            machine.functional_warm(job.warmup)
-        return machine.run(trace), _stats_delta(before)
+        return _worker_runner.run_one(job), _stats_delta(before)
     except Exception:
         raise JobFailure(
             f"job {label} failed in worker {os.getpid()}:\n"
@@ -243,7 +223,7 @@ def _drain(futures, progress: Optional["ProgressReporter"],
 
 
 def run_jobs_parallel(
-    jobs: Sequence["SimJob"],
+    jobs: Sequence[SimJob],
     n_workers: int,
     trace_cache=None,
     config_overrides=None,
@@ -268,7 +248,7 @@ def run_jobs_parallel(
     pool = ProcessPoolExecutor(
         max_workers=n_workers,
         initializer=_init_worker,
-        initargs=(trace_cache, heartbeats),
+        initargs=(trace_cache, config_overrides, heartbeats),
     )
     interrupted = False
     try:
@@ -284,9 +264,7 @@ def run_jobs_parallel(
             ]
             for _, (_, delta) in _drain(warm, None, None):
                 merge_tracecache_stats(delta)
-        futures = [
-            pool.submit(_run_job, job, config_overrides) for job in jobs
-        ]
+        futures = [pool.submit(_run_job, job) for job in jobs]
         for i, (stats, delta) in _drain(futures, progress, heartbeats):
             merge_tracecache_stats(delta)
             results[i] = stats

@@ -1,11 +1,15 @@
-"""Shared experiment plumbing: trace caching, job lists, mode execution.
+"""Shared experiment plumbing: trace caching, job lists, job execution.
 
 Drivers describe their sweeps as lists of :class:`SimJob` (one trace, one
 machine configuration) and hand them to a :class:`JobRunner`, which runs
 them serially or over a process pool (``--jobs N``) and optionally backs
 trace generation with the persistent disk cache in
-:mod:`repro.harness.tracecache`.  Results always come back in job order,
-so serial and parallel runs are bit-identical.  With a result store
+:mod:`repro.harness.tracecache`.  :meth:`JobRunner.run_one` is the only
+code that simulates a job — in this process or in a pool worker — so
+the harness-wide switches (``--check-invariants``,
+``--no-compile-traces``, ``--trace-out``) reach every experiment.
+Results always come back in job order, so serial and parallel runs are
+bit-identical.  With a result store
 (:mod:`repro.harness.resultstore`, harness ``--result-store``) every job
 is committed to disk as it finishes, so rerunning a sweep that was
 killed midway simulates only the jobs it had not finished.
@@ -22,7 +26,7 @@ from typing import (
 
 from ..minidb import EngineOptions
 from ..sim import ExecutionMode, Machine, MachineConfig, SimulationStats
-from ..tpcc import GeneratedWorkload, TPCCScale, generate_workload
+from ..tpcc import TPCCScale
 from ..trace import WorkloadTrace
 from .tracecache import TraceSpec, materialize, spec_key
 
@@ -163,12 +167,6 @@ class JobRunner:
                 trace = materialize(spec, self.trace_cache)
             self._memo[key] = trace
         return trace
-
-    def seed_trace(self, spec: TraceSpec, trace: WorkloadTrace) -> None:
-        """Install an already-generated trace under its spec's key."""
-        key = spec_key(spec)
-        self._spec_keys.add(key)
-        self._memo.setdefault(key, trace)
 
     def trace_spec_keys(self) -> List[str]:
         """Content-hash keys of every trace used so far (sorted)."""
@@ -351,11 +349,13 @@ class JobRunner:
 
 @dataclass
 class ExperimentContext:
-    """Caches generated traces so sweeps don't regenerate them.
+    """The sweep settings every driver shares, and the runner its jobs
+    go through.
 
     One trace per (benchmark, software mode, engine options) triple is
     enough: all hardware configurations replay the same trace, exactly as
-    the paper replays the same binaries.  The cache key includes the
+    the paper replays the same binaries, and the runner's memo generates
+    it once.  :meth:`spec` names that trace; its key includes the
     resolved :class:`EngineOptions` because drivers (e.g. Figure 2's
     tuning ladder) vary software optimizations against one benchmark.
     """
@@ -364,7 +364,6 @@ class ExperimentContext:
     seed: int = 42
     scale: Optional[TPCCScale] = None
     runner: JobRunner = field(default_factory=JobRunner)
-    _cache: Dict[Tuple, GeneratedWorkload] = field(default_factory=dict)
 
     def spec(
         self,
@@ -392,41 +391,6 @@ class ExperimentContext:
             n_cpus=n_cpus,
         )
 
-    def workload(
-        self,
-        benchmark: str,
-        tls_mode: bool,
-        options: Optional[EngineOptions] = None,
-    ) -> GeneratedWorkload:
-        """Generate (and cache) the full workload, db and results included.
-
-        Prefer :meth:`trace` when only the trace is needed — it shares
-        the runner's memo and the disk cache.
-        """
-        resolved = options
-        if resolved is None:
-            resolved = (
-                EngineOptions.optimized()
-                if tls_mode
-                else EngineOptions.unoptimized()
-            )
-        key = (benchmark, tls_mode, dataclasses.astuple(resolved))
-        if key not in self._cache:
-            gw = generate_workload(
-                benchmark,
-                tls_mode=tls_mode,
-                options=resolved,
-                n_transactions=self.n_transactions,
-                seed=self.seed,
-                scale=self.scale,
-            )
-            self._cache[key] = gw
-            self.runner.seed_trace(
-                self.spec(benchmark, tls_mode=tls_mode, options=options),
-                gw.trace,
-            )
-        return self._cache[key]
-
     def trace(
         self,
         benchmark: str,
@@ -439,20 +403,6 @@ class ExperimentContext:
 
     def run(self, sim_jobs: Iterable[SimJob]) -> List[SimulationStats]:
         return self.runner.run(sim_jobs)
-
-
-def run_mode(
-    trace: WorkloadTrace,
-    mode: str,
-    base: Optional[MachineConfig] = None,
-) -> SimulationStats:
-    """Simulate a trace under one Figure 5 execution mode."""
-    config = MachineConfig.for_mode(mode, base=base)
-    return Machine(config).run(trace)
-
-
-def run_config(trace: WorkloadTrace, config: MachineConfig) -> SimulationStats:
-    return Machine(config).run(trace)
 
 
 def mode_trace(ctx: ExperimentContext, benchmark: str, mode: str

@@ -149,24 +149,20 @@ def materialize(
     truncated cache file (e.g. from an interrupted process on a
     filesystem without atomic rename) is treated as a miss and rewritten.
 
-    Every returned trace is stamped with its ``spec_key`` as
-    ``content_key``: the machine keys its process-wide compiled-region
-    memo (:data:`repro.trace.compile.REGION_MEMO`) on it, so a sweep
-    replaying one trace under many configurations lowers each region
-    once per (content, cache geometry) instead of once per Machine.
+    Each call returns a new trace object.  The machine caches compiled
+    regions on the trace's segments, so callers that replay one spec
+    under many configurations (the :class:`~repro.harness.runner.
+    JobRunner` memo) keep the returned object and lower each region once
+    per cache geometry.
     """
-    key = spec_key(spec)
     if cache_dir is None:
         STATS["generated"] += 1
-        trace = generate_trace(spec)
-        trace.content_key = key
-        return trace
+        return generate_trace(spec)
     path = cache_path(spec, cache_dir)
     if path.exists():
         try:
             trace = load_workload(path)
             STATS["disk_hits"] += 1
-            trace.content_key = key
             return trace
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             pass
@@ -174,5 +170,4 @@ def materialize(
     trace = generate_trace(spec)
     with atomic_output_file(path) as tmp:
         save_workload(trace, tmp)
-    trace.content_key = key
     return trace

@@ -251,10 +251,8 @@ class SpeculativeL2:
         # Statistics.
         self.hits = 0
         self.misses = 0
-        self.version_allocations = 0
         self.victim_spills = 0
         self.overflow_squashes = 0
-        self.violations_detected = 0
 
     # ------------------------------------------------------------------
     # Geometry / lookup helpers
@@ -439,7 +437,6 @@ class SpeculativeL2:
                     result.hit = False
                     result.memory_accesses += 1
                     self._install(L2Entry(tag=tag, owner=COMMITTED), result)
-                self.version_allocations += 1
                 target = self._install(L2Entry(tag=tag, owner=order), result)
             if target is None:
                 continue
@@ -581,7 +578,6 @@ class SpeculativeL2:
                     result.hit = False
                     result.memory_accesses += 1
                     self._install(L2Entry(tag=tag, owner=COMMITTED), result)
-                self.version_allocations += 1
                 target = self._install(L2Entry(tag=tag, owner=order), result)
         if violations:
             if result is None:
@@ -647,7 +643,6 @@ class SpeculativeL2:
             return ()
         out = []
         for victim_order, (subidx, load_ctx) in sorted(per_victim.items()):
-            self.violations_detected += 1
             out.append(
                 Violation(
                     victim_order=victim_order,

@@ -27,7 +27,6 @@ class BankedResource:
         self.occupancy = occupancy
         self.line_size = line_size
         self._next_free: List[int] = [0] * n_banks
-        self.accesses = 0
         self.contention_cycles = 0
         # With power-of-two line size and bank count (the paper's
         # configuration) bank selection is a shift and a mask; fall back
@@ -57,7 +56,6 @@ class BankedResource:
         else:
             self.contention_cycles += start - now
         nf[bank] = start + self.occupancy
-        self.accesses += 1
         return start
 
     def reset(self) -> None:
@@ -70,18 +68,13 @@ class MemoryChannel:
     def __init__(self, gap: int):
         self.gap = gap
         self._next_free = 0
-        self.accesses = 0
         self.contention_cycles = 0
 
     def reserve(self, now: int) -> int:
         start = max(now, self._next_free)
         self.contention_cycles += start - now
         self._next_free = start + self.gap
-        self.accesses += 1
         return start
-
-    def reset(self) -> None:
-        self._next_free = 0
 
 
 class MemorySystemTiming:
@@ -122,7 +115,3 @@ class MemorySystemTiming:
         """A background DRAM transfer (writeback / fill side effects)."""
         start = self.channel.reserve(now)
         return start + self.memory_latency
-
-    def reset(self) -> None:
-        self.banks.reset()
-        self.channel.reset()

@@ -9,9 +9,8 @@ One package owns everything the harness knows about *how a run went*
   artifact (config hash, trace-spec keys, seed, git SHA, versions,
   wall time, CPU count);
 * :mod:`repro.obs.tracer` — structured JSONL span/counter/event
-  tracing (``--trace-out run.jsonl``);
-* :mod:`repro.obs.metrics` — the registry subsystems publish their
-  end-of-run counters into;
+  tracing (``--trace-out run.jsonl``); each job's ``sim.stats``
+  counter carries ``Machine.metrics()`` under the same dotted names;
 * :mod:`repro.obs.progress` — live progress + per-worker heartbeats
   for parallel sweeps (``--progress``);
 * :mod:`repro.obs.schema` — one schema for every artifact above:
@@ -39,7 +38,6 @@ from .manifest import (
     manifest_path,
     write_manifest,
 )
-from .metrics import MetricsRegistry
 from .progress import ProgressReporter, format_eta
 from .report import render_report
 from .schema import RunLogError, assert_valid, lint
@@ -48,7 +46,6 @@ from .tracer import SpanTracer
 __all__ = [
     "MANIFEST_FORMAT",
     "MANIFEST_VERSION",
-    "MetricsRegistry",
     "ProgressReporter",
     "RunLogError",
     "SpanTracer",

@@ -286,7 +286,6 @@ def run_event_loop(machine):
                                             s - now
                                         )
                                     bank_free[bank] = s + bank_occ
-                                    banks.accesses += 1
                                     ready = s + l2_lat
                                 else:
                                     ready = (
@@ -400,7 +399,6 @@ def run_event_loop(machine):
                                             s - now
                                         )
                                     bank_free[bank] = s + bank_occ
-                                    banks.accesses += 1
                                     ready = s + l2_lat
                                 else:
                                     ready = (
@@ -489,7 +487,6 @@ def run_event_loop(machine):
                             else:
                                 banks.contention_cycles += s - now
                             bank_free[bank] = s + bank_occ
-                            banks.accesses += 1
                         else:
                             banks_reserve(line, now)
                         if result is not None:

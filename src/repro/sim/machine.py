@@ -34,11 +34,7 @@ from ..cpu.pipeline import CorePipeline
 from ..memory.l1 import L1Cache
 from ..memory.l2 import COMMITTED, SpeculativeL2
 from ..memory.timing import MemorySystemTiming
-from ..trace.compile import (
-    compile_region,
-    memo_get,
-    memo_put,
-)
+from ..trace.compile import compile_region
 from ..trace.events import (
     EpochTrace,
     ParallelRegion,
@@ -226,9 +222,8 @@ class Machine:
             not self._overlap_loads,
         )
         self._region_compiled: Optional[Dict[int, Sequence]] = None
-        #: Regions whose lowered entries came out of a cache (the
-        #: process-wide memo or the segment-attached dict) instead of
-        #: being recompiled.
+        #: Regions whose lowered entries came out of the segment's
+        #: compile cache instead of being recompiled.
         self._compile_reuses = 0
         self._batched_records = 0
         self._fast_loads = 0
@@ -282,7 +277,7 @@ class Machine:
                 self._warm_replay(assignments)
         else:
             self._warm_replay(assignments)
-        self._warm_metrics = self.metrics().snapshot()
+        self._warm_metrics = self.metrics()
 
     def _warm_replay(self, assignments) -> None:
         """The functional-warming loop over ``(cpu index, records)``.
@@ -360,11 +355,6 @@ class Machine:
     def run(self, workload: WorkloadTrace) -> SimulationStats:
         """Replay the workload; returns the aggregated statistics."""
         tracer = self.tracer
-        # Traces materialized through the harness cache carry their
-        # spec_key; together with the segment ordinal it names a region's
-        # records process-wide (repro.trace.compile.REGION_MEMO).
-        content_key = getattr(workload, "content_key", None)
-        ordinal = 0
         for txn in workload.transactions:
             for segment in txn.segments:
                 if isinstance(segment, SerialSegment):
@@ -377,22 +367,13 @@ class Machine:
                     epochs = segment.epochs
                 else:
                     raise TypeError(f"unknown segment {segment!r}")
-                token = (
-                    None if content_key is None
-                    else (content_key, ordinal)
-                )
-                ordinal += 1
                 if tracer is not None:
                     with tracer.span(
                         "machine.segment", kind=kind, epochs=len(epochs)
                     ):
-                        self._run_region(
-                            epochs, cache_host=segment, memo_token=token
-                        )
+                        self._run_region(epochs, segment)
                 else:
-                    self._run_region(
-                        epochs, cache_host=segment, memo_token=token
-                    )
+                    self._run_region(epochs, segment)
         if self._invariants is not None:
             self._invariants.on_finish(self)
         return self._collect_stats()
@@ -406,29 +387,20 @@ class Machine:
         return max(1, min(width, self.config.n_cpus))
 
     def _run_region(self, epoch_traces: List[EpochTrace],
-                    cache_host=None, memo_token=None) -> None:
+                    segment) -> None:
         if not epoch_traces:
             return
         if self._compile_enabled:
             # Compilations are pure functions of (records, compile key),
-            # looked up through two caches: the process-wide region memo
-            # keyed by (trace content key, segment ordinal, compile key)
-            # — shared across Machine instances and inherited copy-on-
-            # write by forked harness workers — and a per-segment dict
-            # keyed by compile key for traces without a content key
-            # (inline/synthesized).  The entries are cached positionally
-            # — the serial pseudo-EpochTrace is recreated per run, so an
+            # so they are cached on the segment they lower, keyed by
+            # compile key: every Machine that replays the same trace
+            # object reuses them.  The entries are cached positionally —
+            # the serial pseudo-EpochTrace is recreated per run, so an
             # id-keyed cache would never hit.
-            per_epoch = None
-            token = None
-            if memo_token is not None:
-                token = (memo_token[0], memo_token[1], self._compile_key)
-                per_epoch = memo_get(token)
-            host_cache = None
-            if cache_host is not None:
-                host_cache = getattr(cache_host, "_compile_cache", None)
-                if per_epoch is None and host_cache is not None:
-                    per_epoch = host_cache.get(self._compile_key)
+            host_cache = getattr(segment, "_compile_cache", None)
+            if host_cache is None:
+                segment._compile_cache = host_cache = {}
+            per_epoch = host_cache.get(self._compile_key)
             if per_epoch is None:
                 if self.tracer is not None:
                     with self.tracer.span(
@@ -443,12 +415,7 @@ class Machine:
                         epoch_traces, self.l2, self.config.pipeline,
                         batches=not self._overlap_loads,
                     ).epochs
-                if token is not None:
-                    memo_put(token, per_epoch)
-                if cache_host is not None:
-                    if host_cache is None:
-                        cache_host._compile_cache = host_cache = {}
-                    host_cache[self._compile_key] = per_epoch
+                host_cache[self._compile_key] = per_epoch
             else:
                 self._compile_reuses += 1
             self._region_compiled = {
@@ -1126,70 +1093,60 @@ class Machine:
     # Statistics
     # ------------------------------------------------------------------
 
-    def metrics(self):
-        """Publish every subsystem counter into a fresh registry.
+    def metrics(self) -> Dict[str, float]:
+        """Every subsystem counter, under its dotted name.
 
-        The dotted names match ``SimulationStats.METRIC_SOURCES``, so
-        ``stats.apply_metrics(machine.metrics().snapshot())`` fills the
-        stats object, and the span tracer can emit the same names as a
-        ``counter`` record without a second naming scheme.  Providers
-        are lambdas over live subsystem state — registration is free and
-        nothing is evaluated until ``snapshot()``.
+        The names are exactly ``SimulationStats.METRIC_SOURCES``'s, so
+        ``stats.apply_metrics(machine.metrics())`` fills the stats
+        object, and the span tracer emits the same names as a
+        ``counter`` record without a second naming scheme.
         """
-        from ..obs.metrics import MetricsRegistry
-
         engine, l2, cpus = self.engine, self.l2, self.cpus
-        registry = MetricsRegistry()
-        registry.register_many([
-            ("engine.primary_violations",
-             lambda: engine.primary_violations),
-            ("engine.secondary_violations",
-             lambda: engine.secondary_violations),
-            ("engine.secondary_rewinds_avoided",
-             lambda: engine.secondary_rewinds_avoided),
-            ("engine.subthreads_started",
-             lambda: engine.subthreads_started),
-            ("engine.epochs_committed", lambda: engine.epochs_committed),
-            ("engine.epochs_total", lambda: self._epochs_total),
-            ("engine.load_predictor_entries",
-             lambda: len(engine.load_predictor)),
-            ("machine.deadlock_breaks", lambda: self._deadlock_breaks),
-            ("machine.branch_mispredictions",
-             lambda: sum(
-                 c.pipeline.predictor.mispredictions for c in cpus
-             )),
-            ("machine.instructions_retired",
-             lambda: sum(c.pipeline.instructions_retired for c in cpus)),
-            ("l1.hits", lambda: sum(c.l1.hits for c in cpus)),
-            ("l1.misses", lambda: sum(c.l1.misses for c in cpus)),
-            ("l1.spec_invalidations",
-             lambda: sum(c.l1.spec_invalidations for c in cpus)),
-            ("l2.hits", lambda: l2.hits),
-            ("l2.misses", lambda: l2.misses),
-            ("l2.victim_spills", lambda: l2.victim_spills),
-            ("l2.overflow_squashes", lambda: l2.overflow_squashes),
-            ("compile.batched_records", lambda: self._batched_records),
-            ("compile.fastpath_loads", lambda: self._fast_loads),
-            ("compile.fastpath_stores", lambda: self._fast_stores),
-            ("compile.private_line_stores",
-             lambda: self._private_stores),
-            ("compile.region_cache_reuses", lambda: self._compile_reuses),
-        ])
-        return registry
+        return {
+            "engine.primary_violations": engine.primary_violations,
+            "engine.secondary_violations": engine.secondary_violations,
+            "engine.secondary_rewinds_avoided":
+                engine.secondary_rewinds_avoided,
+            "engine.subthreads_started": engine.subthreads_started,
+            "engine.epochs_committed": engine.epochs_committed,
+            "engine.epochs_total": self._epochs_total,
+            "engine.load_predictor_entries": len(engine.load_predictor),
+            "machine.deadlock_breaks": self._deadlock_breaks,
+            "machine.branch_mispredictions": sum(
+                c.pipeline.predictor.mispredictions for c in cpus
+            ),
+            "machine.instructions_retired": sum(
+                c.pipeline.instructions_retired for c in cpus
+            ),
+            "l1.hits": sum(c.l1.hits for c in cpus),
+            "l1.misses": sum(c.l1.misses for c in cpus),
+            "l1.spec_invalidations": sum(
+                c.l1.spec_invalidations for c in cpus
+            ),
+            "l2.hits": l2.hits,
+            "l2.misses": l2.misses,
+            "l2.victim_spills": l2.victim_spills,
+            "l2.overflow_squashes": l2.overflow_squashes,
+            "compile.batched_records": self._batched_records,
+            "compile.fastpath_loads": self._fast_loads,
+            "compile.fastpath_stores": self._fast_stores,
+            "compile.private_line_stores": self._private_stores,
+            "compile.region_cache_reuses": self._compile_reuses,
+        }
 
     def _collect_stats(self) -> SimulationStats:
         stats = SimulationStats(n_cpus=self.config.n_cpus)
         stats.total_cycles = self.now
         stats.per_cpu = [cpu.totals for cpu in self.cpus]
-        snapshot = self.metrics().snapshot()
+        metrics = self.metrics()
         if self._warm_metrics is not None:
             # Functional warming bumped cache/predictor tallies while
             # the clock stood still; report measured-phase deltas only.
-            snapshot = {
-                name: value - self._warm_metrics.get(name, 0)
-                for name, value in snapshot.items()
+            metrics = {
+                name: value - self._warm_metrics[name]
+                for name, value in metrics.items()
             }
-        stats.apply_metrics(snapshot)
+        stats.apply_metrics(metrics)
         stats.dependence_pairs = self.engine.profiler.pairs()
         stats.finalize_idle()
         return stats

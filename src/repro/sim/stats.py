@@ -14,12 +14,11 @@ from typing import Dict, List, Tuple
 
 from ..core.accounting import Category, CycleCounters
 
-#: Declarative registry-name -> stats-field mapping.  ``Machine``
-#: publishes every subsystem counter into a ``MetricsRegistry`` under
-#: the dotted name on the left; ``apply_metrics`` fills the dataclass
-#: field on the right from one snapshot.  Adding a counter means adding
-#: one row here (plus its provider) — no more hand-copying in
-#: ``_collect_stats``.
+#: Declarative counter-name -> stats-field mapping.  ``Machine.metrics``
+#: reports every subsystem counter under exactly the dotted names on the
+#: left; ``apply_metrics`` fills the dataclass field on the right from
+#: that dict.  Adding a counter means adding one row here and one entry
+#: there; a name missing on either side fails ``apply_metrics``.
 METRIC_SOURCES: Dict[str, str] = {
     "engine.primary_violations": "primary_violations",
     "engine.secondary_violations": "secondary_violations",
@@ -27,7 +26,6 @@ METRIC_SOURCES: Dict[str, str] = {
     "engine.subthreads_started": "subthreads_started",
     "engine.epochs_committed": "epochs_committed",
     "engine.epochs_total": "epochs_total",
-    "engine.failed_instruction_replays": "failed_instruction_replays",
     "engine.load_predictor_entries": "load_predictor_entries",
     "machine.deadlock_breaks": "deadlock_breaks",
     "machine.branch_mispredictions": "branch_mispredictions",
@@ -72,7 +70,6 @@ class SimulationStats:
     branch_mispredictions: int = 0
     instructions_retired: int = 0
     epochs_total: int = 0
-    failed_instruction_replays: int = 0
     #: Times the machine's deadlock safety net had to force a rewind.
     deadlock_breaks: int = 0
     # Trace-compilation telemetry (repro.trace.compile).  compare=False:
@@ -86,9 +83,8 @@ class SimulationStats:
     compiled_fastpath_stores: int = field(default=0, compare=False)
     #: Fast-path stores to region-private lines (violation scan skipped).
     private_line_stores: int = field(default=0, compare=False)
-    #: Regions whose lowered entry lists were served from a compile
-    #: cache (process-wide memo or segment-attached) instead of being
-    #: lowered again.
+    #: Regions whose lowered entry lists were served from the cache on
+    #: their trace segment instead of being lowered again.
     compiled_region_cache_reuses: int = field(default=0, compare=False)
     #: Hottest profiled (load PC, store PC, failed cycles, violations)
     #: tuples, worst first.  Run telemetry for the observability report;
@@ -99,14 +95,13 @@ class SimulationStats:
 
     METRIC_SOURCES = METRIC_SOURCES
 
-    def apply_metrics(self, snapshot: Dict[str, float]) -> None:
-        """Fill counter fields from a ``MetricsRegistry`` snapshot."""
+    def apply_metrics(self, metrics: Dict[str, float]) -> None:
+        """Fill counter fields from ``Machine.metrics()``."""
         for metric, attr in METRIC_SOURCES.items():
-            if metric in snapshot:
-                setattr(self, attr, snapshot[metric])
+            setattr(self, attr, metrics[metric])
 
     def counters(self) -> Dict[str, float]:
-        """Every counter under its registry name, plus the Figure-5
+        """Every counter under its dotted name, plus the Figure-5
         cycle breakdown (``cycles.<category>``) and run shape — the
         payload the span tracer emits as one ``counter`` record per
         job."""

@@ -39,6 +39,14 @@ lines.  (Speculative *bits* are still set: they drive eviction
 spill-vs-drop decisions and are architecturally observable.)  Serial
 segments form single-epoch regions, so their lines are all private.
 
+**One cache, on the trace.**  The machine keeps each region's entry
+lists on the segment it lowered (``_compile_cache``), keyed by a compile
+key that covers everything the lowering reads besides the records:
+cache geometry, load-bit granularity, pipeline config and batching.
+Every Machine that replays the same trace object reuses them
+(``compile.region_cache_reuses`` counts those hits); pickling a segment
+drops them, so each harness worker compiles what it runs.
+
 Compilation must be byte-identical to interpretation: every cycle count
 and statistic of a run with compiled traces equals the interpreted run's.
 ``MachineConfig(compile_traces=False)`` (or ``--no-compile-traces`` on
@@ -49,7 +57,7 @@ replays every workload under both paths and asserts stats equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..cpu.pipeline import PipelineConfig
 from ..trace.events import EpochTrace, Op, Rec
@@ -57,42 +65,6 @@ from ..trace.events import EpochTrace, Op, Rec
 #: Compiled-entry kinds (first element of every compiled entry).
 BATCH = 0
 MEM = 1
-
-#: Process-wide compiled-region memo: ``(trace content key, segment
-#: ordinal, compile key) -> per-epoch entry lists``.  The content key is
-#: the trace-cache ``spec_key`` stamped on materialized workloads; the
-#: compile key captures everything the lowering depends on besides the
-#: records (cache geometry, load-bit granularity, pipeline config,
-#: batching).  Compilations are pure functions of the token, so the memo
-#: is shared by every Machine in the process — and, because parallel
-#: harness workers are forked, entries compiled before the fork are
-#: inherited copy-on-write: each region is lowered at most once per
-#: worker, and never re-pickled per job.
-REGION_MEMO: Dict[tuple, List[Sequence]] = {}
-
-#: Soft cap on memoized regions; a long-lived process sweeping many
-#: geometries wholesale-clears rather than growing without bound (the
-#: entries are cheap to rebuild, one lowering pass per region).
-_REGION_MEMO_CAP = 1024
-
-#: Process-wide memo telemetry (hits/misses across all Machines).
-MEMO_STATS = {"hits": 0, "misses": 0}
-
-
-def memo_get(token: tuple) -> Optional[List[Sequence]]:
-    """Memoized per-epoch entry lists for a region token, if compiled."""
-    entries = REGION_MEMO.get(token)
-    if entries is not None:
-        MEMO_STATS["hits"] += 1
-    return entries
-
-
-def memo_put(token: tuple, entries: List[Sequence]) -> None:
-    """Memoize a freshly-compiled region under its token."""
-    if len(REGION_MEMO) >= _REGION_MEMO_CAP:
-        REGION_MEMO.clear()
-    MEMO_STATS["misses"] += 1
-    REGION_MEMO[token] = entries
 
 #: Record kinds eligible for batching (no memory, no latches).
 _BATCHABLE = frozenset((Rec.COMPUTE, Rec.OP, Rec.BRANCH, Rec.TLS_OVERHEAD))

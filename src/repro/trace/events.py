@@ -128,10 +128,10 @@ def _segment_getstate(self) -> dict:
     """Pickle segments without their attached compiled-entry cache.
 
     The machine caches lowered entry lists on the segment object
-    (``_compile_cache``, see repro.trace.compile).  They are a pure
-    function of the records and are rebuilt — or found in the
-    process-wide region memo — wherever the trace lands, so shipping a
-    trace to a harness worker must not serialize them per job.
+    (``_compile_cache``, see repro.trace.compile), the only place a
+    compiled region is kept.  They are a pure function of the records
+    and are rebuilt wherever the trace lands, so shipping a trace to a
+    harness worker must not serialize them per job.
     """
     state = self.__dict__
     if "_compile_cache" in state:

@@ -29,7 +29,7 @@ from repro.trace.compile import (
     classify_lines,
     compile_region,
 )
-from repro.trace.events import EpochTrace, Op, Rec
+from repro.trace.events import EpochTrace, Op, Rec, SerialSegment
 
 GOLDEN = Path(__file__).parent / "golden" / "figure5_tiny.json"
 
@@ -188,6 +188,48 @@ class TestMemoryLowering:
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
         assert comp.shared_lines == 0
         assert comp.private_lines == 2
+
+
+# ----------------------------------------------------------------------
+# The compiled-region cache on trace segments
+# ----------------------------------------------------------------------
+
+
+class TestRegionCache:
+    def test_second_machine_reuses_the_segment_cache(self, monkeypatch):
+        """Compiled regions live on the trace's segments: a second
+        Machine replaying the same trace object reuses every region and
+        lowers none."""
+        ctx = ExperimentContext(
+            n_transactions=2, seed=42, scale=TPCCScale.tiny()
+        )
+        trace = materialize(ctx.spec("new_order", mode=ExecutionMode.BASELINE))
+        config = MachineConfig.for_mode(ExecutionMode.BASELINE)
+        first = Machine(config).run(trace)
+
+        compiles = []
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args)
+            return compile_region(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.sim.machine.compile_region", counting_compile
+        )
+        second = Machine(config).run(trace)
+        segments_run = sum(
+            1
+            for txn in trace.transactions
+            for seg in txn.segments
+            if isinstance(seg, SerialSegment) or seg.epochs
+        )
+        assert segments_run > 0
+        assert first.counters()["compile.region_cache_reuses"] == 0
+        assert (
+            second.counters()["compile.region_cache_reuses"] == segments_run
+        )
+        assert compiles == []
+        assert second == first
 
 
 # ----------------------------------------------------------------------

@@ -120,8 +120,8 @@ class TestFigure4:
 
 
 class TestFigure2:
-    def test_tuning_mostly_monotone_with_subthreads(self):
-        result = run_figure2(n_transactions=2, scale=TPCCScale.tiny())
+    def test_tuning_mostly_monotone_with_subthreads(self, ctx):
+        result = run_figure2(ctx)
         assert len(result.steps) == 5
         # Fully optimized beats unoptimized under sub-thread TLS.
         assert (
@@ -224,7 +224,7 @@ class TestFigure6PaperSize:
         from repro.harness import run_figure6_paper_size
 
         result = run_figure6_paper_size(
-            n_transactions=2, spacings=(250, 6250)
+            ExperimentContext(n_transactions=2), spacings=(250, 6250)
         )
         tiny = result.cell("new_order", 8, 250).normalized
         scaled = result.cell("new_order", 8, 6250).normalized

@@ -25,7 +25,6 @@ from repro.harness.parallel import (
 from repro.harness.runner import JobRunner, SimJob
 from repro.harness.tracecache import TraceSpec
 from repro.obs import (
-    MetricsRegistry,
     ProgressReporter,
     SpanTracer,
     assert_valid,
@@ -282,35 +281,20 @@ class TestTracerSchema:
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
+# Machine metrics
 # ----------------------------------------------------------------------
 
 
 class TestMetricsRegistry:
-    def test_snapshot_sorted_and_lazy(self):
-        reg = MetricsRegistry()
-        calls = []
-        reg.register("b.two", lambda: calls.append("b") or 2)
-        reg.register("a.one", lambda: calls.append("a") or 1)
-        assert calls == []  # registration never evaluates
-        snap = reg.snapshot()
-        assert list(snap) == ["a.one", "b.two"]
-        assert snap == {"a.one": 1, "b.two": 2}
-
-    def test_duplicate_name_rejected(self):
-        reg = MetricsRegistry()
-        reg.register("x", lambda: 0)
-        with pytest.raises(ValueError):
-            reg.register("x", lambda: 1)
-        assert "x" in reg and len(reg) == 1
-
     def test_machine_metrics_match_stats(self):
         machine = Machine(MachineConfig())
         stats = machine.run(tiny_workload())
-        snap = machine.metrics().snapshot()
+        metrics = machine.metrics()
+        # One counter table, checked in both directions: every stats
+        # row has a counter and every counter has a stats row.
+        assert set(metrics) == set(METRIC_SOURCES)
         for metric, attr in METRIC_SOURCES.items():
-            if metric in snap:
-                assert snap[metric] == getattr(stats, attr), metric
+            assert metrics[metric] == getattr(stats, attr), metric
         # The run above must actually exercise the protocol.
         assert stats.primary_violations >= 1
         assert stats.dependence_pairs
@@ -570,7 +554,7 @@ class TestParallelFailures:
         assert parallel == serial
 
 
-def _sigkill_on_baseline(job, config_overrides=None):
+def _sigkill_on_baseline(job):
     """Worker entry that dies like ``kill -9`` on the BASELINE job.
 
     Module-level so the pool can pickle it by name; a forked worker
@@ -578,7 +562,7 @@ def _sigkill_on_baseline(job, config_overrides=None):
     """
     if job.config.mode_label == ExecutionMode.BASELINE:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_job(job, config_overrides)
+    return _run_job(job)
 
 
 # ----------------------------------------------------------------------

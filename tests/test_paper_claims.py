@@ -22,16 +22,14 @@ from repro.harness import (
     run_kv_study,
     run_l1_tracking_ablation,
     run_mix_latency,
-    run_mode,
     run_prediction_comparison,
     run_scalability,
     run_table2,
     run_victim_cache_ablation,
 )
 from repro.harness.figure6 import FIGURE6_BENCHMARKS, SPACINGS
-from repro.sim import ExecutionMode
+from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import BENCHMARKS
-from repro.trace.compile import REGION_MEMO
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +38,11 @@ def ctx():
 
 
 def speedups(ctx, benchmark):
-    seq = run_mode(
-        mode_trace(ctx, benchmark, ExecutionMode.SEQUENTIAL),
-        ExecutionMode.SEQUENTIAL,
-    )
+    def simulate(mode):
+        trace = mode_trace(ctx, benchmark, mode)
+        return Machine(MachineConfig.for_mode(mode)).run(trace)
+
+    seq = simulate(ExecutionMode.SEQUENTIAL)
     out = {"sequential_stats": seq}
     for mode in (
         ExecutionMode.TLS_SEQ,
@@ -51,7 +50,7 @@ def speedups(ctx, benchmark):
         ExecutionMode.BASELINE,
         ExecutionMode.NO_SPECULATION,
     ):
-        stats = run_mode(mode_trace(ctx, benchmark, mode), mode)
+        stats = simulate(mode)
         out[mode] = seq.total_cycles / stats.total_cycles
         out[mode + "_stats"] = stats
     return out
@@ -171,14 +170,8 @@ class TestBreakdownShapes:
 def sweep_ctx():
     """Default scale, 2 transactions, seed 42: one context shared by
     every driver below, so the runner memo reuses traces and SEQUENTIAL
-    baselines from one sweep to the next.
-
-    Teardown empties the process-wide compiled-region memo: the
-    default-scale regions compiled here would otherwise stay alive and
-    slow every full garbage collection in later test modules.
-    """
-    yield ExperimentContext(n_transactions=2)
-    REGION_MEMO.clear()
+    baselines from one sweep to the next."""
+    return ExperimentContext(n_transactions=2)
 
 
 class TestFigureShapes:

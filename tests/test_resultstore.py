@@ -113,7 +113,7 @@ class TestResultStore:
         # A version-1 entry still carries telemetry fields that
         # SimulationStats no longer has; it must read as a miss, never
         # raise.
-        assert STORE_VERSION == 3
+        assert STORE_VERSION == 4
         entry["version"] = 1
         entry["stats"]["retired_kernel_batches"] = 0
         path.write_text(json.dumps(entry))
@@ -124,6 +124,14 @@ class TestResultStore:
         entry["version"] = 2
         entry["stats"]["compiled_spec_batches"] = 3
         entry["stats"]["compiled_batch_squashes"] = 1
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        # And a version-3 entry with the retired, never-set
+        # failed-instruction-replay counter.
+        del entry["stats"]["compiled_spec_batches"]
+        del entry["stats"]["compiled_batch_squashes"]
+        entry["version"] = 3
+        entry["stats"]["failed_instruction_replays"] = 0
         path.write_text(json.dumps(entry))
         assert store.get_stats("k", config) is None
         # Even mislabeled as current, the retired fields cannot round-trip.

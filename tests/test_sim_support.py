@@ -1,6 +1,8 @@
 """Tests for simulation support pieces: stats, accounting, config, report,
 and the harness CLI."""
 
+import json
+
 import pytest
 
 from repro.core.accounting import Category, CycleCounters
@@ -181,6 +183,40 @@ class TestHarnessCLI:
         assert flag in captured.err
         assert "###" not in captured.out
 
+    @pytest.mark.parametrize("experiment, n_jobs, stored", [
+        ("figure2", 10, 10),
+        # Figure 4's inline-trace jobs are simulated but never stored.
+        ("figure4", 2, 0),
+    ], ids=["figure2", "figure4"])
+    def test_simulating_experiments_honor_run_flags(
+        self, tmp_path, capsys, experiment, n_jobs, stored
+    ):
+        log = tmp_path / "run.jsonl"
+        assert harness_main([
+            experiment, "--tiny", "--transactions", "1",
+            "--no-trace-cache", "--no-compile-traces",
+            "--trace-out", str(log),
+            "--result-store", str(tmp_path / "store"),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        out = capsys.readouterr().out
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        spans = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "harness.job"
+        ]
+        counters = [
+            r["values"] for r in records
+            if r["type"] == "counter" and r["name"] == "sim.stats"
+        ]
+        assert len(spans) == n_jobs
+        assert len(counters) == n_jobs
+        # --no-compile-traces reached every job: the interpreted path ran.
+        assert all(c["compile.fastpath_loads"] == 0 for c in counters)
+        assert f"[result store: 0 hits, {n_jobs} simulated]" in out
+        store_entries = list((tmp_path / "store").rglob("*.json"))
+        assert len(store_entries) == stored
+
 
 class TestOverlapLoads:
     def _strided_workload(self):
@@ -320,7 +356,7 @@ class TestExportAllResultTypes:
             run_figure6(ctx, benchmarks=("payment",), counts=(2,),
                         spacings=(100,)),
             run_table2(ctx),
-            run_figure2(n_transactions=1, scale=TPCCScale.tiny()),
+            run_figure2(ctx),
             run_scalability(ctx, benchmark="payment",
                             cpu_counts=(1, 2)),
             run_when_to_use(ctx, benchmark="payment", n_jobs=4),

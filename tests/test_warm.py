@@ -72,7 +72,7 @@ def reference_warm(machine, workload):
                         self._apply_inclusion(result.invalidated_lines)
                     elif kind == Rec.BRANCH:
                         predictor.predict_and_update(rec[1], rec[2])
-    self._warm_metrics = self.metrics().snapshot()
+    self._warm_metrics = self.metrics()
 
 
 def warm_state(machine):
