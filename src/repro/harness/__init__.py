@@ -28,7 +28,6 @@ from .runner import (
     ExperimentContext,
     JobRunner,
     SimJob,
-    config_identity,
     config_identity_doc,
     mode_trace,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "JobRunner",
     "SimJob",
     "TraceSpec",
-    "config_identity",
     "config_identity_doc",
     "default_cache_dir",
     "materialize",

@@ -30,7 +30,7 @@ from .figure6 import run_figure6
 from .kvstudy import run_kv_study
 from .mixstudy import run_mix_latency
 from .runner import ExperimentContext, JobRunner
-from .sampled import run_figure5_sampled, run_huge
+from .sampled import HUGE_FUNCTIONAL_WINDOW, run_figure5_sampled, run_huge
 from ..trace.sampling import SamplerConfig
 from .scalability import run_scalability
 from .tracecache import default_cache_dir
@@ -238,8 +238,10 @@ def main(argv=None) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = all CPUs)")
     # The --sample-* flags as one SamplerConfig, set one flag at a time
-    # so its validation names the flag at fault.  The functional-warming
-    # window is per experiment (see the figure5 and huge branches).
+    # so its validation names the flag at fault.  figure5 traces are
+    # small enough to warm functionally from the whole prefix
+    # (SamplerConfig's default, -1); the huge path must bound both
+    # windows, or each unit's warm cost grows with its position.
     sampler = None
     if args.sample_rate is not None:
         sampler = SamplerConfig()
@@ -250,6 +252,14 @@ def main(argv=None) -> int:
                 )
             except ValueError as exc:
                 parser.error(f"--sample-{field}: {exc}")
+        if args.experiment == "huge":
+            if sampler.warmup < 0:
+                parser.error(
+                    "--sample-warmup: huge needs a bounded warmup (>= 0)"
+                )
+            sampler = dataclasses.replace(
+                sampler, functional_window=HUGE_FUNCTIONAL_WINDOW
+            )
 
     if args.experiment == "report":
         if args.report_file is None:
@@ -328,8 +338,6 @@ def main(argv=None) -> int:
             result = run_figure4(ctx)
         elif name == "figure5":
             if sampler is not None and sampler.rate < 1.0:
-                # figure5 traces are small enough to warm functionally
-                # from the whole prefix (SamplerConfig's default, -1).
                 result = run_figure5_sampled(ctx, sampler)
                 artifact = "figure5_sampled"
             else:
@@ -339,17 +347,8 @@ def main(argv=None) -> int:
                 result = run_figure5(ctx)
         elif name == "huge":
             result = run_huge(
-                n_transactions=n_transactions,
-                seed=args.seed,
-                # The huge path must bound the functional-warming
-                # window, or each unit's warm cost grows with its
-                # position.
-                sampler=(
-                    None if sampler is None
-                    else dataclasses.replace(sampler, functional_window=16)
-                ),
-                runner=runner,
-                scale=scale,
+                n_transactions=n_transactions, seed=args.seed,
+                sampler=sampler, runner=runner, scale=scale,
             )
         elif name == "figure6":
             result = run_figure6(ctx)

@@ -18,6 +18,7 @@ killed midway simulates only the jobs it had not finished.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -31,34 +32,18 @@ from ..trace import WorkloadTrace
 from .tracecache import TraceSpec, materialize, spec_key
 
 
-def config_identity(config) -> Tuple:
-    """Hashable identity of a config: compare-eligible fields only.
-
-    ``dataclasses.astuple`` would also capture ``compare=False``
-    provenance fields such as ``MachineConfig.mode_label``, so two
-    configs that compare equal (``==``) could still produce different
-    memo keys and miss legitimate dedup hits.  This walks nested
-    dataclasses recursively, keeping exactly the fields that participate
-    in equality — same ``==`` means same identity, by construction.
-    """
-    values = []
-    for f in dataclasses.fields(config):
-        if not f.compare:
-            continue
-        value = getattr(config, f.name)
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            value = config_identity(value)
-        values.append(value)
-    return tuple(values)
-
-
 def config_identity_doc(config) -> Dict[str, object]:
-    """JSON-able form of :func:`config_identity`, field names included.
+    """Identity of a config: its compare-eligible fields, by name.
 
-    The persistent result store (:mod:`repro.harness.resultstore`)
-    hashes this document into its content address, so the on-disk key
-    is stable across processes and runs and — like the in-memory memo —
-    blind to provenance-only fields.
+    ``dataclasses.asdict`` would also capture ``compare=False``
+    provenance fields such as ``MachineConfig.mode_label``, so two
+    configs that compare equal (``==``) could still get different keys
+    and miss legitimate dedup hits.  This walks nested dataclasses
+    recursively, keeping exactly the fields that take part in equality:
+    same ``==`` means same identity, by construction.  The in-memory
+    result memo keys on it, and the persistent result store
+    (:mod:`repro.harness.resultstore`) hashes it into its content
+    address, so the on-disk key is stable across processes and runs.
     """
     doc: Dict[str, object] = {}
     for f in dataclasses.fields(config):
@@ -214,16 +199,13 @@ class JobRunner:
         """Memo key for a job, or None when the job is not memoizable
         (inline traces and warmup prefixes live outside the key).
 
-        The config half of the key comes from :func:`config_identity`,
-        not ``dataclasses.astuple``: the latter includes
-        ``compare=False`` provenance such as ``mode_label``, which would
-        make two ``==`` configs miss each other in the memo (and in the
-        persistent result store keyed the same way).
+        The config half of the key is :func:`config_identity_doc`, the
+        identity the persistent result store keys on too.
         """
         if job.spec is None or job.warmup is not None:
             return None
-        config = self._effective_config(job.config)
-        return (spec_key(job.spec), config_identity(config))
+        doc = config_identity_doc(self._effective_config(job.config))
+        return (spec_key(job.spec), json.dumps(doc, sort_keys=True))
 
     def _store_lookup(self, job: SimJob) -> Optional[SimulationStats]:
         """Consult the persistent result store for a memoizable job."""

@@ -7,7 +7,8 @@ transaction is simulated so its value approximates the marginal cost the
 transaction has inside the full run:
 
 * the prefix ``[wlo, lo)`` is replayed **functionally** (un-timed cache
-  and predictor warming, ``Machine.functional_warm``);
+  and predictor warming, ``Machine.functional_warm``), with the window
+  bounds given by :func:`unit_window`;
 * the tail ``[lo, i]`` is **detail-simulated twice** — once including
   the measured transaction *i* and once stopping just before it — and
   the unit value is the difference.  With ``warmup=-1`` the tail is the
@@ -32,6 +33,7 @@ windows are ever held in memory, stratified by transaction type.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +69,10 @@ METRICS = (
     + CYCLE_METRICS
     + ("primary_violations", "secondary_violations")
 )
+
+#: Functional-warming window of the huge-scale path, in transactions
+#: (see :func:`run_huge`).
+HUGE_FUNCTIONAL_WINDOW = 16
 
 
 def metric_vector(stats: SimulationStats) -> Dict[str, float]:
@@ -106,14 +112,31 @@ class _UnitJobs:
     unit: int
     job_with: int            # index of the run including the unit
     job_without: Optional[int]  # index of the run stopping before it
-    detailed_records: int = 0
-    warmed_records: int = 0
+    detailed_records: int
+    warmed_records: int
 
 
 def _slice(trace: WorkloadTrace, lo: int, hi: int) -> WorkloadTrace:
     return WorkloadTrace(
         name=trace.name, transactions=trace.transactions[lo:hi]
     )
+
+
+def _records(trace: WorkloadTrace, lo: int, hi: int) -> int:
+    return sum(transaction_records(t) for t in trace.transactions[lo:hi])
+
+
+def unit_window(sampler: SamplerConfig, unit: int) -> Tuple[int, int]:
+    """The warming window ``(wlo, lo)`` of one sampled unit.
+
+    Transactions ``[wlo, lo)`` are replayed functionally and
+    ``[lo, unit]`` are detail-simulated.  A ``-1`` warmup or functional
+    window reaches back to the start of the trace.
+    """
+    lo = 0 if sampler.warmup < 0 else max(0, unit - sampler.warmup)
+    if sampler.functional_window < 0:
+        return 0, lo
+    return max(0, lo - sampler.functional_window), lo
 
 
 def append_unit_jobs(
@@ -128,44 +151,24 @@ def append_unit_jobs(
     ``jobs`` list — the returned indices are absolute — so a whole
     sampled sweep runs under a single ``JobRunner.run`` fan-out.
     """
-    sampler = plan.config
     units: List[_UnitJobs] = []
     for unit in plan.sampled_units:
-        if sampler.warmup < 0:
-            lo = 0
-        else:
-            lo = max(0, unit - sampler.warmup)
-        if sampler.functional_window < 0:
-            wlo = 0
-        else:
-            wlo = max(0, lo - sampler.functional_window)
+        wlo, lo = unit_window(plan.config, unit)
         warm = _slice(trace, wlo, lo) if lo > wlo else None
-        pair = _UnitJobs(unit=unit, job_with=len(jobs), job_without=None)
-        jobs.append(
-            SimJob(config=config, trace=_slice(trace, lo, unit + 1),
-                   warmup=warm)
+        # The run including the unit and, after a nonempty tail, the
+        # run stopping just before it.
+        ends = [unit + 1] if lo == unit else [unit + 1, unit]
+        units.append(_UnitJobs(
+            unit=unit,
+            job_with=len(jobs),
+            job_without=len(jobs) + 1 if lo < unit else None,
+            detailed_records=sum(_records(trace, lo, hi) for hi in ends),
+            warmed_records=len(ends) * _records(trace, wlo, lo),
+        ))
+        jobs.extend(
+            SimJob(config=config, trace=_slice(trace, lo, hi), warmup=warm)
+            for hi in ends
         )
-        detailed = sum(
-            transaction_records(t)
-            for t in trace.transactions[lo:unit + 1]
-        )
-        if lo < unit:
-            pair.job_without = len(jobs)
-            jobs.append(
-                SimJob(config=config, trace=_slice(trace, lo, unit),
-                       warmup=warm)
-            )
-            detailed += sum(
-                transaction_records(t)
-                for t in trace.transactions[lo:unit]
-            )
-        pair.detailed_records = detailed
-        warmed = sum(
-            transaction_records(t) for t in trace.transactions[wlo:lo]
-        )
-        pair.warmed_records = warmed * (2 if pair.job_without is not None
-                                        else 1)
-        units.append(pair)
     return units
 
 
@@ -182,6 +185,56 @@ def unit_values(
         )
         out[pair.unit] = _difference(with_unit, without)
     return out
+
+
+def _estimates(
+    plan: SamplePlan, values: Dict[int, Dict[str, float]]
+) -> Dict[str, Estimate]:
+    """The HT total estimate of every metric in :data:`METRICS`."""
+    return {
+        m: estimate_total(plan, {i: v[m] for i, v in values.items()})
+        for m in METRICS
+    }
+
+
+def _paired(
+    seq: Dict[int, Dict[str, float]], cur: Dict[int, Dict[str, float]]
+) -> Dict[int, Dict[str, float]]:
+    """Each unit's SEQUENTIAL and measured-mode vectors merged under
+    ``seq.*`` and ``cur.*`` keys.
+
+    The units were sampled in lockstep across modes, so a ratio of the
+    two is paired: the jackknife deletes a unit from numerator and
+    denominator together.
+    """
+    return {
+        unit: {
+            **{f"seq.{k}": v for k, v in seq[unit].items()},
+            **{f"cur.{k}": v for k, v in cur[unit].items()},
+        }
+        for unit in cur
+    }
+
+
+def _speedup(plan: SamplePlan, paired: Dict[int, Dict[str, float]]
+             ) -> Estimate:
+    """Jackknife CI of the paired speedup over SEQUENTIAL."""
+    return jackknife_statistic(
+        plan, paired,
+        lambda total: total("seq.total_cycles") / total("cur.total_cycles"),
+    )
+
+
+def _sampler_params(sampler: SamplerConfig) -> Dict[str, object]:
+    """The sampling parameters a result reports."""
+    return {
+        "rate": sampler.rate,
+        "strata": sampler.strata,
+        "seed": sampler.seed,
+        "warmup": sampler.warmup,
+        "functional_window": sampler.functional_window,
+        "guard": sampler.guard,
+    }
 
 
 @dataclass
@@ -209,44 +262,52 @@ class SampleAccounting:
             return 1.0
         return self.records_detailed / self.records_total_estimated
 
+    def manifest_fields(self) -> Dict[str, object]:
+        """The accounting fields of a manifest's sampler section."""
+        return {
+            "achieved_coverage": self.detailed_fraction,
+            "transactions_sampled": self.transactions_sampled,
+            "transactions_total": self.transactions_total,
+            "records_detailed": self.records_detailed,
+        }
+
+    def summary(self) -> str:
+        """One line for a rendered report."""
+        return (
+            f"sampled {self.transactions_sampled}/"
+            f"{self.transactions_total} transactions; "
+            f"detail-simulated {self.records_detailed} records = "
+            f"{self.detailed_fraction:.1%} of the estimated "
+            f"~{self.records_total_estimated:.0f}-record trace"
+        )
+
 
 def _accounting(
-    trace: WorkloadTrace,
-    plan: SamplePlan,
-    units: Sequence[_UnitJobs],
+    parts: Sequence[Tuple[WorkloadTrace, SamplePlan, Sequence[_UnitJobs]]],
     fully_recorded: bool,
 ) -> SampleAccounting:
-    per_unit_records = {
-        i: float(transaction_records(trace.transactions[i]))
-        for i in plan.sampled_units
-    }
-    estimated = estimate_total(plan, per_unit_records).point
+    """The accounting of (trace, plan, unit jobs) parts, summed."""
+    units = [u for _trace, _plan, part_units in parts for u in part_units]
     return SampleAccounting(
-        transactions_total=plan.n_units,
-        transactions_sampled=len(plan.sampled_units),
+        transactions_total=sum(plan.n_units for _t, plan, _u in parts),
+        transactions_sampled=sum(
+            len(plan.sampled_units) for _t, plan, _u in parts
+        ),
         records_detailed=sum(u.detailed_records for u in units),
         records_warmed=sum(u.warmed_records for u in units),
         records_total=(
-            sum(transaction_records(t) for t in trace.transactions)
+            sum(
+                transaction_records(t)
+                for trace, _p, _u in parts for t in trace.transactions
+            )
             if fully_recorded else None
         ),
-        records_total_estimated=estimated,
-    )
-
-
-def _merge_accounting(parts: Sequence[SampleAccounting]
-                      ) -> SampleAccounting:
-    return SampleAccounting(
-        transactions_total=sum(p.transactions_total for p in parts),
-        transactions_sampled=sum(p.transactions_sampled for p in parts),
-        records_detailed=sum(p.records_detailed for p in parts),
-        records_warmed=sum(p.records_warmed for p in parts),
-        records_total=(
-            None if any(p.records_total is None for p in parts)
-            else sum(p.records_total for p in parts)
-        ),
         records_total_estimated=sum(
-            p.records_total_estimated for p in parts
+            estimate_total(plan, {
+                i: float(transaction_records(trace.transactions[i]))
+                for i in plan.sampled_units
+            }).point
+            for trace, plan, _u in parts
         ),
     )
 
@@ -272,13 +333,10 @@ def estimate_workload(
         )
     jobs: List[SimJob] = []
     units = append_unit_jobs(trace, config, plan, jobs)
-    results = runner.run(jobs)
-    values = unit_values(results, units)
-    estimates = {
-        m: estimate_total(plan, {i: v[m] for i, v in values.items()})
-        for m in METRICS
-    }
-    return estimates, plan, _accounting(trace, plan, units, True)
+    values = unit_values(runner.run(jobs), units)
+    return _estimates(plan, values), plan, _accounting(
+        [(trace, plan, units)], True
+    )
 
 
 @dataclass
@@ -326,11 +384,7 @@ class SampledFigure5Result:
             },
         }
         if self.accounting is not None:
-            a = self.accounting
-            block["achieved_coverage"] = a.detailed_fraction
-            block["transactions_sampled"] = a.transactions_sampled
-            block["transactions_total"] = a.transactions_total
-            block["records_detailed"] = a.records_detailed
+            block.update(self.accounting.manifest_fields())
         return block
 
     def render(self) -> str:
@@ -356,14 +410,7 @@ class SampledFigure5Result:
             ))
             sections.append("")
         if self.accounting is not None:
-            a = self.accounting
-            sections.append(
-                f"sampled {a.transactions_sampled}/"
-                f"{a.transactions_total} transactions; detail-simulated "
-                f"{a.records_detailed} records "
-                f"({a.detailed_fraction:.1%} of "
-                f"~{a.records_total_estimated:.0f})"
-            )
+            sections.append(self.accounting.summary())
         return "\n".join(sections)
 
 
@@ -373,27 +420,12 @@ def _ratio_estimates(
     mode: str,
     n_cpus: int,
 ) -> Dict[str, Estimate]:
-    """Jackknife CIs for the mode's ratio metrics (fractions, speedup).
-
-    The units were sampled in lockstep across modes, so merging each
-    unit's SEQUENTIAL and mode vectors makes the speedup a paired
-    ratio — the jackknife deletes the unit from numerator and
-    denominator together.
-    """
-    seq = mode_values[ExecutionMode.SEQUENTIAL]
-    cur = mode_values[mode]
-    merged = {
-        unit: {
-            **{f"seq.{k}": v for k, v in seq[unit].items()},
-            **{f"cur.{k}": v for k, v in cur[unit].items()},
-        }
-        for unit in cur
-    }
-    out: Dict[str, Estimate] = {}
-    out["speedup"] = jackknife_statistic(
-        plan, merged,
-        lambda total: total("seq.total_cycles") / total("cur.total_cycles"),
+    """Jackknife CIs for the mode's ratio metrics (fractions, speedup),
+    paired with SEQUENTIAL (see :func:`_paired`)."""
+    merged = _paired(
+        mode_values[ExecutionMode.SEQUENTIAL], mode_values[mode]
     )
+    out: Dict[str, Estimate] = {"speedup": _speedup(plan, merged)}
     out["normalized"] = jackknife_statistic(
         plan, merged,
         lambda total: total("cur.total_cycles") / total("seq.total_cycles"),
@@ -436,12 +468,10 @@ def run_figure5_sampled(
     jobs: List[SimJob] = []
     plans: Dict[str, SamplePlan] = {}
     pairing: Dict[Tuple[str, str], List[_UnitJobs]] = {}
-    traces: Dict[Tuple[str, bool], WorkloadTrace] = {}
+    parts = []  # (trace, plan, unit jobs) of every bar
     for benchmark in benchmarks:
         tls = ctx.trace(benchmark, tls_mode=True)
         seq = ctx.trace(benchmark, tls_mode=False)
-        traces[(benchmark, True)] = tls
-        traces[(benchmark, False)] = seq
         # One plan per benchmark, stratified by the TLS trace's
         # dependence density; reused across modes so every mode
         # simulates the same transactions (paired speedups).
@@ -455,46 +485,29 @@ def run_figure5_sampled(
                 trace, MachineConfig.for_mode(mode), plans[benchmark],
                 jobs,
             )
+            parts.append(
+                (trace, plans[benchmark], pairing[(benchmark, mode)])
+            )
     results = ctx.run(jobs)
 
-    result = SampledFigure5Result(
-        sampler={
-            "rate": sampler.rate,
-            "strata": sampler.strata,
-            "seed": sampler.seed,
-            "warmup": sampler.warmup,
-            "functional_window": sampler.functional_window,
-            "guard": sampler.guard,
-        },
-    )
-    accounting_parts: List[SampleAccounting] = []
+    result = SampledFigure5Result(sampler=_sampler_params(sampler))
+    n_cpus = MachineConfig.for_mode(ExecutionMode.BASELINE).n_cpus
     for benchmark in benchmarks:
         plan = plans[benchmark]
         mode_values = {
             mode: unit_values(results, pairing[(benchmark, mode)])
             for mode in modes
         }
-        n_cpus = MachineConfig.for_mode(ExecutionMode.BASELINE).n_cpus
         for mode in modes:
-            values = mode_values[mode]
-            estimates = {
-                m: estimate_total(
-                    plan, {i: v[m] for i, v in values.items()}
-                )
-                for m in METRICS
-            }
+            estimates = _estimates(plan, mode_values[mode])
             estimates.update(
                 _ratio_estimates(plan, mode_values, mode, n_cpus)
             )
             result.bars.append(SampledBar(
                 benchmark=benchmark, mode=mode, estimates=estimates,
             ))
-            trace = traces[(benchmark, mode != ExecutionMode.SEQUENTIAL)]
-            accounting_parts.append(_accounting(
-                trace, plan, pairing[(benchmark, mode)], True
-            ))
         result.plans[benchmark] = plan.describe()
-    result.accounting = _merge_accounting(accounting_parts)
+    result.accounting = _accounting(parts, True)
     return result
 
 
@@ -531,11 +544,7 @@ class HugeRunResult:
         if self.speedup is not None:
             block["speedup"] = estimate_json(self.speedup)
         if self.accounting is not None:
-            a = self.accounting
-            block["achieved_coverage"] = a.detailed_fraction
-            block["transactions_sampled"] = a.transactions_sampled
-            block["transactions_total"] = a.transactions_total
-            block["records_detailed"] = a.records_detailed
+            block.update(self.accounting.manifest_fields())
         return block
 
     def render(self) -> str:
@@ -564,14 +573,7 @@ class HugeRunResult:
                 f"±{self.speedup.half_width:.2f} (95% CI)"
             )
         if self.accounting is not None:
-            a = self.accounting
-            out.append(
-                f"sampled {a.transactions_sampled}/"
-                f"{a.transactions_total} transactions; "
-                f"detail-simulated {a.records_detailed} records = "
-                f"{a.detailed_fraction:.1%} of the estimated "
-                f"~{a.records_total_estimated:.0f}-record trace"
-            )
+            out.append(self.accounting.summary())
         return "\n".join(out)
 
 
@@ -593,12 +595,13 @@ def run_huge(
     generation from the precomputed type sequence, and generation mutes
     every transaction outside the sampled warmup windows, so neither
     time nor memory is spent recording work that will never be
-    simulated.  The functional-warming window is capped (unlike the
-    mid-size default of "the whole prefix") because an O(prefix) warm
-    per unit would make the whole run quadratic.
+    simulated.  The functional-warming window is capped at
+    :data:`HUGE_FUNCTIONAL_WINDOW` (unlike the mid-size default of "the
+    whole prefix") because an O(prefix) warm per unit would make the
+    whole run quadratic.
     """
     sampler = sampler or SamplerConfig(
-        rate=0.01, warmup=4, functional_window=16
+        rate=0.01, warmup=4, functional_window=HUGE_FUNCTIONAL_WINDOW
     )
     if sampler.functional_window < 0 or sampler.warmup < 0:
         # A full-prefix window would re-record (and re-warm) nearly the
@@ -612,72 +615,50 @@ def run_huge(
     scale = scale or TPCCScale.huge()
     types = mix_type_sequence(n_transactions=n_transactions, seed=seed)
     plan = build_plan(n_transactions, sampler, labels=types)
-
-    window = sampler.warmup + sampler.functional_window
+    # Record exactly the transactions some unit's jobs replay.
     record: set = set()
     for unit in plan.sampled_units:
-        record.update(range(max(0, unit - window), unit + 1))
+        record.update(range(unit_window(sampler, unit)[0], unit + 1))
 
-    values_by_mode: Dict[str, Dict[int, Dict[str, float]]] = {}
-    accounting_parts: List[SampleAccounting] = []
     jobs: List[SimJob] = []
     pairing: Dict[str, List[_UnitJobs]] = {}
-    traces: Dict[str, WorkloadTrace] = {}
+    parts = []
     for mode in modes:
-        tls_mode = mode != ExecutionMode.SEQUENTIAL
-        trace = generate_sampled_mix_workload(
-            tls_mode=tls_mode,
-            n_transactions=n_transactions,
-            seed=seed,
-            scale=scale,
-            record_indices=record,
-        ).trace
-        traces[mode] = trace
+        span = (
+            contextlib.nullcontext() if runner.tracer is None
+            else runner.tracer.span(
+                "harness.trace", kind="mix", mode=mode,
+                recorded=len(record),
+            )
+        )
+        with span:
+            trace = generate_sampled_mix_workload(
+                tls_mode=mode != ExecutionMode.SEQUENTIAL,
+                n_transactions=n_transactions,
+                seed=seed,
+                scale=scale,
+                record_indices=record,
+            ).trace
         pairing[mode] = append_unit_jobs(
             trace, MachineConfig.for_mode(mode), plan, jobs
         )
+        parts.append((trace, plan, pairing[mode]))
     results = runner.run(jobs)
-    for mode in modes:
-        values_by_mode[mode] = unit_values(results, pairing[mode])
-        accounting_parts.append(
-            _accounting(traces[mode], plan, pairing[mode], False)
-        )
+    values = {mode: unit_values(results, pairing[mode]) for mode in modes}
 
     result = HugeRunResult(
         n_transactions=n_transactions,
         scale="huge",
-        sampler={
-            "rate": sampler.rate,
-            "strata": sampler.strata,
-            "seed": sampler.seed,
-            "warmup": sampler.warmup,
-            "functional_window": sampler.functional_window,
-            "guard": sampler.guard,
-        },
+        sampler=_sampler_params(sampler),
+        estimates={mode: _estimates(plan, values[mode]) for mode in modes},
         plan=plan.describe(),
+        accounting=_accounting(parts, False),
     )
-    for mode in modes:
-        values = values_by_mode[mode]
-        result.estimates[mode] = {
-            m: estimate_total(plan, {i: v[m] for i, v in values.items()})
-            for m in METRICS
-        }
     if (
-        ExecutionMode.SEQUENTIAL in values_by_mode
-        and ExecutionMode.BASELINE in values_by_mode
+        ExecutionMode.SEQUENTIAL in values
+        and ExecutionMode.BASELINE in values
     ):
-        seq = values_by_mode[ExecutionMode.SEQUENTIAL]
-        base = values_by_mode[ExecutionMode.BASELINE]
-        merged = {
-            unit: {
-                "seq.total": seq[unit]["total_cycles"],
-                "base.total": base[unit]["total_cycles"],
-            }
-            for unit in base
-        }
-        result.speedup = jackknife_statistic(
-            plan, merged,
-            lambda total: total("seq.total") / total("base.total"),
-        )
-    result.accounting = _merge_accounting(accounting_parts)
+        result.speedup = _speedup(plan, _paired(
+            values[ExecutionMode.SEQUENTIAL], values[ExecutionMode.BASELINE]
+        ))
     return result

@@ -12,9 +12,10 @@ transaction sequence under the recorder, producing a
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..minidb import Database, EngineOptions
 from ..trace import (
@@ -77,6 +78,58 @@ class GeneratedWorkload:
     results: list
 
 
+def _generate(
+    name: str,
+    pick: Callable[[int, InputGenerator], str],
+    tls_mode: bool,
+    options: Optional[EngineOptions],
+    n_transactions: int,
+    seed: int,
+    scale: Optional[TPCCScale],
+    costs: Optional[CostModel],
+    n_cpus: int,
+    label: bool,
+    record_indices: Optional[Set[int]] = None,
+) -> GeneratedWorkload:
+    """The one generation loop behind every ``generate_*`` function.
+
+    Loads a fresh database, then runs transaction ``i`` of type
+    ``pick(i, gen)`` under the recorder; ``pick`` may draw from ``gen``,
+    the input generator the transactions share.  Only indices in
+    ``record_indices`` keep their records (``None`` keeps all).  With
+    ``label``, each result is copied into a dict that gains a
+    ``"_type"`` key naming its transaction.
+    """
+    if options is None:
+        options = (
+            EngineOptions.optimized()
+            if tls_mode
+            else EngineOptions.unoptimized()
+        )
+    scale = scale or TPCCScale()
+    recorder = TraceRecorder(costs=costs or default_costs())
+    recorder.scratch_arenas = max(1, n_cpus)
+    db, state = fresh_database(scale, recorder=recorder, options=options)
+    gen = InputGenerator(scale, seed=seed)
+    workload = WorkloadTrace(name=name)
+    results = []
+    for i in range(n_transactions):
+        kind = pick(i, gen)
+        builder = TransactionTraceBuilder(
+            f"{kind}[{i}]", recorder, tls_mode=tls_mode,
+            record=record_indices is None or i in record_indices,
+        )
+        result = BENCHMARKS[kind](db, state, builder, gen)
+        if label:
+            result = dict(result)
+            result["_type"] = kind
+        results.append(result)
+        workload.transactions.append(builder.finish())
+    return GeneratedWorkload(
+        trace=workload, db=db, recorder=recorder, results=results
+    )
+
+
 def generate_workload(
     benchmark: str,
     tls_mode: bool = True,
@@ -100,34 +153,31 @@ def generate_workload(
     way worker threads are reused across CPUs, so a trace generated for
     4 CPUs would alias concurrent epochs' arenas on a wider machine.
     """
-    fn = BENCHMARKS.get(benchmark)
-    if fn is None:
+    if benchmark not in BENCHMARKS:
         raise ValueError(
             f"unknown benchmark {benchmark!r}; "
             f"choose from {sorted(BENCHMARKS)}"
         )
-    if options is None:
-        options = (
-            EngineOptions.optimized()
-            if tls_mode
-            else EngineOptions.unoptimized()
-        )
-    scale = scale or TPCCScale()
-    recorder = TraceRecorder(costs=costs or default_costs())
-    recorder.scratch_arenas = max(1, n_cpus)
-    db, state = fresh_database(scale, recorder=recorder, options=options)
-    gen = InputGenerator(scale, seed=seed)
-    workload = WorkloadTrace(name=benchmark)
-    results = []
-    for i in range(n_transactions):
-        builder = TransactionTraceBuilder(
-            f"{benchmark}[{i}]", recorder, tls_mode=tls_mode
-        )
-        results.append(fn(db, state, builder, gen))
-        workload.transactions.append(builder.finish())
-    return GeneratedWorkload(
-        trace=workload, db=db, recorder=recorder, results=results
+    return _generate(
+        benchmark, lambda i, gen: benchmark, tls_mode, options,
+        n_transactions, seed, scale, costs, n_cpus, label=False,
     )
+
+
+def _mix_weights(
+    mix: Optional[Dict[str, float]],
+) -> Tuple[List[str], List[float]]:
+    """A mix's transaction names, sorted, and their normalized weights
+    (``None`` is :data:`STANDARD_MIX`)."""
+    mix = mix or STANDARD_MIX
+    total = sum(mix.values())
+    if total <= 0:
+        raise ValueError("mix weights must be positive")
+    names = sorted(mix)
+    for name in names:
+        if name not in BENCHMARKS:
+            raise ValueError(f"unknown transaction {name!r} in mix")
+    return names, [mix[name] / total for name in names]
 
 
 def generate_mix_workload(
@@ -148,49 +198,20 @@ def generate_mix_workload(
     the same machinery.  Each transaction's result dict gains a
     ``"_type"`` key naming its transaction.
     """
-    mix = mix or STANDARD_MIX
-    total = sum(mix.values())
-    if total <= 0:
-        raise ValueError("mix weights must be positive")
-    for name in mix:
-        if name not in BENCHMARKS:
-            raise ValueError(f"unknown transaction {name!r} in mix")
-    if options is None:
-        options = (
-            EngineOptions.optimized()
-            if tls_mode
-            else EngineOptions.unoptimized()
-        )
-    scale = scale or TPCCScale()
-    recorder = TraceRecorder(costs=costs or default_costs())
-    recorder.scratch_arenas = max(1, n_cpus)
-    db, state = fresh_database(scale, recorder=recorder, options=options)
-    gen = InputGenerator(scale, seed=seed)
-    workload = WorkloadTrace(name="tpcc_mix")
-    results = []
-    names = sorted(mix)
-    cumulative = []
-    acc = 0.0
-    for name in names:
-        acc += mix[name] / total
-        cumulative.append(acc)
-    for i in range(n_transactions):
+    names, weights = _mix_weights(mix)
+    cumulative = list(itertools.accumulate(weights))
+
+    def pick(i: int, gen: InputGenerator) -> str:
+        # Drawn on the shared input RNG, interleaved with execution.
         draw = gen.rng.random()
-        pick = names[-1]
         for name, edge in zip(names, cumulative):
             if draw < edge:
-                pick = name
-                break
-        builder = TransactionTraceBuilder(
-            f"{pick}[{i}]", recorder, tls_mode=tls_mode
-        )
-        result = BENCHMARKS[pick](db, state, builder, gen)
-        result = dict(result)
-        result["_type"] = pick
-        results.append(result)
-        workload.transactions.append(builder.finish())
-    return GeneratedWorkload(
-        trace=workload, db=db, recorder=recorder, results=results
+                return name
+        return names[-1]
+
+    return _generate(
+        "tpcc_mix", pick, tls_mode, options, n_transactions, seed,
+        scale, costs, n_cpus, label=True,
     )
 
 
@@ -208,15 +229,7 @@ def mix_type_sequence(
     sampler can stratify hundreds of thousands of transactions by type
     before a single one has been generated.
     """
-    mix = mix or STANDARD_MIX
-    total = sum(mix.values())
-    if total <= 0:
-        raise ValueError("mix weights must be positive")
-    names = sorted(mix)
-    for name in names:
-        if name not in BENCHMARKS:
-            raise ValueError(f"unknown transaction {name!r} in mix")
-    weights = [mix[name] / total for name in names]
+    names, weights = _mix_weights(mix)
     rng = random.Random(f"tpcc-mix-types:{seed}")
     return rng.choices(names, weights=weights, k=n_transactions)
 
@@ -249,29 +262,8 @@ def generate_sampled_mix_workload(
     count, and seed to both to plan the sample before generating.
     """
     types = mix_type_sequence(mix, n_transactions, seed)
-    if options is None:
-        options = (
-            EngineOptions.optimized()
-            if tls_mode
-            else EngineOptions.unoptimized()
-        )
-    scale = scale or TPCCScale()
-    recorder = TraceRecorder(costs=costs or default_costs())
-    recorder.scratch_arenas = max(1, n_cpus)
-    db, state = fresh_database(scale, recorder=recorder, options=options)
-    gen = InputGenerator(scale, seed=seed)
-    workload = WorkloadTrace(name="tpcc_mix_sampled")
-    results = []
-    for i, pick in enumerate(types):
-        keep = record_indices is None or i in record_indices
-        builder = TransactionTraceBuilder(
-            f"{pick}[{i}]", recorder, tls_mode=tls_mode, record=keep
-        )
-        result = BENCHMARKS[pick](db, state, builder, gen)
-        result = dict(result)
-        result["_type"] = pick
-        results.append(result)
-        workload.transactions.append(builder.finish())
-    return GeneratedWorkload(
-        trace=workload, db=db, recorder=recorder, results=results
+    return _generate(
+        "tpcc_mix_sampled", lambda i, gen: types[i], tls_mode, options,
+        n_transactions, seed, scale, costs, n_cpus, label=True,
+        record_indices=record_indices,
     )

@@ -34,11 +34,13 @@ hypothesis suite in ``tests/test_sampling_property.py``:
   sampling variance cannot see.  Ratio metrics (fractions, speedups) get
   delete-one jackknife intervals instead, since a ratio of HT totals is
   not itself an HT total.
-* **Full coverage short-circuits.**  When the plan selects every unit
-  (``rate >= 1`` or tiny traces) callers must bypass sampling entirely
-  and run the exhaustive path — ``SamplePlan.covers_all`` makes that
-  decision explicit, and the harness uses it to keep
-  ``--sample-rate 1.0`` byte-identical to an unsampled run.
+* **Full coverage short-circuits.**  A rate of 1 selects every unit,
+  and the harness CLI then bypasses sampling entirely: it checks
+  ``sampler.rate < 1.0`` and otherwise runs the exhaustive path, which
+  keeps ``--sample-rate 1.0`` byte-identical to an unsampled run.  A
+  plan can also cover every unit at a lower rate (tiny traces under
+  ``min_per_stratum``); ``SamplePlan.covers_all`` says so, and the
+  sampled estimates are then exact.
 """
 
 from __future__ import annotations

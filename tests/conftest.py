@@ -8,6 +8,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro.harness.tracecache import ENV_CACHE_DIR
 from repro.memory.cache import CacheGeometry
 from repro.memory.l2 import ContextDirectory, SpeculativeL2
 from repro.sim import ExecutionMode, Machine, MachineConfig
@@ -38,6 +39,20 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/*.json from the current simulator "
         "output instead of comparing against it",
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trace_cache_dir(tmp_path_factory):
+    """The default trace cache of every test: a per-session directory.
+
+    A harness run without ``--trace-cache`` or ``--no-trace-cache``
+    uses ``$REPRO_TRACE_CACHE``, else ``~/.cache/repro-traces``; pointing
+    the variable here keeps the suite off the user's cache.
+    """
+    path = tmp_path_factory.mktemp("trace-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(ENV_CACHE_DIR, str(path))
+        yield path
 
 
 class DictDirectory(ContextDirectory):

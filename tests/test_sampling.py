@@ -26,6 +26,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -39,14 +40,15 @@ from repro.harness.sampled import (
     metric_vector,
     run_figure5_sampled,
     run_huge,
+    unit_window,
 )
 from repro.harness.runner import ExperimentContext
-from repro.obs import assert_valid
+from repro.obs import assert_valid, lint
 from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import TPCCScale, generate_sampled_mix_workload, \
     generate_workload
 from repro.trace.sampling import SamplerConfig, build_plan, \
-    transaction_density
+    transaction_density, transaction_records
 
 #: The metrics whose coverage the acceptance criterion pins.
 CHECK_METRICS = ("total_cycles",) + CYCLE_METRICS
@@ -330,12 +332,42 @@ def test_sampled_figure5_manifest_block_schema(sampled_figure5):
     assert_valid(json.loads(json.dumps(block)), kind="sampler")
 
 
+@dataclass
+class RecordingRunner(JobRunner):
+    """A JobRunner that keeps every job it is handed."""
+
+    seen: list = field(default_factory=list)
+
+    def run(self, sim_jobs):
+        sim_jobs = list(sim_jobs)
+        self.seen.extend(sim_jobs)
+        return super().run(sim_jobs)
+
+
+@pytest.mark.parametrize("warmup, window, unit, expected", [
+    (-1, 4, 9, (0, 0)),
+    (2, -1, 9, (0, 7)),
+    (2, 4, 1, (0, 0)),
+    (2, 4, 5, (0, 3)),
+    (2, 4, 9, (3, 7)),
+], ids=["full-detailed-prefix", "full-functional-prefix",
+        "unit-before-warmup", "window-clipped-at-start", "ordinary"])
+def test_unit_window(warmup, window, unit, expected):
+    sampler = SamplerConfig(warmup=warmup, functional_window=window)
+    assert unit_window(sampler, unit) == expected
+
+
 @pytest.fixture(scope="module")
-def huge_smoke(runner):
+def huge_runner():
+    return RecordingRunner()
+
+
+@pytest.fixture(scope="module")
+def huge_smoke(huge_runner):
     """A small run through the huge-scale path: 80 transactions with
     bounded warmup windows (2 detailed + 4 functionally warmed)."""
     return run_huge(
-        n_transactions=80, seed=2, runner=runner,
+        n_transactions=80, seed=2, runner=huge_runner,
         sampler=SamplerConfig(rate=0.05, warmup=2, functional_window=4),
         scale=TPCCScale(),
     )
@@ -358,6 +390,56 @@ def test_run_huge_smoke(huge_smoke):
     )
     assert acct.records_total_estimated > 0
     assert_valid(result.manifest_block(), kind="sampler")
+
+
+def test_run_huge_jobs_replay_only_recorded_transactions(
+    huge_smoke, huge_runner
+):
+    """Muted generation records exactly the windows the jobs replay:
+    no job holds an empty muted placeholder, and the jobs' records are
+    the ones the accounting reports."""
+    jobs = huge_runner.seen
+    assert jobs
+    for job in jobs:
+        for part in (job.trace, job.warmup):
+            for txn in part.transactions if part is not None else ():
+                assert txn.segments, f"{txn.name} is a muted placeholder"
+
+    def records(parts):
+        return sum(
+            transaction_records(t)
+            for part in parts if part is not None
+            for t in part.transactions
+        )
+
+    acct = huge_smoke.accounting
+    assert records(job.trace for job in jobs) == acct.records_detailed
+    assert records(job.warmup for job in jobs) == acct.records_warmed
+
+
+def test_traced_huge_spans_its_generation(tmp_path, capsys):
+    """A traced huge run puts each mode's muted generation in a
+    ``harness.trace`` span, and its log passes the schema lint."""
+    from repro.harness.__main__ import main
+
+    log = tmp_path / "run.jsonl"
+    assert main([
+        "huge", "--tiny", "--transactions", "30", "--sample-rate", "0.1",
+        "--no-trace-cache", "--trace-out", str(log),
+    ]) == 0
+    capsys.readouterr()
+    assert lint(log) == []
+    spans = [
+        r for r in map(json.loads, log.read_text().splitlines())
+        if r["type"] == "span" and r["name"] == "harness.trace"
+    ]
+    assert sorted(s["attrs"]["mode"] for s in spans) == sorted([
+        ExecutionMode.SEQUENTIAL, ExecutionMode.BASELINE
+    ])
+    for span in spans:
+        assert span["attrs"]["kind"] == "mix"
+        assert span["attrs"]["recorded"] > 0
+        assert span["parent"] == "experiment.huge"
 
 
 def test_run_huge_smoke_bytes_pinned(huge_smoke, tmp_path, request):

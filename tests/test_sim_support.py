@@ -8,8 +8,11 @@ import pytest
 from repro.core.accounting import Category, CycleCounters
 from repro.harness.__main__ import main as harness_main
 from repro.harness.report import render_stacked_bars, render_table
+from repro.harness.runner import ExperimentContext
+from repro.harness.tracecache import cache_path
 from repro.sim import ExecutionMode, MachineConfig
 from repro.sim.stats import SimulationStats
+from repro.tpcc import BENCHMARKS, TPCCScale
 
 
 class TestCycleCounters:
@@ -148,10 +151,19 @@ class TestHarnessCLI:
         out = capsys.readouterr().out
         assert "start tables" in out
 
-    def test_tiny_scale_flag(self, capsys):
+    def test_tiny_scale_flag(self, capsys, trace_cache_dir):
         assert harness_main(["table2", "--tiny", "--transactions", "1"]) == 0
         out = capsys.readouterr().out
         assert "NEW ORDER" in out
+        # The run used the default trace cache, which the session
+        # fixture points away from the user's.
+        ctx = ExperimentContext(n_transactions=1, scale=TPCCScale.tiny())
+        traces = {
+            cache_path(ctx.spec(benchmark, tls_mode=tls), trace_cache_dir)
+            for benchmark in BENCHMARKS for tls in (True, False)
+        }
+        assert len(traces) == 14
+        assert traces <= set(trace_cache_dir.iterdir())
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -167,12 +179,15 @@ class TestHarnessCLI:
          "--sample-strata"),
         (["all", "--sample-rate", "0.3", "--sample-warmup", "-2"],
          "--sample-warmup"),
+        (["huge", "--sample-rate", "0.1", "--sample-warmup", "-1"],
+         "--sample-warmup"),
         (["table1", "--tiny", "--scale", "huge"], "--tiny"),
         (["table1", "--trace-cache", "unused-cache-dir", "--no-trace-cache"],
          "--trace-cache"),
     ], ids=["transactions-0", "transactions-neg", "jobs-neg",
             "sample-rate-0", "sample-rate-neg", "sample-strata-0",
-            "sample-warmup-neg", "tiny-with-scale",
+            "sample-warmup-neg", "huge-sample-warmup-unbounded",
+            "tiny-with-scale",
             "trace-cache-with-no-trace-cache"])
     def test_out_of_range_flag_rejected_before_running(self, capsys,
                                                        argv, flag):
