@@ -2,7 +2,9 @@
 
 ``python -m repro.harness report run.jsonl`` renders, from a traced run:
 
-* the manifest header (who/what/when produced the run);
+* the manifest header (who/what/when produced the run), the wall time
+  from the closing ``run.finish`` event and the number of traces
+  materialized (``harness.trace`` spans);
 * the top wall-clock spans, grouped by name — where the harness spent
   its time (trace generation vs compilation vs simulation);
 * a Figure-5-style cycle breakdown aggregated over every simulated job's
@@ -67,6 +69,15 @@ def _manifest_of(records: List[dict]) -> Optional[dict]:
             manifest = rec.get("manifest")
             if isinstance(manifest, dict):
                 return manifest
+    return None
+
+
+def _wall_seconds(records: List[dict]) -> Optional[float]:
+    """Wall time of the run, from its closing ``run.finish`` event (the
+    opening manifest is written before the run)."""
+    for rec in reversed(records):
+        if rec.get("type") == "event" and rec.get("name") == "run.finish":
+            return rec.get("attrs", {}).get("wall_seconds")
     return None
 
 
@@ -228,17 +239,18 @@ def render_report(path, top_spans: int = 12, top_pairs: int = 10) -> str:
             f"  python {manifest.get('python_version')}"
             f"  cpus {manifest.get('cpu_count')}"
         )
-        wall = manifest.get("wall_seconds")
-        traces = manifest.get("trace_spec_keys") or []
-        header.append(
-            f"wall time: {wall if wall is not None else '?'}s"
-            f"  traces: {len(traces)}"
-        )
     else:
         header.append("manifest: MISSING (log did not start cleanly?)")
+    groups = _span_groups(records)
+    wall = _wall_seconds(records)
+    # One harness.trace span per trace the run materialized.
+    traces = int(groups.get("harness.trace", {}).get("count", 0))
+    header.append(
+        f"wall time: {wall if wall is not None else '?'}s"
+        f"  traces: {traces}"
+    )
     sections.append("\n".join(header))
 
-    groups = _span_groups(records)
     if groups:
         ranked = sorted(
             groups.items(), key=lambda kv: kv[1]["total"], reverse=True

@@ -20,14 +20,16 @@ nothing can interrupt it.  A speculative epoch may be squashed or reach
 a sub-thread checkpoint between any two records, so it dispatches the
 run record by record; the chained event loop keeps that cheap.
 
-**Pre-resolved line tuples.**  Every LOAD/STORE record is lowered to an
-interned tuple of per-line ``(line, sub_addr, word_mask, load_bits,
-private)`` entries: the cache lines the access touches, the access
-clipped to each line, the word mask within the line, the mask the L2
-would record for a speculative load (full-line under line-granularity
-tracking), and the region-privacy classification below.  These are pure
-functions of the immutable cache geometry, so they are exact in every
-execution mode.
+**Pre-resolved line tuples.**  Every LOAD/STORE record is lowered to a
+``(MEM, lines)`` entry whose ``lines`` is a tuple of per-line
+``(line, sub_addr, word_mask, load_bits, private)`` entries: the cache
+lines the access touches, the access clipped to each line, the word mask
+within the line, the mask the L2 would record for a speculative load
+(full-line under line-granularity tracking), and the region-privacy
+classification below.  These are pure functions of the immutable cache
+geometry, so they are exact in every execution mode.  Every record of a
+region that makes the same ``(addr, size)`` access shares one entry
+object.
 
 **Region-private line classification.**  A line touched by exactly one
 epoch of the region is *private*; a line touched by two or more is
@@ -140,8 +142,9 @@ def compile_region(
     width = pipeline.issue_width
     op_latency = _op_latency_table(pipeline)
 
-    #: (addr, size) -> interned per-line tuple.  Privacy is a property of
-    #: the line within the region, so the interning is region-wide.
+    #: (addr, size) -> ``(MEM, lines)``: one entry per distinct access,
+    #: shared by every record that makes it.  Privacy is a property of
+    #: the line within the region, so the sharing is region-wide.
     mem_cache: Dict[Tuple[int, int], tuple] = {}
 
     def lines_for(addr: int, size: int) -> tuple:
@@ -164,9 +167,9 @@ def compile_region(
             load_bits = full_line_mask if line_granularity else wmask
             private = owner[line] != _SHARED
             lines.append((line, sub_addr, wmask, load_bits, private))
-        interned = tuple(lines)
-        mem_cache[(addr, size)] = interned
-        return interned
+        entry = (MEM, tuple(lines))
+        mem_cache[(addr, size)] = entry
+        return entry
 
     for trace in epoch_traces:
         records = trace.records
@@ -177,7 +180,7 @@ def compile_region(
             rec = records[i]
             kind = rec[0]
             if kind == Rec.LOAD or kind == Rec.STORE:
-                entries[i] = (MEM, lines_for(rec[1], rec[2]))
+                entries[i] = lines_for(rec[1], rec[2])
                 i += 1
                 continue
             if not batches or kind not in _BATCHABLE:

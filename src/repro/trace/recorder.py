@@ -10,11 +10,15 @@ the target is :data:`MUTED`) first.
 
 A :class:`NullRecorder` with the same interface lets minidb run untraced
 (used by the storage-engine unit tests).
+
+Only a few percent of the records a workload produces are distinct, so
+finished traces keep one tuple per distinct record (:func:`intern_records`):
+equal records are one object, and a record's identity means nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .addressmap import AddressMap, PCRegistry
 from .costs import CostModel, default_costs
@@ -25,6 +29,7 @@ from .events import (
     Record,
     SerialSegment,
     TransactionTrace,
+    record_instruction_count,
 )
 
 
@@ -42,6 +47,25 @@ class _Muted:
 MUTED = _Muted()
 
 Target = Union[List[Record], _Muted, None]
+
+
+def intern_records(records: Sequence[Record],
+                   table: Dict[Record, Record]) -> Tuple[Record, ...]:
+    """``records`` as a tuple in which each record equal to one already
+    in ``table`` is replaced by that one (and new ones are added).
+
+    Equal records then share one tuple and its int objects.  The table
+    is keyed by value, so ``(BRANCH, pc, True)`` would merge with
+    ``(BRANCH, pc, 1)``; every producer writes a bool there, and trace
+    JSON holds ``true``/``false``, so no serialized byte changes.
+    """
+    return tuple(map(table.setdefault, records, records))
+
+
+def _has_instructions(records: Sequence[Record]) -> bool:
+    # Counts are never negative, so "any non-zero" is "sum > 0" without
+    # visiting every record.
+    return any(map(record_instruction_count, records))
 
 
 class NullRecorder:
@@ -116,6 +140,9 @@ class TraceRecorder(NullRecorder):
         if pcs is not None:
             self.pcs = pcs
         self._current: Target = None
+        #: Intern table of every record this recorder's finished
+        #: transactions hold (see :func:`intern_records`).
+        self.interned: Dict[Record, Record] = {}
         #: Pending COMPUTE count, coalesced into one record at the next
         #: non-compute event (keeps record counts small).
         self._pending_compute = 0
@@ -296,18 +323,22 @@ class TransactionTraceBuilder:
             # Muted transaction: keep a placeholder so transaction
             # indices stay aligned with the full run.
             return TransactionTrace(name=self.name)
-        # Drop empty segments so coverage numbers aren't polluted.
-        self._trace.segments = [
-            s for s in self._trace.segments if s.instruction_count > 0
-        ]
-        # Freeze the records: CPython stops tracking a tuple whose items
-        # are all untracked, so full collections stop walking them.
+        # Drop empty segments so coverage numbers aren't polluted, and
+        # freeze the records of the rest into tuples of interned records:
+        # CPython stops tracking a tuple whose items are all untracked,
+        # so full collections stop walking them.
+        table = self.recorder.interned
+        kept = []
         for seg in self._trace.segments:
             if isinstance(seg, SerialSegment):
-                seg.records = tuple(seg.records)
-            else:
+                if _has_instructions(seg.records):
+                    seg.records = intern_records(seg.records, table)
+                    kept.append(seg)
+            elif any(_has_instructions(e.records) for e in seg.epochs):
                 for epoch in seg.epochs:
-                    epoch.records = tuple(epoch.records)
+                    epoch.records = intern_records(epoch.records, table)
+                kept.append(seg)
+        self._trace.segments = kept
         return self._trace
 
     def _target(self, records: List[Record]) -> Target:

@@ -7,13 +7,14 @@ regenerating it — the same role the paper's on-disk instruction traces
 play for their simulator.
 
 Format: a single JSON object with a version tag; records are flat JSON
-arrays (tuples round-trip as lists and are converted back on load).
+arrays (tuples round-trip as lists and are converted back on load, where
+equal records share one tuple, as in a freshly recorded trace).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Dict, Sequence
 
 from .events import (
     EpochTrace,
@@ -23,6 +24,7 @@ from .events import (
     TransactionTrace,
     WorkloadTrace,
 )
+from .recorder import intern_records
 
 FORMAT_VERSION = 1
 
@@ -34,9 +36,10 @@ def _records_out(records: Sequence[Record]) -> list:
     return list(records)
 
 
-def _records_in(raw: list) -> Sequence[Record]:
-    # A tuple, as TransactionTraceBuilder.finish leaves recorded traces.
-    return tuple(map(tuple, raw))
+def _records_in(raw: list, table: Dict[Record, Record]) -> Sequence[Record]:
+    # A tuple of interned records, as TransactionTraceBuilder.finish
+    # leaves recorded traces.
+    return intern_records(list(map(tuple, raw)), table)
 
 
 def workload_to_dict(workload: WorkloadTrace) -> dict:
@@ -86,12 +89,15 @@ def workload_from_dict(doc: dict) -> WorkloadTrace:
             f"(expected {FORMAT_VERSION})"
         )
     workload = WorkloadTrace(name=doc["name"])
+    table: Dict[Record, Record] = {}
     for txn_doc in doc["transactions"]:
         txn = TransactionTrace(name=txn_doc["name"])
         for seg_doc in txn_doc["segments"]:
             if seg_doc["type"] == "serial":
                 txn.segments.append(
-                    SerialSegment(records=_records_in(seg_doc["records"]))
+                    SerialSegment(
+                        records=_records_in(seg_doc["records"], table)
+                    )
                 )
             elif seg_doc["type"] == "parallel":
                 txn.segments.append(
@@ -99,7 +105,7 @@ def workload_from_dict(doc: dict) -> WorkloadTrace:
                         epochs=[
                             EpochTrace(
                                 epoch_id=e["epoch_id"],
-                                records=_records_in(e["records"]),
+                                records=_records_in(e["records"], table),
                             )
                             for e in seg_doc["epochs"]
                         ]

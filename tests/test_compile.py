@@ -22,14 +22,20 @@ from repro.harness.figure6 import run_figure6
 from repro.harness.runner import ExperimentContext, JobRunner
 from repro.harness.tracecache import materialize
 from repro.sim import ExecutionMode, Machine, MachineConfig
-from repro.tpcc import TPCCScale
+from repro.tpcc import BENCHMARKS, TPCCScale, generate_workload
 from repro.trace.compile import (
     BATCH,
     MEM,
     classify_lines,
     compile_region,
 )
-from repro.trace.events import EpochTrace, Op, Rec, SerialSegment
+from repro.trace.events import (
+    EpochTrace,
+    Op,
+    Rec,
+    SerialSegment,
+    record_instruction_count,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "figure5_tiny.json"
 
@@ -150,11 +156,22 @@ class TestMemoryLowering:
             assert load_bits == wmask
 
     def test_line_tuples_interned_across_epochs(self):
-        records = [(Rec.LOAD, 0x1000, 4, 0x400000)]
-        a = EpochTrace(epoch_id=0, records=list(records))
-        b = EpochTrace(epoch_id=1, records=list(records))
+        """Every record of a region that makes the same (addr, size)
+        access, load or store, from any PC or epoch, holds one entry."""
+        a = EpochTrace(epoch_id=0, records=[
+            (Rec.LOAD, 0x1000, 4, 0x400000),
+            (Rec.COMPUTE, 3),
+            (Rec.STORE, 0x1000, 4, 0x400010),
+            (Rec.LOAD, 0x1000, 8, 0x400000),
+        ])
+        b = EpochTrace(epoch_id=1, records=[(Rec.LOAD, 0x1000, 4, 0x400020)])
         comp = compile_region([a, b], _l2(), PipelineConfig())
-        assert comp.epochs[0][0][1] is comp.epochs[1][0][1]
+        first = comp.epochs[0][0]
+        assert first[0] == MEM
+        assert comp.epochs[0][2] is first
+        assert comp.epochs[1][0] is first
+        assert comp.epochs[0][3][0] == MEM
+        assert comp.epochs[0][3] is not first  # (addr, 8): another access
 
     def test_private_vs_shared_classification(self):
         l2 = _l2()
@@ -188,6 +205,112 @@ class TestMemoryLowering:
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
         assert comp.shared_lines == 0
         assert comp.private_lines == 2
+
+
+def _reference_lowering(epoch_traces, l2, pipeline, batches):
+    """Per-record lowering written for clarity, not speed: every record
+    is lowered on its own, and batch costs come from CorePipeline.
+    Returns (per-epoch entries, private, shared)."""
+    geom = l2.geom
+    owner = {}
+    for idx, trace in enumerate(epoch_traces):
+        for rec in trace.records:
+            if rec[0] in (Rec.LOAD, Rec.STORE):
+                for line in geom.lines_touched(rec[1], rec[2]):
+                    owner[line] = idx if owner.get(line, idx) == idx else -1
+
+    def mem_entry(addr, size):
+        end = addr + max(size, 1)
+        lines = []
+        for line in geom.lines_touched(addr, size):
+            sub_addr = max(addr, line)
+            sub_size = max(1, min(end, line + geom.line_size) - sub_addr)
+            wmask = l2.word_mask(sub_addr, sub_size)
+            load_bits = (
+                l2._full_line_mask if l2.line_granularity_loads else wmask
+            )
+            lines.append(
+                (line, sub_addr, wmask, load_bits, owner[line] != -1)
+            )
+        return (MEM, tuple(lines))
+
+    batchable = (Rec.COMPUTE, Rec.OP, Rec.BRANCH, Rec.TLS_OVERHEAD)
+    epochs = []
+    for trace in epoch_traces:
+        records = trace.records
+        entries = [None] * len(records)
+        i = 0
+        while i < len(records):
+            rec = records[i]
+            if rec[0] in (Rec.LOAD, Rec.STORE):
+                entries[i] = mem_entry(rec[1], rec[2])
+                i += 1
+                continue
+            j = i
+            while (batches and j < len(records)
+                   and records[j][0] in batchable):
+                j += 1
+            if j - i < 2:
+                i += 1
+                continue
+            run = records[i:j]
+            cpu = CorePipeline(pipeline)
+            busy = sum(
+                cpu.compute_cycles(r[1]) if r[0] == Rec.COMPUTE
+                else cpu.op_cycles(r[1], r[2]) if r[0] == Rec.OP
+                else 1 if r[0] == Rec.BRANCH
+                else 0
+                for r in run
+            )
+            overhead = sum(
+                cpu.compute_cycles(r[1])
+                for r in run if r[0] == Rec.TLS_OVERHEAD
+            )
+            entries[i] = (
+                BATCH, j, busy, overhead,
+                sum(map(record_instruction_count, run)),
+                tuple((r[1], r[2]) for r in run if r[0] == Rec.BRANCH),
+            )
+            i = j
+        epochs.append(tuple(entries))
+    shared = sum(1 for o in owner.values() if o == -1)
+    return epochs, len(owner) - shared, shared
+
+
+@pytest.fixture(scope="module")
+def tiny_regions():
+    """Every region of tiny traces of all 7 benchmarks in both modes,
+    as the machine forms them (a serial segment is one epoch)."""
+    regions = []
+    for benchmark in sorted(BENCHMARKS):
+        for tls_mode in (True, False):
+            trace = generate_workload(
+                benchmark, tls_mode=tls_mode, n_transactions=2, seed=42,
+                scale=TPCCScale.tiny(),
+            ).trace
+            for txn in trace.transactions:
+                for seg in txn.segments:
+                    if isinstance(seg, SerialSegment):
+                        regions.append([
+                            EpochTrace(epoch_id=-1, records=seg.records)
+                        ])
+                    else:
+                        regions.append(seg.epochs)
+    return regions
+
+
+@pytest.mark.parametrize("batches", [True, False],
+                         ids=["batches", "no-batches"])
+def test_lowering_matches_per_record_reference(tiny_regions, batches):
+    l2 = _l2()
+    pipeline = PipelineConfig()
+    assert any(len(region) == 1 for region in tiny_regions)
+    assert any(len(region) > 1 for region in tiny_regions)
+    for region in tiny_regions:
+        comp = compile_region(region, l2, pipeline, batches=batches)
+        assert (comp.epochs, comp.private_lines, comp.shared_lines) == (
+            _reference_lowering(region, l2, pipeline, batches)
+        )
 
 
 # ----------------------------------------------------------------------

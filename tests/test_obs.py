@@ -6,6 +6,7 @@ import glob
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from conftest import crashing_workload
 
 from repro.core.profiling import DependenceProfiler, ExposedLoadTable
+from repro.harness.__main__ import main as harness_main
 from repro.harness.export import export_json
 from repro.harness.parallel import (
     JobFailure,
@@ -386,6 +388,20 @@ class TestTracedRunner:
         lines = [ln for ln in report.splitlines() if "idle" in ln]
         assert any("tls_seq" in ln for ln in lines)
         assert any("baseline" in ln for ln in lines)
+
+    def test_report_header_reads_the_closing_event(self, tmp_path,
+                                                   capsys):
+        """The header's wall time comes from the closing ``run.finish``
+        event and its trace count from the ``harness.trace`` spans: the
+        log's opening manifest is written before either exists."""
+        log = tmp_path / "run.jsonl"
+        assert harness_main([
+            "table2", "--tiny", "--transactions", "1", "--no-trace-cache",
+            "--trace-out", str(log),
+        ]) == 0
+        capsys.readouterr()
+        header = render_report(log).splitlines()[2]
+        assert re.fullmatch(r"wall time: \d+(\.\d+)?s  traces: 14", header)
 
     def test_untraced_machine_identical(self):
         # Tracing changes observation only, never simulation results.

@@ -1,13 +1,21 @@
 """Tests for trace records, the recorder, address map, and cost models."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.tpcc import (
+    TPCCScale,
+    generate_sampled_mix_workload,
+    generate_workload,
+)
 from repro.trace import (
     AddressMap,
     CostModel,
     EpochTrace,
+    Op,
     ParallelRegion,
     PCRegistry,
     Rec,
@@ -19,6 +27,8 @@ from repro.trace import (
     default_costs,
     paper_scale_costs,
     record_instruction_count,
+    workload_from_dict,
+    workload_to_dict,
 )
 
 
@@ -221,6 +231,31 @@ class TestTransactionTraceBuilder:
         trace = b.finish()
         assert trace.segments == []
 
+    def test_zero_instruction_segments_dropped(self):
+        """A segment is kept when any record retires an instruction; a
+        region keeps a zero-instruction epoch next to a non-empty one."""
+        rec = TraceRecorder(costs=CostModel(tls_spawn=0))
+        b = TransactionTraceBuilder("t", rec)
+        b.begin_serial()
+        rec.op(Op.FP, 0)
+        b.begin_parallel()
+        b.begin_epoch()
+        rec.op(Op.FP, 0)
+        b.begin_epoch()
+        rec.compute(5)
+        b.end_parallel()
+        b.begin_serial()
+        rec.op(Op.FP, 0)
+        b.begin_parallel()
+        b.begin_epoch()
+        rec.op(Op.FP, 0)
+        b.end_parallel()
+        trace = b.finish()
+        kinds = [type(s).__name__ for s in trace.segments]
+        assert kinds == ["ParallelRegion"]
+        assert [len(e.records) for e in trace.epochs()] == [1, 1]
+        assert trace.instruction_count == 5
+
     def test_multiple_regions(self):
         rec = TraceRecorder()
         b = TransactionTraceBuilder("t", rec)
@@ -247,3 +282,60 @@ class TestTransactionTraceBuilder:
         b.end_parallel()
         b.begin_serial()
         assert rec.epoch_hint == -1
+
+
+def _records(workload):
+    for txn in workload.transactions:
+        for seg in txn.segments:
+            if isinstance(seg, SerialSegment):
+                yield from seg.records
+            else:
+                for epoch in seg.epochs:
+                    yield from epoch.records
+
+
+def _dump(workload) -> str:
+    return json.dumps(workload_to_dict(workload), separators=(",", ":"))
+
+
+class TestRecordInterning:
+    """Finished and loaded traces hold one tuple per distinct record."""
+
+    @staticmethod
+    def assert_interned(workload):
+        recs = list(_records(workload))
+        distinct = set(recs)
+        assert len(distinct) < len(recs)  # the check has something to see
+        assert len({id(r) for r in recs}) == len(distinct)
+
+    @pytest.fixture(scope="class", params=[True, False],
+                    ids=["tls", "sequential"])
+    def generated(self, request):
+        """A tiny generated workload and a sampled mix whose first
+        payment and new_order are muted (as tests/test_trace_pins.py)."""
+        tiny = TPCCScale.tiny()
+        return (
+            generate_workload(
+                "new_order", tls_mode=request.param, n_transactions=2,
+                seed=42, scale=tiny,
+            ).trace,
+            generate_sampled_mix_workload(
+                tls_mode=request.param, n_transactions=8, seed=7,
+                scale=tiny, record_indices={2, 3, 4},
+            ).trace,
+        )
+
+    def test_generated_records_interned(self, generated):
+        for workload in generated:
+            self.assert_interned(workload)
+
+    def test_loaded_records_interned(self, generated):
+        for workload in generated:
+            self.assert_interned(
+                workload_from_dict(json.loads(_dump(workload)))
+            )
+
+    def test_dump_load_dump_bytes_identical(self, generated):
+        for workload in generated:
+            text = _dump(workload)
+            assert _dump(workload_from_dict(json.loads(text))) == text
