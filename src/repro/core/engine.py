@@ -160,16 +160,6 @@ class TLSEngine:
         self.value_predictions_used = 0
 
     # ------------------------------------------------------------------
-    # ContextDirectory interface (tests bind the engine to an L2)
-    # ------------------------------------------------------------------
-
-    def order_of(self, ctx: int) -> int:
-        return self.directory.order[ctx]
-
-    def subidx_of(self, ctx: int) -> int:
-        return self.directory.subidx[ctx]
-
-    # ------------------------------------------------------------------
     # Epoch lifecycle
     # ------------------------------------------------------------------
 
@@ -208,11 +198,10 @@ class TLSEngine:
                 (cpu + 1) * self.config.max_subthreads,
             )
         )
-        if speculative or True:
-            # Even a homefree epoch gets sub-thread 0 for bookkeeping
-            # (cycle accounting, store masks); its accesses simply don't
-            # set speculative bits.
-            self._open_subthread(epoch, now)
+        # Even a homefree epoch gets sub-thread 0 for bookkeeping (cycle
+        # accounting, store masks); its accesses simply don't set
+        # speculative bits.
+        self._open_subthread(epoch, now)
         return epoch
 
     def _open_subthread(self, epoch: EpochExecution, now: float) -> None:

@@ -118,8 +118,9 @@ class EpochExecution:
         #: this epoch (see :meth:`charge_failed_interval`).
         self.failed_intervals: List[Tuple[float, float]] = []
         #: Compiled entries parallel to ``trace.records`` (see
-        #: :mod:`repro.trace.compile`); None when trace compilation is
-        #: disabled.  Replay metadata only — never protocol state.
+        #: :mod:`repro.trace.compile`), set by the machine when the epoch
+        #: starts; every entry is None under interpreted replay.  Replay
+        #: metadata only — never protocol state.
         self.compiled: Optional[Sequence] = None
         #: Union of every live sub-thread's store mask, per line — makes
         #: :meth:`covers_load` a single dict probe.  Rebuilt from the

@@ -112,7 +112,7 @@ _worker_heartbeats = None
 def _init_worker(cache_dir, config_overrides=None, heartbeats=None) -> None:
     """Install this worker's runner: the parent's trace cache and config
     overrides, a trace memo of its own, and no tracer (the parent emits
-    the per-job telemetry from the returned stats)."""
+    the per-job span and telemetry from the returned stats and time)."""
     global _worker_runner, _worker_heartbeats
     _worker_runner = JobRunner(
         trace_cache=cache_dir, config_overrides=config_overrides
@@ -174,12 +174,15 @@ def _warm_spec(spec: TraceSpec):
 
 
 def _run_job(job: SimJob):
-    """Simulate one job; returns ``(SimulationStats, tracecache delta)``."""
+    """Simulate one job; returns ``(SimulationStats, tracecache delta,
+    seconds)``, where ``seconds`` is the wall time ``run_one`` took."""
     label = describe_job(job)
     _beat(label)
     before = dict(TRACECACHE_STATS)
     try:
-        return _worker_runner.run_one(job), _stats_delta(before)
+        start = time.perf_counter()
+        stats = _worker_runner.run_one(job)
+        return stats, _stats_delta(before), time.perf_counter() - start
     except Exception:
         raise JobFailure(
             f"job {label} failed in worker {os.getpid()}:\n"
@@ -228,12 +231,13 @@ def run_jobs_parallel(
     trace_cache=None,
     config_overrides=None,
     progress: Optional["ProgressReporter"] = None,
-    on_done: Optional[Callable[[int, SimulationStats], None]] = None,
+    on_done: Optional[Callable[[int, SimulationStats, float], None]] = None,
 ) -> List[SimulationStats]:
     """Run a job list over ``n_workers`` processes, results in job order.
 
-    ``on_done(index, stats)`` is called in this process as each job
-    completes, in completion order.
+    ``on_done(index, stats, seconds)`` is called in this process as each
+    job completes, in completion order; ``seconds`` is the wall time the
+    job took in its worker.
     """
     jobs = list(jobs)
     n_workers = max(1, min(n_workers, len(jobs)))
@@ -265,11 +269,13 @@ def run_jobs_parallel(
             for _, (_, delta) in _drain(warm, None, None):
                 merge_tracecache_stats(delta)
         futures = [pool.submit(_run_job, job) for job in jobs]
-        for i, (stats, delta) in _drain(futures, progress, heartbeats):
+        for i, (stats, delta, seconds) in _drain(
+            futures, progress, heartbeats
+        ):
             merge_tracecache_stats(delta)
             results[i] = stats
             if on_done is not None:
-                on_done(i, stats)
+                on_done(i, stats, seconds)
         return results
     except BrokenProcessPool as exc:
         unfinished = [

@@ -309,16 +309,29 @@ class JobRunner:
         if self.jobs > 1 and len(sim_jobs) > 1:
             from .parallel import describe_job, run_jobs_parallel
 
-            results = run_jobs_parallel(
+            tracer = self.tracer
+
+            def done(i: int, stats: SimulationStats, seconds: float) -> None:
+                if tracer is not None:
+                    # Workers can't share the tracer: as each result
+                    # arrives, write the job's span, ending now and
+                    # starting its worker run time earlier, and its
+                    # counters.
+                    job = sim_jobs[i]
+                    label = describe_job(job)
+                    tracer.end_span(
+                        "harness.job",
+                        round(max(0.0, tracer.now() - seconds), 6),
+                        job=label,
+                    )
+                    self._emit_job_telemetry(job, label, stats)
+                finished(i, stats)
+
+            run_jobs_parallel(
                 sim_jobs, self.jobs, self.trace_cache,
                 config_overrides=self.config_overrides,
-                progress=reporter, on_done=finished,
+                progress=reporter, on_done=done,
             )
-            if self.tracer is not None:
-                # Workers can't share the tracer; emit their per-job
-                # counters from the collected results instead.
-                for job, stats in zip(sim_jobs, results):
-                    self._emit_job_telemetry(job, describe_job(job), stats)
         else:
             for i, job in enumerate(sim_jobs):
                 finished(i, self.run_one(job))

@@ -59,8 +59,8 @@ class ContextDirectory:
     ``order_of(ctx)`` returns the logical order (a monotonically increasing
     global epoch sequence number) of the epoch owning the context, and
     ``subidx_of(ctx)`` the context's sub-thread index within that epoch.
-    Any object with those two methods can serve the L2 (unit tests bind
-    plain dicts, or the engine itself).
+    Any object with those two methods can serve the L2 (some unit tests
+    bind a stand-in).
     """
 
     __slots__ = ("order", "subidx")

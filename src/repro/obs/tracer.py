@@ -70,23 +70,29 @@ class SpanTracer:
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:
         """Record the enclosed block as a span named ``name``."""
-        parent = self._stack[-1] if self._stack else None
         self._stack.append(name)
         t0 = self.now()
         try:
             yield
         finally:
             self._stack.pop()
-            t1 = self.now()
-            self._write({
-                "type": "span",
-                "name": name,
-                "t0": t0,
-                "t1": t1,
-                "dur": round(t1 - t0, 6),
-                "parent": parent,
-                "attrs": attrs,
-            })
+            self.end_span(name, t0, **attrs)
+
+    def end_span(self, name: str, t0: float, **attrs: Any) -> None:
+        """Record a span named ``name`` from ``t0`` (tracer time) to now,
+        under the innermost open span.  For work timed where the tracer
+        is not, such as a pool worker's job, pass ``now()`` minus its
+        duration."""
+        t1 = self.now()
+        self._write({
+            "type": "span",
+            "name": name,
+            "t0": t0,
+            "t1": t1,
+            "dur": round(t1 - t0, 6),
+            "parent": self._stack[-1] if self._stack else None,
+            "attrs": attrs,
+        })
 
     def counter(self, name: str, values: Dict[str, float],
                 **attrs: Any) -> None:

@@ -76,7 +76,7 @@ class MachineConfig:
     #: Pre-lower traces once per region (repro.trace.compile): coalesced
     #: super-records, interned per-line tuples, and the private/shared
     #: line classification behind the conflict-aware memory fast path;
-    #: compiled regions run on the chained dispatch loop
+    #: compiled regions also chain their events in the event loop
     #: (repro.sim.engine_core).
     #: Byte-identical to interpreted replay — every cycle count and
     #: statistic matches; ``--no-compile-traces`` on the harness CLI (or

@@ -7,18 +7,26 @@ hottest code in the simulator.  Shared state reaches it through
 builds; cross-object work (rewinds, latches, epoch finish and commit)
 calls back into ``Machine`` methods, which are cold.
 
-A region runs on one of two dispatch paths:
+There is one dispatch loop.  A compiled region (the default) adds three
+optimizations to it:
 
-* **Interpreted** (``compile_traces=False``): one record per heap event,
-  dispatched by record kind.  This is the reference path that tests,
-  the differential fuzzer and the CI ``cmp`` checks compare against.
-* **Chained** (every compiled region): loads and stores walk their
-  precompiled line tuples, and a compute run of a non-speculative epoch
-  dispatches as one super-record (``Machine._do_batch``).  When a CPU's
-  next event would be the very next heap pop anyway ((time, cpu) sorts
-  before the heap top), the loop processes that record in-line instead
-  of pushing and popping it.  The canonical event order is unchanged by
-  construction, so both paths produce byte-identical statistics.
+* loads and stores walk their precompiled line tuples with the L1 and
+  bank work inlined, and a store to a region-private line skips the
+  violation scan and the synchronized-load wakeup;
+* a compute run of a non-speculative epoch dispatches as one
+  super-record (``Machine._do_batch``);
+* when a CPU's next event would be the very next heap pop anyway
+  ((time, cpu) sorts before the heap top), the loop processes that
+  record in-line instead of pushing and popping it (chaining).
+
+Interpreted replay (``compile_traces=False``) runs the same loop with
+no compiled entries and no chaining: each load and store takes the
+reference memory path (``Machine._do_load``/``_do_store``, then
+``TLSEngine.load``/``store`` and ``SpeculativeL2.load``/``store``), and
+every next event goes through the heap.  Every other record kind runs
+the same body either way.  The canonical event order is unchanged by
+construction, so both produce byte-identical statistics; the
+differential fuzzer and the CI ``cmp`` checks compare them.
 
 The per-event dispatch is merged into the loop rather than called as a
 method: one Python frame per heap event was measurable at this event
@@ -47,8 +55,9 @@ def run_event_loop(machine):
     """Drain one region's event heap until every epoch has committed.
 
     ``machine`` is the owning :class:`repro.sim.machine.Machine`;
-    ``_run_region`` has already scheduled the region's first epochs and,
-    for a compiled region, built the per-CPU hoist tuples.  Reads
+    ``_run_region`` has already scheduled the region's first epochs,
+    given each its entry tuple (all ``None`` under interpreted replay)
+    and built the per-CPU hoist tuples.  Reads
     ``machine._region_remaining`` fresh each iteration — epoch commits
     mutate it through ``_finish_epoch``.
     """
@@ -57,7 +66,7 @@ def run_event_loop(machine):
     heappop = heapq.heappop
     invariants = machine._invariants
     engine = machine.engine
-    chained = machine._region_compiled is not None
+    chained = machine._compile_enabled
     while machine._region_remaining > 0:
         if not heap:
             machine._break_deadlock()
@@ -71,87 +80,16 @@ def run_event_loop(machine):
             continue
         if now > machine.now:
             machine.now = now
-        if not chained:
-            # Interpreted dispatch: one record per heap event.
-            if invariants is not None:
-                invariants.on_step(machine)
-            cursor = epoch.cursor
-            if cursor >= epoch.n_records:  # inline epoch.done
-                machine._finish_epoch(cpu, epoch, now)
-                continue
-            # Sub-thread start policy (between records).  Non-
-            # speculative epochs never open sub-threads, so skip the
-            # engine call for them; under fixed spacing the distance
-            # check needs no policy call either (the engine's own
-            # first test is the same comparison).
-            if epoch.speculative:
-                spacing = machine._subthread_spacing
-                if (
-                    spacing is None
-                    or epoch.instrs_since_checkpoint >= spacing
-                ) and (
-                    len(epoch.subthreads) < machine._max_subthreads
-                ) and engine.maybe_start_subthread(epoch, now):
-                    machine._emit(now, SUBTHREAD_START, epoch)
-                    cost = machine._subthread_start_cost
-                    if cost:
-                        epoch.accrue(Category.OVERHEAD, cost)
-                        machine._schedule(cpu, now + cost)
-                        continue
-            t_next = None
-            rec = epoch.records[cursor]
-            kind = rec[0]
-            if kind == Rec.COMPUTE:
-                t_next = machine._do_compute(
-                    cpu, epoch, rec[1], Category.BUSY, now
-                )
-            elif kind == Rec.TLS_OVERHEAD:
-                t_next = machine._do_compute(
-                    cpu, epoch, rec[1], Category.OVERHEAD, now
-                )
-            elif kind == Rec.OP:
-                cycles = cpu.pipeline.op_cycles(rec[1], rec[2])
-                # epoch.retire + epoch.accrue, inlined.
-                epoch.instrs_since_checkpoint += rec[2]
-                cp = epoch.subthreads[-1]
-                cp.instructions += rec[2]
-                cp.pending.cycles[_BUSY] += cycles
-                epoch.cursor = cursor + 1
-                t_next = now + cycles
-            elif kind == Rec.BRANCH:
-                cycles = cpu.pipeline.branch_cycles(rec[1], rec[2])
-                epoch.instrs_since_checkpoint += 1
-                cp = epoch.subthreads[-1]
-                cp.instructions += 1
-                cp.pending.cycles[_BUSY] += cycles
-                epoch.cursor = cursor + 1
-                t_next = now + cycles
-            elif kind == Rec.LOAD:
-                machine._do_load(cpu, epoch, rec, now)
-            elif kind == Rec.STORE:
-                machine._do_store(cpu, epoch, rec, now)
-            elif kind == Rec.LATCH_ACQ:
-                machine._do_latch_acquire(cpu, epoch, rec, now)
-            elif kind == Rec.LATCH_REL:
-                machine._do_latch_release(cpu, epoch, rec, now)
-            else:
-                raise ValueError(f"unknown record kind {kind}")
-            if t_next is not None:
-                cpu.event_version += 1
-                _heappush(heap, (t_next, cpu_idx, cpu.event_version))
-            continue
-        # -- Chained compiled dispatch ------------------------------
         # Chaining is safe for any epoch: the chain condition at the
         # bottom admits only events that would be the very next heap
         # pop, so the canonical event order is preserved — no other
         # CPU processes anything between chained steps.  Everything
-        # the per-record dispatchers rebind per call is hoisted here
-        # once per heap event and stays live across the chain; the
-        # two mutation points that can invalidate a binding rebind
-        # (sub-thread checkpoints) or break the chain (rewinds of
-        # this epoch) explicitly.  The record bodies are the compiled
-        # forms of Machine._do_load / _do_store / _do_compute and the
-        # interpreted OP/BRANCH arms, and charge exactly what they do.
+        # the per-record bodies need is hoisted here once per heap
+        # event and stays live across the chain; the two mutation
+        # points that can invalidate a binding rebind (sub-thread
+        # checkpoints) or break the chain (rewinds of this epoch)
+        # explicitly.  The compiled load and store bodies charge
+        # exactly what Machine._do_load / _do_store charge.
         records = epoch.records
         n_records = epoch.n_records
         compiled = epoch.compiled
@@ -252,123 +190,52 @@ def run_event_loop(machine):
                         )
                     machine._fast_loads += 1
                     stall = 0.0
-                    if not speculative:
-                        for (line, _sub_addr, _mask, load_bits,
-                             _private) in entry[1]:
-                            if line in l1_resident:
-                                # l1.access hit, inlined: bump the
-                                # counter and refresh LRU order.
-                                l1.hits += 1
-                                order_l = l1_sets[
-                                    (line >> l1_shift) & l1_mask
-                                ]._order
-                                if order_l[-1] != line:
-                                    order_l.remove(line)
-                                    order_l.append(line)
+                    for (line, sub_addr, mask, load_bits,
+                         _private) in entry[1]:
+                        if line in l1_resident:
+                            # l1.access hit, inlined: bump the counter
+                            # and refresh LRU order.
+                            l1.hits += 1
+                            cset = l1_sets[(line >> l1_shift) & l1_mask]
+                            order_l = cset._order
+                            if order_l[-1] != line:
+                                order_l.remove(line)
+                                order_l.append(line)
+                            if not speculative:
                                 continue
-                            l1.misses += 1
-                            hit, result = l2_load(
-                                line, order, None, False, load_bits
-                            )
-                            if hit:
-                                # banks.reserve + L2 latency, inlined
-                                # (pow2 bank selection; the generic
-                                # fallback keeps the method call).
-                                if bank_mask is not None:
-                                    bank = (
-                                        line >> bank_shift
-                                    ) & bank_mask
-                                    s = bank_free[bank]
-                                    if now > s:
-                                        s = now
-                                    else:
-                                        banks.contention_cycles += (
-                                            s - now
-                                        )
-                                    bank_free[bank] = s + bank_occ
-                                    ready = s + l2_lat
-                                else:
-                                    ready = (
-                                        banks_reserve(line, now)
-                                        + l2_lat
-                                    )
-                            else:
-                                ready = chan_reserve(
-                                    banks_reserve(line, now) + l2_lat
-                                ) + mem_lat
-                                if result.memory_accesses > 1:
-                                    for _ in range(
-                                        result.memory_accesses - 1
-                                    ):
-                                        msys.extra_memory_transfer(now)
-                                if result.invalidated_lines:
-                                    machine._apply_inclusion(
-                                        result.invalidated_lines
-                                    )
-                            if overlap:
-                                if (
-                                    len(cpu.outstanding)
-                                    >= machine._mshr_entries
-                                ):
-                                    oldest_ready, _ = (
-                                        cpu.outstanding.pop(0)
-                                    )
-                                    if oldest_ready - now > stall:
-                                        stall = oldest_ready - now
-                                cpu.outstanding.append((
-                                    ready,
-                                    pipeline.instructions_retired,
-                                ))
-                            elif ready - now > stall:
-                                stall = ready - now
-                            l1.fill(line, spec=False, subidx=-1)
-                    else:
-                        for (line, sub_addr, mask, load_bits,
-                             _private) in entry[1]:
-                            if line in l1_resident:
-                                # l1.access + is_notified +
-                                # mark_spec, inlined: one dict chain
-                                # to the L1Line instead of three
-                                # lookups through method calls.
-                                l1.hits += 1
-                                cset = l1_sets[
-                                    (line >> l1_shift) & l1_mask
-                                ]
-                                order_l = cset._order
-                                if order_l[-1] != line:
-                                    order_l.remove(line)
-                                    order_l.append(line)
-                                lobj = cset._by_tag[line]
-                                if not lobj.notified:
-                                    written = su.get(line)
-                                    if written is None or (
-                                        mask & ~written
-                                    ):
-                                        exposed = True
-                                        if vp and (
-                                            engine
-                                            ._value_prediction_hits(
-                                                epoch, sub_addr, pc
-                                            )
-                                        ):
-                                            exposed = False
-                                            engine \
-                                                .value_predictions_used \
-                                                += 1
-                                        l2_load(
-                                            line, order, ctx,
-                                            exposed, load_bits,
-                                        )
-                                        banks_reserve(line, now)
-                                        if exposed:
-                                            elt_update(line, pc)
-                                            lobj.spec = True
-                                            if subidx > lobj.subidx:
-                                                lobj.subidx = subidx
-                                            l1._spec_tags.add(line)
-                                            lobj.notified = True
+                            # is_notified + covers_load + mark_spec,
+                            # inlined: one dict chain to the L1Line
+                            # instead of lookups through method calls.
+                            lobj = cset._by_tag[line]
+                            if lobj.notified:
                                 continue
-                            l1.misses += 1
+                            written = su.get(line)
+                            if written is not None and not (
+                                mask & ~written
+                            ):
+                                continue
+                            # First exposed access to this line: notify
+                            # the L2 asynchronously (a bank slot, no
+                            # stall).
+                            exposed = True
+                            if vp and engine._value_prediction_hits(
+                                epoch, sub_addr, pc
+                            ):
+                                exposed = False
+                                engine.value_predictions_used += 1
+                            l2_load(line, order, ctx, exposed, load_bits)
+                            banks_reserve(line, now)
+                            if exposed:
+                                elt_update(line, pc)
+                                lobj.spec = True
+                                if subidx > lobj.subidx:
+                                    lobj.subidx = subidx
+                                l1._spec_tags.add(line)
+                                lobj.notified = True
+                            continue
+                        l1.misses += 1
+                        exposed = False
+                        if speculative:
                             written = su.get(line)
                             exposed = written is None or bool(
                                 mask & ~written
@@ -380,64 +247,51 @@ def run_event_loop(machine):
                             ):
                                 exposed = False
                                 engine.value_predictions_used += 1
-                            hit, result = l2_load(
-                                line, order, ctx, exposed, load_bits
-                            )
-                            if exposed:
-                                elt_update(line, pc)
-                            if hit:
-                                # banks.reserve + L2 latency, inlined.
-                                if bank_mask is not None:
-                                    bank = (
-                                        line >> bank_shift
-                                    ) & bank_mask
-                                    s = bank_free[bank]
-                                    if now > s:
-                                        s = now
-                                    else:
-                                        banks.contention_cycles += (
-                                            s - now
-                                        )
-                                    bank_free[bank] = s + bank_occ
-                                    ready = s + l2_lat
+                        hit, result = l2_load(
+                            line, order, ctx, exposed, load_bits
+                        )
+                        if exposed:
+                            elt_update(line, pc)
+                        if hit:
+                            # banks.reserve + L2 latency, inlined (pow2
+                            # bank selection; the generic fallback keeps
+                            # the method call).
+                            if bank_mask is not None:
+                                bank = (line >> bank_shift) & bank_mask
+                                s = bank_free[bank]
+                                if now > s:
+                                    s = now
                                 else:
-                                    ready = (
-                                        banks_reserve(line, now)
-                                        + l2_lat
-                                    )
+                                    banks.contention_cycles += s - now
+                                bank_free[bank] = s + bank_occ
+                                ready = s + l2_lat
                             else:
-                                ready = chan_reserve(
-                                    banks_reserve(line, now) + l2_lat
-                                ) + mem_lat
-                                if result.memory_accesses > 1:
-                                    for _ in range(
-                                        result.memory_accesses - 1
-                                    ):
-                                        msys.extra_memory_transfer(now)
-                                if result.invalidated_lines:
-                                    machine._apply_inclusion(
-                                        result.invalidated_lines
-                                    )
-                            if overlap:
-                                if (
-                                    len(cpu.outstanding)
-                                    >= machine._mshr_entries
-                                ):
-                                    oldest_ready, _ = (
-                                        cpu.outstanding.pop(0)
-                                    )
-                                    if oldest_ready - now > stall:
-                                        stall = oldest_ready - now
-                                cpu.outstanding.append((
-                                    ready,
-                                    pipeline.instructions_retired,
-                                ))
-                            elif ready - now > stall:
-                                stall = ready - now
-                            l1.fill(
-                                line, spec=True, subidx=subidx,
-                                notified=exposed,
+                                ready = banks_reserve(line, now) + l2_lat
+                        else:
+                            ready = chan_reserve(
+                                banks_reserve(line, now) + l2_lat
+                            ) + mem_lat
+                            if result.memory_accesses > 1:
+                                for _ in range(result.memory_accesses - 1):
+                                    msys.extra_memory_transfer(now)
+                            if result.invalidated_lines:
+                                machine._apply_inclusion(
+                                    result.invalidated_lines
+                                )
+                        if overlap:
+                            if len(cpu.outstanding) >= machine._mshr_entries:
+                                oldest_ready, _ = cpu.outstanding.pop(0)
+                                if oldest_ready - now > stall:
+                                    stall = oldest_ready - now
+                            cpu.outstanding.append(
+                                (ready, pipeline.instructions_retired)
                             )
+                        elif ready - now > stall:
+                            stall = ready - now
+                        l1.fill(
+                            line, spec=speculative, subidx=subidx,
+                            notified=exposed,
+                        )
                     pending[_BUSY] += 1
                     if stall > 0:
                         pending[_MISS] += stall
@@ -556,7 +410,11 @@ def run_event_loop(machine):
                 # can interrupt it, so it runs as one super-record.
                 t_next = machine._do_batch(cpu, epoch, entry, now)
             elif kind == Rec.COMPUTE or kind == Rec.TLS_OVERHEAD:
-                # _do_compute, inlined.
+                # Retire (part of) a compute record.  Speculative slices
+                # stay bounded: sub-thread boundaries land exactly on
+                # the spacing schedule even inside long straight-line
+                # code, and a violation arriving mid-slice
+                # mis-attributes at most one slice of cycles to Failed.
                 count = rec[1]
                 chunk = count - epoch.offset
                 if speculative:
@@ -611,6 +469,14 @@ def run_event_loop(machine):
                 pending[_BUSY] += cycles
                 epoch.cursor = cursor + 1
                 t_next = now + cycles
+            elif kind == Rec.LOAD:
+                # No compiled entry (interpreted replay): the reference
+                # memory path, which schedules this CPU's next event.
+                machine._do_load(cpu, epoch, rec, now)
+                break
+            elif kind == Rec.STORE:
+                machine._do_store(cpu, epoch, rec, now)
+                break
             elif kind == Rec.LATCH_ACQ:
                 machine._do_latch_acquire(cpu, epoch, rec, now)
                 break
@@ -621,16 +487,14 @@ def run_event_loop(machine):
                 raise ValueError(f"unknown record kind {kind}")
             if t_next is None:
                 break  # blocked, squashed, or rescheduled elsewhere
-            if heap:
-                top = heap[0]
-                if t_next > top[0] or (
-                    t_next == top[0] and cpu_idx > top[1]
-                ):
-                    cpu.event_version += 1
-                    _heappush(
-                        heap, (t_next, cpu_idx, cpu.event_version)
-                    )
-                    break
+            # Interpreted replay never chains: one record per heap event.
+            if not chained or heap and (
+                t_next > heap[0][0]
+                or (t_next == heap[0][0] and cpu_idx > heap[0][1])
+            ):
+                cpu.event_version += 1
+                _heappush(heap, (t_next, cpu_idx, cpu.event_version))
+                break
             # Our next event would be the very next pop: process it
             # in-line instead of a push/pop round-trip.
             if t_next > machine.now:

@@ -9,10 +9,16 @@ The simulation is discrete-event: a global heap orders per-CPU "next
 record" events by cycle, so every memory reference, latch operation, and
 violation is processed in global time order.  Events at the same cycle
 are processed in CPU-index order — a canonical tie-break independent of
-scheduling history, so replaying a trace through the compiled fast path
-(:mod:`repro.trace.compile`) interleaves CPUs identically to the
-per-record interpreted path.  COMPUTE batches advance a CPU's clock many
-cycles at once without interacting with other CPUs.
+scheduling history.  One event loop (:mod:`repro.sim.engine_core`)
+dispatches every record.  With compiled traces
+(:mod:`repro.trace.compile`, the default) it walks precompiled line
+tuples, batches a non-speculative epoch's compute runs and chains a
+CPU's events in-line; interpreted replay (``compile_traces=False``)
+sends loads and stores through :meth:`Machine._do_load` /
+:meth:`Machine._do_store`, the reference memory path, and pushes every
+event through the heap.  Both interleave CPUs identically.  COMPUTE
+batches advance a CPU's clock many cycles at once without interacting
+with other CPUs.
 
 Scheduling model: a parallel region's epochs are assigned to CPUs in
 logical order, round-robin; a CPU picks up the next unstarted epoch only
@@ -58,7 +64,6 @@ from .timeline import (
 
 # Category keys hoisted to module level for the per-record hot paths.
 _BUSY = Category.BUSY
-_MISS = Category.MISS
 _OVERHEAD = Category.OVERHEAD
 
 
@@ -100,8 +105,8 @@ class _CPU:
         #: each miss was issued.
         self.outstanding: List[Tuple[float, int]] = []
         self.retired_at_oldest_miss = 0
-        #: Per-region tuple of hot dispatch bindings (chained compiled
-        #: dispatch); rebuilt by _run_region, unpacked once per event.
+        #: Per-region tuple of hot dispatch bindings; rebuilt by
+        #: _run_region, unpacked by the event loop once per heap event.
         self.hoist: Optional[tuple] = None
 
 
@@ -207,8 +212,8 @@ class Machine:
         self._other_l1s = [
             [o.l1 for o in self.cpus if o is not c] for c in self.cpus
         ]
-        # Trace compilation (repro.trace.compile): per-region lowered
-        # entry lists, keyed by trace object identity.
+        # Trace compilation (repro.trace.compile); when disabled, every
+        # record of a region gets a None entry (interpreted replay).
         self._compile_enabled = self.config.compile_traces
         #: Everything the compiled entries depend on besides the records
         #: themselves.  Compilations are cached on the segment objects so
@@ -221,7 +226,9 @@ class Machine:
             self.config.pipeline,
             not self._overlap_loads,
         )
-        self._region_compiled: Optional[Dict[int, Sequence]] = None
+        #: The current region's entry tuples, keyed by the identity of
+        #: the EpochTrace they are parallel to.
+        self._region_compiled: Dict[int, Sequence] = {}
         #: Regions whose lowered entries came out of the segment's
         #: compile cache instead of being recompiled.
         self._compile_reuses = 0
@@ -418,12 +425,13 @@ class Machine:
                 host_cache[self._compile_key] = per_epoch
             else:
                 self._compile_reuses += 1
-            self._region_compiled = {
-                id(t): entries
-                for t, entries in zip(epoch_traces, per_epoch)
-            }
         else:
-            self._region_compiled = None
+            # Interpreted replay: no compiled entries, so loads and
+            # stores take the reference memory path.
+            per_epoch = [(None,) * len(t.records) for t in epoch_traces]
+        self._region_compiled = {
+            id(t): entries for t, entries in zip(epoch_traces, per_epoch)
+        }
         width = self._region_width()
         self._pending = list(epoch_traces)
         self._pending_idx = 0
@@ -436,36 +444,34 @@ class Machine:
             # Fork chain: epoch k is spawned by its predecessor, so it
             # begins k spawn latencies after the region opens.
             self._start_next_epoch(cpu, start + i * spawn)
-        if self._region_compiled is not None:
-            # Bindings the chained dispatch loop needs per record, frozen
-            # for the region.  Building them once here and unpacking one
-            # tuple per heap event replaces ~30 chained attribute loads
-            # per event (every name below is assigned once at machine or
-            # region setup and only mutated in place afterwards; the
-            # L1's _spec_tags set *is* rebound by flash_invalidate_spec,
-            # so it is deliberately absent — consumers reach it through
-            # the hoisted L1 object).
-            banks = self.msys.banks
-            l2 = self.l2
-            shared = (
-                self.observer, self._overlap_loads, self._load_policies,
-                self._subthread_spacing, self._spec_slice_limit,
-                self._max_subthreads, self._subthread_start_cost,
-                self._banks_reserve, self._chan_reserve, self._l2_lat,
-                self._mem_lat, l2.load_line, l2.store_line,
-                self._sync_waiters, self.msys, self._value_predict,
-                banks, banks._line_shift, banks._bank_mask,
-                banks._next_free, banks.occupancy,
+        # Bindings the event loop needs per record, frozen for the
+        # region.  Building them once here and unpacking one tuple per
+        # heap event replaces ~30 chained attribute loads per event
+        # (every name below is assigned once at machine or region setup
+        # and only mutated in place afterwards; the L1's _spec_tags set
+        # *is* rebound by flash_invalidate_spec, so it is deliberately
+        # absent — consumers reach it through the hoisted L1 object).
+        banks = self.msys.banks
+        l2 = self.l2
+        shared = (
+            self.observer, self._overlap_loads, self._load_policies,
+            self._subthread_spacing, self._spec_slice_limit,
+            self._max_subthreads, self._subthread_start_cost,
+            self._banks_reserve, self._chan_reserve, self._l2_lat,
+            self._mem_lat, l2.load_line, l2.store_line,
+            self._sync_waiters, self.msys, self._value_predict,
+            banks, banks._line_shift, banks._bank_mask,
+            banks._next_free, banks.occupancy,
+        )
+        for c in self.cpus:
+            c.hoist = shared + (
+                c.pipeline, c.l1, c.pipeline._issue_width,
+                c.pipeline._mispredict_penalty,
+                self._other_l1s[c.index],
+                self.engine.exposed_load_tables[c.index].update,
+                c.l1.resident, c.l1._sets, c.l1._set_shift,
+                c.l1._set_mask,
             )
-            for c in self.cpus:
-                c.hoist = shared + (
-                    c.pipeline, c.l1, c.pipeline._issue_width,
-                    c.pipeline._mispredict_penalty,
-                    self._other_l1s[c.index],
-                    self.engine.exposed_load_tables[c.index].update,
-                    c.l1.resident, c.l1._sets, c.l1._set_shift,
-                    c.l1._set_mask,
-                )
         # Overflow stalls never span regions (a parked epoch must commit
         # for its region to finish); cleared defensively.
         self._overflow_parked.clear()
@@ -478,8 +484,7 @@ class Machine:
         epoch = self.engine.start_epoch(
             trace, cpu.index, now, speculative=speculative
         )
-        if self._region_compiled is not None:
-            epoch.compiled = self._region_compiled[id(trace)]
+        epoch.compiled = self._region_compiled[id(trace)]
         cpu.epoch = epoch
         cpu.l1.clear_spec_marks()
         self._epochs_total += 1
@@ -515,8 +520,8 @@ class Machine:
         The static compute/op/overhead cycles were pre-summed at compile
         time with the pipeline model's exact per-record rounding; branch
         outcomes are replayed against the live predictor here because it
-        is stateful.  The total charged equals the sum the interpreted
-        path would charge record by record, and because a non-speculative
+        is stateful.  The total charged equals the sum the per-record
+        bodies of the event loop would charge, and because a non-speculative
         epoch's intermediate events touch no cross-CPU state, collapsing
         them into one event leaves the global interleaving unchanged.
         """
@@ -566,52 +571,6 @@ class Machine:
             cpu.outstanding.pop(0)
             return max(0.0, oldest_ready - now)
         return 0.0
-
-    def _do_compute(self, cpu: _CPU, epoch: EpochExecution, count: int,
-                    category: str, now: float) -> float:
-        """Retire (part of) a COMPUTE batch.
-
-        Large batches are consumed in slices no longer than the distance
-        to the next sub-thread boundary, so checkpoints land at the
-        configured spacing even inside long straight-line code.
-        """
-        remaining = count - epoch.offset
-        chunk = remaining
-        if epoch.speculative:
-            # Keep speculative compute slices bounded: boundaries land
-            # exactly on the spacing schedule, and a violation arriving
-            # mid-slice mis-attributes at most one slice of cycles to
-            # Failed (even when the periodic policy is disabled).
-            spacing = self._subthread_spacing
-            if spacing is None:
-                spacing = self.engine.spacing_for(epoch)
-            chunk = min(chunk, spacing, self._spec_slice_limit)
-            if len(epoch.subthreads) < self._max_subthreads:
-                to_boundary = spacing - epoch.instrs_since_checkpoint
-                if 0 < to_boundary < chunk:
-                    chunk = to_boundary
-        # cpu.pipeline.compute_cycles, inlined.
-        pipeline = cpu.pipeline
-        pipeline.instructions_retired += chunk
-        width = pipeline._issue_width
-        cycles = (chunk + width - 1) // width
-        mlp_stall = (
-            self._mlp_stall(cpu, epoch, now)
-            if self._overlap_loads else 0.0
-        )
-        epoch.instrs_since_checkpoint += chunk
-        cp = epoch.subthreads[-1]
-        cp.instructions += chunk
-        cp.pending.cycles[category] += cycles
-        if mlp_stall:
-            cp.pending.cycles[_MISS] += mlp_stall
-            cycles += mlp_stall
-        if epoch.offset + chunk >= count:
-            epoch.cursor += 1
-            epoch.offset = 0
-        else:
-            epoch.offset += chunk
-        return now + cycles
 
     # ------------------------------------------------------------------
     # Memory references

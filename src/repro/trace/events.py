@@ -112,7 +112,8 @@ class EpochTrace:
     #: A tuple once recorded or loaded (see TransactionTraceBuilder.finish).
     records: Sequence[Record] = field(default_factory=list)
 
-    _instr_count: int = field(default=-1, repr=False)
+    #: Cache of :attr:`instruction_count`; not part of the epoch's value.
+    _instr_count: int = field(default=-1, repr=False, compare=False)
 
     @property
     def instruction_count(self) -> int:

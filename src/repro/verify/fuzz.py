@@ -5,9 +5,10 @@ words, private scratch, latches under a global ordering discipline) and
 a random machine/TLS configuration, lints the trace, then replays it
 under every :class:`~repro.sim.ExecutionMode` with the commit-log
 observer attached and the serial-replay oracle checking the result.
-Each (mode, config) case runs through *both* simulator paths — compiled
-traces and fully interpreted — and the two runs must agree on every
-simulation statistic, making the trace compiler itself a fuzzed axis.
+Each (mode, config) case runs twice — with compiled traces and under
+interpreted replay (the same event loop without compiled entries or
+chaining) — and the two runs must agree on every simulation statistic,
+making the trace compiler and the fast paths it feeds a fuzzed axis.
 With ``--check-invariants`` the cycle-level invariant checker runs as
 well, at a tight sweep interval.
 
@@ -243,10 +244,10 @@ def _run_case(
     message, or None when the run is equivalent.
 
     Every case runs twice under the oracle — once through the
-    compiled-trace fast path and once fully interpreted — and both runs
-    must produce equal simulation statistics; ``SimulationStats.__eq__``
-    already ignores the compile telemetry counters, which are the only
-    fields allowed to differ.
+    compiled-trace fast paths and once under interpreted replay — and
+    both runs must produce equal simulation statistics;
+    ``SimulationStats.__eq__`` already ignores the compile telemetry
+    counters, which are the only fields allowed to differ.
     """
     try:
         compiled = run_with_oracle(

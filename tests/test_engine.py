@@ -17,7 +17,7 @@ def make_engine(n_cpus=4, **tls_kwargs):
         line_granularity_loads=tls.line_granularity_loads,
     )
     engine = TLSEngine(l2, n_cpus=n_cpus, config=tls)
-    l2.directory = engine
+    l2.directory = engine.directory
     return engine
 
 

@@ -1,9 +1,9 @@
 """The event loop (repro.sim.engine_core) in a degraded environment.
 
-The loop has two dispatch paths: interpreted and chained compiled
-dispatch.  These tests pin that a run needs nothing outside the standard
-library (numpy unimportable) and stays byte-identical to the default run
-and to the interpreted path.
+One loop runs both compiled regions and interpreted replay (no compiled
+entries, no chaining).  These tests pin that a run needs nothing outside
+the standard library (numpy unimportable) and stays byte-identical to
+the default run and to interpreted replay.
 """
 
 import dataclasses

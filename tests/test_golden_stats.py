@@ -11,12 +11,15 @@ change, refresh the file with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.core.engine import TLSConfig
 from repro.harness.figure5 import run_figure5
+from repro.harness.figure6 import run_figure6
 from repro.harness.runner import ExperimentContext
 from repro.tpcc import TPCCScale
 
@@ -65,3 +68,28 @@ def test_speedups_stay_sane(figure5_tiny):
             assert bar.normalized == pytest.approx(1.0)
         else:
             assert 0.05 < bar.normalized < 3.0
+
+
+def test_figure6_cell_cut_by_the_slice_limit_pinned():
+    """A default-scale Figure-6 cell whose sub-thread spacing is above
+    the speculative slice limit, so the limit, not the spacing, cuts its
+    compute slices.  It must reproduce its ``results/figure6.json``
+    cell (the CI ``cmp`` of that file is the only other check)."""
+    assert TLSConfig().spec_slice_limit < 1000
+    doc = json.loads(
+        (Path(__file__).parent.parent / "results" / "figure6.json")
+        .read_text()
+    )
+    want = next(
+        c for c in doc["cells"]
+        if (c["benchmark"], c["subthreads"], c["spacing"])
+        == ("new_order_150", 2, 1000)
+    )
+    result = run_figure6(
+        ExperimentContext(n_transactions=4, seed=42),
+        benchmarks=("new_order_150",), counts=(2,), spacings=(1000,),
+    )
+    assert result.sequential_cycles["new_order_150"] == (
+        doc["sequential_cycles"]["new_order_150"]
+    )
+    assert dataclasses.asdict(result.cell("new_order_150", 2, 1000)) == want

@@ -403,6 +403,33 @@ class TestTracedRunner:
         header = render_report(log).splitlines()[2]
         assert re.fullmatch(r"wall time: \d+(\.\d+)?s  traces: 14", header)
 
+    def test_parallel_jobs_write_job_spans(self, tmp_path, capsys):
+        """Under ``--jobs 2`` the parent writes one ``harness.job`` span
+        per worker job, labelled like the serial path's, under the
+        experiment span."""
+        log = tmp_path / "run.jsonl"
+        assert harness_main([
+            "figure2", "--tiny", "--transactions", "1", "--no-trace-cache",
+            "--jobs", "2", "--trace-out", str(log),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        capsys.readouterr()
+        assert lint(log) == []
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        spans = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "harness.job"
+        ]
+        assert len(spans) == 10
+        assert all(r["parent"] == "experiment.figure2" for r in spans)
+        counter_labels = [
+            r["attrs"]["job"] for r in records
+            if r["type"] == "counter" and r["name"] == "sim.stats"
+        ]
+        assert sorted(r["attrs"]["job"] for r in spans) == sorted(
+            counter_labels
+        )
+
     def test_untraced_machine_identical(self):
         # Tracing changes observation only, never simulation results.
         plain = Machine(MachineConfig()).run(tiny_workload())

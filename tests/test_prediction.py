@@ -242,7 +242,7 @@ class TestAdaptiveSpacing:
         geom = CacheGeometry(size_bytes=32 * 1024, assoc=4, line_size=32)
         l2 = SpeculativeL2(geom, directory=None)
         engine = TLSEngine(l2, n_cpus=4, config=tls)
-        l2.directory = engine
+        l2.directory = engine.directory
         trace = EpochTrace(0, [(Rec.COMPUTE, 8000)])
         epoch = engine.start_epoch(trace, cpu=0, now=0.0)
         assert engine.spacing_for(epoch) == 1000
@@ -257,7 +257,7 @@ class TestAdaptiveSpacing:
         geom = CacheGeometry(size_bytes=32 * 1024, assoc=4, line_size=32)
         l2 = SpeculativeL2(geom, directory=None)
         engine = TLSEngine(l2, n_cpus=4, config=tls)
-        l2.directory = engine
+        l2.directory = engine.directory
         trace = EpochTrace(0, [(Rec.COMPUTE, 10)])
         epoch = engine.start_epoch(trace, cpu=0, now=0.0)
         assert engine.spacing_for(epoch) == 50

@@ -339,3 +339,12 @@ class TestRecordInterning:
         for workload in generated:
             text = _dump(workload)
             assert _dump(workload_from_dict(json.loads(text))) == text
+
+    def test_round_trip_equal_after_counts_cached(self, generated):
+        # Reading a cached instruction count on one side must not make
+        # two equal traces compare unequal.
+        for workload in generated:
+            loaded = workload_from_dict(json.loads(_dump(workload)))
+            assert loaded == workload
+            loaded.average_epoch_size()
+            assert loaded == workload

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from repro.sim import ExecutionMode, MachineConfig
+from repro.memory.l1 import L1Cache
+from repro.sim import ExecutionMode, MachineConfig, engine_core
 from repro.verify import assert_clean
 from repro.verify.fuzz import (
+    _run_case,
     config_from_dict,
     config_to_dict,
     main,
@@ -110,3 +112,54 @@ class TestCli:
                     mode="baseline", seed=0, error="synthetic")
         assert main(["--repro", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+#: Slot of a CPU's hoist tuple (``Machine._run_region``) that holds the
+#: other CPUs' L1s, which the compiled store arm invalidates.
+HOIST_OTHER_L1S = 25
+
+
+class TestDifferentialKillsFastPathMutant:
+    """A fault that lives only in the compiled store arm — it stops
+    invalidating the other CPUs' L1 copies, so they keep stale lines —
+    passes the oracle and the invariant checker; the compiled-vs-
+    interpreted differential is what catches it."""
+
+    def test_skipped_other_l1_invalidation_is_caught(self, monkeypatch):
+        real = engine_core.run_event_loop
+        layout = []
+
+        def mutant(machine):
+            for cpu in machine.cpus:
+                if cpu.hoist is None:
+                    continue
+                others = cpu.hoist[HOIST_OTHER_L1S]
+                layout.append(
+                    isinstance(others, list)
+                    and all(isinstance(l1, L1Cache) for l1 in others)
+                    and [id(l1) for l1 in others] == [
+                        id(c.l1) for c in machine.cpus if c is not cpu
+                    ]
+                )
+                cpu.hoist = (
+                    cpu.hoist[:HOIST_OTHER_L1S] + ([],)
+                    + cpu.hoist[HOIST_OTHER_L1S + 1:]
+                )
+            real(machine)
+
+        monkeypatch.setattr(engine_core, "run_event_loop", mutant)
+        errors = []
+        for seed in range(12):
+            rng = random.Random(seed)
+            workload = random_workload(rng)
+            base = random_machine_config(rng)
+            for mode in ExecutionMode.ALL:
+                config = MachineConfig.for_mode(mode, base=base)
+                errors.append(_run_case(workload, config))
+        # The emptied slot held the other CPUs' L1s: a reordered hoist
+        # would make this mutant test nothing.
+        assert layout and all(layout)
+        assert any(
+            e is not None and e.startswith("CompiledPathMismatch")
+            for e in errors
+        )
