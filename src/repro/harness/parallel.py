@@ -93,13 +93,30 @@ class JobFailure(RuntimeError):
 
 
 def describe_job(job: SimJob) -> str:
-    """Short human label identifying a job in errors/heartbeats."""
+    """Short human label identifying a job in errors/heartbeats.
+
+    An inline-trace job is named by its slice: the trace name, its first
+    and last transactions, its warmup length and its mode, as in
+    ``inline-trace tpcc_mix_sampled unit=41 new_order[37]..payment[41]
+    warm=16 baseline cpus=4`` (the sampler names each slice after its
+    unit).
+    """
     if job.spec is not None:
         name = "kv" if job.spec.kind == "kv" else job.spec.benchmark
-        label = f"{name}[{spec_key(job.spec)[:8]}]"
+        parts = [f"{name}[{spec_key(job.spec)[:8]}]"]
     else:
-        label = "inline-trace"
-    return f"{label} cpus={job.config.n_cpus}"
+        transactions = job.trace.transactions
+        parts = ["inline-trace", job.trace.name]
+        if transactions:
+            first, last = transactions[0].name, transactions[-1].name
+            parts.append(first if len(transactions) == 1
+                         else f"{first}..{last}")
+        if job.warmup is not None:
+            parts.append(f"warm={len(job.warmup.transactions)}")
+        if job.config.mode_label is not None:
+            parts.append(job.config.mode_label)
+    parts.append(f"cpus={job.config.n_cpus}")
+    return " ".join(parts)
 
 
 # Per-worker state, installed by the pool initializer.

@@ -82,6 +82,18 @@ class SimJob:
             raise ValueError("SimJob needs exactly one of spec= or trace=")
 
 
+def _continues(kept: Tuple, job: SimJob, config: MachineConfig) -> bool:
+    """Whether ``job`` continues the job ``kept`` describes (see
+    :meth:`JobRunner.run_one`)."""
+    _machine, warmup, kept_config, done = kept
+    if job.trace is None or warmup is not job.warmup or kept_config != config:
+        return False
+    transactions = job.trace.transactions
+    return len(done) < len(transactions) and all(
+        a is b for a, b in zip(done, transactions)
+    )
+
+
 @dataclass
 class JobRunner:
     """Executes job lists; owns parallelism and trace caching policy.
@@ -91,6 +103,12 @@ class JobRunner:
     ``None`` to keep traces purely in memory.  Traces materialized
     in-process are memoized by content-hash key, so a sweep that replays
     one trace under many configurations generates it once.
+
+    An inline-trace job whose trace extends the previous inline-trace
+    job's, under the same warmup object and an equal effective config,
+    continues that job's machine instead of building, warming and
+    re-simulating the shared prefix (:meth:`run_one`); the sampler
+    orders each unit's job pair so the second continues the first.
     """
 
     jobs: int = 1
@@ -136,6 +154,10 @@ class JobRunner:
     _results: Dict[Tuple, SimulationStats] = field(
         default_factory=dict, repr=False
     )
+    #: ``(machine, warmup, effective config, transactions run)`` of the
+    #: last inline-trace job :meth:`run_one` simulated, which the next
+    #: job may continue; None when there is nothing to continue.
+    _kept: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     def trace_for(self, spec: TraceSpec) -> WorkloadTrace:
         key = spec_key(spec)
@@ -177,22 +199,51 @@ class JobRunner:
             )
 
     def run_one(self, job: SimJob) -> SimulationStats:
+        """Simulate one job.
+
+        An inline-trace job *continues* the inline-trace job this runner
+        simulated just before it when it has the same ``warmup`` object,
+        an equal effective config, and a trace that extends the previous
+        job's: it starts with the previous job's transactions (the same
+        objects, in the same order) and has more.  It then runs only its
+        remaining transactions on the previous job's machine: no build,
+        no warm, no re-simulation of the shared prefix.  A machine
+        accumulates every statistic over its ``Machine.run`` calls, so
+        the result equals a fresh run's; this is how the sampler's run
+        with a unit resumes its run without it.  Any other job drops the
+        kept machine before it builds a new one, and :meth:`run`
+        releases it when it returns, so at most one machine is alive.
+        """
         trace = job.trace if job.trace is not None else self.trace_for(job.spec)
         config = self._effective_config(job.config)
         if self.tracer is None:
-            machine = Machine(config)
-            if job.warmup is not None:
-                machine.functional_warm(job.warmup)
-            return machine.run(trace)
+            return self._simulate(job, config, trace)
         from .parallel import describe_job
 
         label = describe_job(job)
         with self.tracer.span("harness.job", job=label):
+            stats = self._simulate(job, config, trace)
+        self._emit_job_telemetry(job, label, stats)
+        return stats
+
+    def _simulate(self, job: SimJob, config: MachineConfig,
+                  trace: WorkloadTrace) -> SimulationStats:
+        """Run ``trace`` on the kept machine when ``job`` continues it
+        (see :meth:`run_one`), else on a new, warmed machine."""
+        kept, self._kept = self._kept, None
+        if kept is not None and _continues(kept, job, config):
+            machine, done = kept[0], len(kept[3])
+            trace = WorkloadTrace(
+                name=trace.name, transactions=trace.transactions[done:]
+            )
+        else:
+            kept = None  # drop the old machine before building one
             machine = Machine(config, tracer=self.tracer)
             if job.warmup is not None:
                 machine.functional_warm(job.warmup)
-            stats = machine.run(trace)
-        self._emit_job_telemetry(job, label, stats)
+        stats = machine.run(trace)
+        if job.trace is not None:
+            self._kept = (machine, job.warmup, config, job.trace.transactions)
         return stats
 
     def _result_key(self, job: SimJob) -> Optional[Tuple]:
@@ -279,7 +330,10 @@ class JobRunner:
                 self._results[key] = stats
                 self._store_commit(pending[pi], stats)
 
-        self._dispatch(pending, finished)
+        try:
+            self._dispatch(pending, finished)
+        finally:
+            self._kept = None
         if self.tracer is not None:
             # Deduped jobs still emit their per-job counters (the
             # report's per-mode sums must not depend on memo hits).

@@ -9,18 +9,21 @@ transaction has inside the full run:
 * the prefix ``[wlo, lo)`` is replayed **functionally** (un-timed cache
   and predictor warming, ``Machine.functional_warm``), with the window
   bounds given by :func:`unit_window`;
-* the tail ``[lo, i]`` is **detail-simulated twice** — once including
-  the measured transaction *i* and once stopping just before it — and
+* the tail ``[lo, i]`` is **detail-simulated twice** — once stopping
+  just before the measured transaction *i* and once including it — and
   the unit value is the difference.  With ``warmup=-1`` the tail is the
   whole prefix and the differences telescope exactly to the exhaustive
   totals; the default short tail trades a small residual bias (absorbed
   by ``SamplerConfig.guard``) for O(1) cost per unit.
 
-Both detailed runs share the functional prefix, and every run is an
-ordinary :class:`~repro.harness.runner.SimJob`, so the existing
-``--jobs`` fan-out, trace cache, and progress machinery apply unchanged
-and estimates are independent of worker count (results come back in job
-order).
+Every run is an ordinary :class:`~repro.harness.runner.SimJob`, so the
+existing ``--jobs`` fan-out, trace cache, and progress machinery apply
+unchanged and estimates are independent of worker count (results come
+back in job order).  On the serial path the two detailed runs share one
+machine: the run including the unit continues the run without it
+(:meth:`~repro.harness.runner.JobRunner.run_one`), so each unit's
+prefix is warmed once and its tail simulated once.  A pool worker
+simulates each run on a machine of its own, with the same result.
 
 ``run_figure5_sampled`` estimates the Figure-5 cycle breakdown per
 (benchmark, mode) with one shared plan per benchmark — the same
@@ -116,9 +119,13 @@ class _UnitJobs:
     warmed_records: int
 
 
-def _slice(trace: WorkloadTrace, lo: int, hi: int) -> WorkloadTrace:
+def _slice(trace: WorkloadTrace, lo: int, hi: int, unit: int
+           ) -> WorkloadTrace:
+    """Transactions ``[lo, hi)`` of ``trace``, named after the unit
+    they serve, so every job of a sampled run has its own label."""
     return WorkloadTrace(
-        name=trace.name, transactions=trace.transactions[lo:hi]
+        name=f"{trace.name} unit={unit}",
+        transactions=trace.transactions[lo:hi],
     )
 
 
@@ -147,6 +154,13 @@ def append_unit_jobs(
 ) -> List[_UnitJobs]:
     """Append the job pair for every sampled unit; returns the pairing.
 
+    A unit's pair is the run stopping just before the unit, then the
+    run including it: the same warmup object, the same config and a
+    trace one transaction longer, so :meth:`JobRunner.run_one` runs the
+    second as a continuation of the first (the unit's transaction only,
+    on the first run's warmed machine).  A unit with an empty tail gets
+    the second run only.
+
     Job lists from several (benchmark, mode) combinations can share one
     ``jobs`` list — the returned indices are absolute — so a whole
     sampled sweep runs under a single ``JobRunner.run`` fan-out.
@@ -154,19 +168,18 @@ def append_unit_jobs(
     units: List[_UnitJobs] = []
     for unit in plan.sampled_units:
         wlo, lo = unit_window(plan.config, unit)
-        warm = _slice(trace, wlo, lo) if lo > wlo else None
-        # The run including the unit and, after a nonempty tail, the
-        # run stopping just before it.
-        ends = [unit + 1] if lo == unit else [unit + 1, unit]
+        warm = _slice(trace, wlo, lo, unit) if lo > wlo else None
+        ends = [unit + 1] if lo == unit else [unit, unit + 1]
         units.append(_UnitJobs(
             unit=unit,
-            job_with=len(jobs),
-            job_without=len(jobs) + 1 if lo < unit else None,
+            job_with=len(jobs) + len(ends) - 1,
+            job_without=len(jobs) if lo < unit else None,
             detailed_records=sum(_records(trace, lo, hi) for hi in ends),
             warmed_records=len(ends) * _records(trace, wlo, lo),
         ))
         jobs.extend(
-            SimJob(config=config, trace=_slice(trace, lo, hi), warmup=warm)
+            SimJob(config=config, trace=_slice(trace, lo, hi, unit),
+                   warmup=warm)
             for hi in ends
         )
     return units
@@ -243,9 +256,12 @@ class SampleAccounting:
 
     transactions_total: int
     transactions_sampled: int
-    #: Records detail-simulated (both runs of every unit's tail).
+    #: Records the detailed runs hold (both runs of every unit's tail).
+    #: A continued run (see :func:`append_unit_jobs`) simulates only
+    #: its last transaction, so a serial run simulates fewer.
     records_detailed: int
-    #: Records replayed functionally (un-timed warming).
+    #: Records of the warming windows, once per detailed run (a
+    #: continued run does not warm again).
     records_warmed: int
     #: Exact record count of the full trace when it was fully recorded,
     #: else None (huge-scale runs mute unsampled transactions).

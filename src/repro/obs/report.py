@@ -2,9 +2,9 @@
 
 ``python -m repro.harness report run.jsonl`` renders, from a traced run:
 
-* the manifest header (who/what/when produced the run), the wall time
-  from the closing ``run.finish`` event and the number of traces
-  materialized (``harness.trace`` spans);
+* the manifest header (who/what/when produced the run), and the wall
+  time and the number of traces the run used, from the closing
+  ``run.finish`` event;
 * the top wall-clock spans, grouped by name — where the harness spent
   its time (trace generation vs compilation vs simulation);
 * a Figure-5-style cycle breakdown aggregated over every simulated job's
@@ -72,13 +72,31 @@ def _manifest_of(records: List[dict]) -> Optional[dict]:
     return None
 
 
-def _wall_seconds(records: List[dict]) -> Optional[float]:
-    """Wall time of the run, from its closing ``run.finish`` event (the
-    opening manifest is written before the run)."""
+def _finish_attrs(records: List[dict]) -> Dict[str, Any]:
+    """Attributes of the closing ``run.finish`` event ({} if the run
+    never wrote one)."""
     for rec in reversed(records):
         if rec.get("type") == "event" and rec.get("name") == "run.finish":
-            return rec.get("attrs", {}).get("wall_seconds")
-    return None
+            return rec.get("attrs", {})
+    return {}
+
+
+def _trace_count(records: List[dict], finish: Dict[str, Any]) -> int:
+    """Traces the run used.
+
+    ``run.finish`` counts the distinct spec traces, which a pool worker
+    materializes without a ``harness.trace`` span; each trace a driver
+    generates itself (a ``harness.trace`` span with no spec ``key``,
+    such as a huge run's mixes) adds one.  A log without that count
+    counts every ``harness.trace`` span.
+    """
+    spans = [
+        rec.get("attrs", {}) for rec in records
+        if rec.get("type") == "span" and rec.get("name") == "harness.trace"
+    ]
+    if "traces" not in finish:
+        return len(spans)
+    return finish["traces"] + sum(1 for attrs in spans if "key" not in attrs)
 
 
 def _span_groups(records: List[dict]) -> Dict[str, Dict[str, float]]:
@@ -242,12 +260,11 @@ def render_report(path, top_spans: int = 12, top_pairs: int = 10) -> str:
     else:
         header.append("manifest: MISSING (log did not start cleanly?)")
     groups = _span_groups(records)
-    wall = _wall_seconds(records)
-    # One harness.trace span per trace the run materialized.
-    traces = int(groups.get("harness.trace", {}).get("count", 0))
+    finish = _finish_attrs(records)
+    wall = finish.get("wall_seconds")
     header.append(
         f"wall time: {wall if wall is not None else '?'}s"
-        f"  traces: {traces}"
+        f"  traces: {_trace_count(records, finish)}"
     )
     sections.append("\n".join(header))
 

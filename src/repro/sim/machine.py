@@ -1096,7 +1096,9 @@ class Machine:
     def _collect_stats(self) -> SimulationStats:
         stats = SimulationStats(n_cpus=self.config.n_cpus)
         stats.total_cycles = self.now
-        stats.per_cpu = [cpu.totals for cpu in self.cpus]
+        # Copies: finalize_idle writes into them, and a later run on
+        # this machine must not change a result already returned.
+        stats.per_cpu = [cpu.totals.copy() for cpu in self.cpus]
         metrics = self.metrics()
         if self._warm_metrics is not None:
             # Functional warming bumped cache/predictor tallies while

@@ -391,9 +391,9 @@ class TestTracedRunner:
 
     def test_report_header_reads_the_closing_event(self, tmp_path,
                                                    capsys):
-        """The header's wall time comes from the closing ``run.finish``
-        event and its trace count from the ``harness.trace`` spans: the
-        log's opening manifest is written before either exists."""
+        """The header's wall time and trace count come from the closing
+        ``run.finish`` event: the log's opening manifest is written
+        before either exists."""
         log = tmp_path / "run.jsonl"
         assert harness_main([
             "table2", "--tiny", "--transactions", "1", "--no-trace-cache",
@@ -402,6 +402,21 @@ class TestTracedRunner:
         capsys.readouterr()
         header = render_report(log).splitlines()[2]
         assert re.fullmatch(r"wall time: \d+(\.\d+)?s  traces: 14", header)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_report_counts_traces_under_any_jobs(self, tmp_path, capsys,
+                                                 jobs):
+        """Pool workers materialize their traces without a
+        ``harness.trace`` span, so the count comes from the runner's
+        spec keys: Figure 2's five traces under any ``--jobs``."""
+        log = tmp_path / "run.jsonl"
+        assert harness_main([
+            "figure2", "--tiny", "--transactions", "1", "--no-trace-cache",
+            "--jobs", jobs, "--trace-out", str(log),
+        ]) == 0
+        capsys.readouterr()
+        header = render_report(log).splitlines()[2]
+        assert header.endswith("  traces: 5")
 
     def test_parallel_jobs_write_job_spans(self, tmp_path, capsys):
         """Under ``--jobs 2`` the parent writes one ``harness.job`` span

@@ -442,6 +442,30 @@ def test_traced_huge_spans_its_generation(tmp_path, capsys):
         assert span["parent"] == "experiment.huge"
 
 
+def test_traced_huge_labels_and_warms_each_unit(tmp_path, capsys):
+    """Every job of a traced huge run has its own label, each sampled
+    unit (per mode) with a window is warmed once, and the report counts
+    the two generated mixes as the run's traces."""
+    from repro.harness.__main__ import main
+    from repro.obs.report import render_report
+
+    log = tmp_path / "run.jsonl"
+    assert main([
+        "huge", "--transactions", "120", "--sample-rate", "0.05",
+        "--no-trace-cache", "--trace-out", str(log),
+    ]) == 0
+    capsys.readouterr()
+    spans = [
+        r for r in map(json.loads, log.read_text().splitlines())
+        if r["type"] == "span"
+    ]
+    labels = [s["attrs"]["job"] for s in spans if s["name"] == "harness.job"]
+    assert len(labels) == 50
+    assert len(set(labels)) == len(labels)
+    assert sum(1 for s in spans if s["name"] == "machine.warm") == 20
+    assert render_report(log).splitlines()[2].endswith("  traces: 2")
+
+
 def test_run_huge_smoke_bytes_pinned(huge_smoke, tmp_path, request):
     """The exported huge smoke run is pinned to ``tests/golden/
     huge_smoke.json``: the only tier-1 pin of a run whose functional
