@@ -76,7 +76,7 @@ from typing import (
 )
 
 from ..sim import SimulationStats
-from .runner import JobRunner, SimJob
+from .runner import JobRunner, SimJob, describe_job
 from .tracecache import STATS as TRACECACHE_STATS
 from .tracecache import TraceSpec, spec_key
 
@@ -90,33 +90,6 @@ class JobFailure(RuntimeError):
     Carries a single pre-formatted string (job label + worker traceback)
     so the exception round-trips through pickling between processes.
     """
-
-
-def describe_job(job: SimJob) -> str:
-    """Short human label identifying a job in errors/heartbeats.
-
-    An inline-trace job is named by its slice: the trace name, its first
-    and last transactions, its warmup length and its mode, as in
-    ``inline-trace tpcc_mix_sampled unit=41 new_order[37]..payment[41]
-    warm=16 baseline cpus=4`` (the sampler names each slice after its
-    unit).
-    """
-    if job.spec is not None:
-        name = "kv" if job.spec.kind == "kv" else job.spec.benchmark
-        parts = [f"{name}[{spec_key(job.spec)[:8]}]"]
-    else:
-        transactions = job.trace.transactions
-        parts = ["inline-trace", job.trace.name]
-        if transactions:
-            first, last = transactions[0].name, transactions[-1].name
-            parts.append(first if len(transactions) == 1
-                         else f"{first}..{last}")
-        if job.warmup is not None:
-            parts.append(f"warm={len(job.warmup.transactions)}")
-        if job.config.mode_label is not None:
-            parts.append(job.config.mode_label)
-    parts.append(f"cpus={job.config.n_cpus}")
-    return " ".join(parts)
 
 
 # Per-worker state, installed by the pool initializer.

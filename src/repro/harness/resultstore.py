@@ -55,8 +55,9 @@ STORE_FORMAT = "repro-result-store"
 #: re-simulated.  Version 2 dropped six bulk-kernel telemetry fields
 #: from the serialized stats; version 3 dropped the two speculative-batch
 #: journal counters; version 4 dropped the failed-instruction-replay
-#: counter, which no run ever set.
-STORE_VERSION = 4
+#: counter, which no run ever set; version 5 dropped the region-private
+#: store counter with the shortcut it counted.
+STORE_VERSION = 5
 
 
 def stats_to_doc(stats: SimulationStats) -> Dict[str, Any]:

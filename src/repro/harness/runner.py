@@ -82,14 +82,41 @@ class SimJob:
             raise ValueError("SimJob needs exactly one of spec= or trace=")
 
 
+def describe_job(job: SimJob) -> str:
+    """Short human label identifying a job in errors/heartbeats.
+
+    An inline-trace job is named by its slice: the trace name, its first
+    and last transactions, its warmup length and its mode, as in
+    ``inline-trace tpcc_mix_sampled unit=41 new_order[37]..payment[41]
+    warm=16 baseline cpus=4`` (the sampler names each slice after its
+    unit).
+    """
+    if job.spec is not None:
+        name = "kv" if job.spec.kind == "kv" else job.spec.benchmark
+        parts = [f"{name}[{spec_key(job.spec)[:8]}]"]
+    else:
+        transactions = job.trace.transactions
+        parts = ["inline-trace", job.trace.name]
+        if transactions:
+            first, last = transactions[0].name, transactions[-1].name
+            parts.append(first if len(transactions) == 1
+                         else f"{first}..{last}")
+        if job.warmup is not None:
+            parts.append(f"warm={len(job.warmup.transactions)}")
+        if job.config.mode_label is not None:
+            parts.append(job.config.mode_label)
+    parts.append(f"cpus={job.config.n_cpus}")
+    return " ".join(parts)
+
+
 def _continues(kept: Tuple, job: SimJob, config: MachineConfig) -> bool:
-    """Whether ``job`` continues the job ``kept`` describes (see
-    :meth:`JobRunner.run_one`)."""
+    """Whether ``job`` continues the job ``kept`` describes, or repeats
+    it (see :meth:`JobRunner.run_one`)."""
     _machine, warmup, kept_config, done = kept
     if job.trace is None or warmup is not job.warmup or kept_config != config:
         return False
     transactions = job.trace.transactions
-    return len(done) < len(transactions) and all(
+    return len(done) <= len(transactions) and all(
         a is b for a, b in zip(done, transactions)
     )
 
@@ -104,11 +131,13 @@ class JobRunner:
     in-process are memoized by content-hash key, so a sweep that replays
     one trace under many configurations generates it once.
 
-    An inline-trace job whose trace extends the previous inline-trace
+    An inline-trace job whose trace starts with the previous inline-trace
     job's, under the same warmup object and an equal effective config,
     continues that job's machine instead of building, warming and
     re-simulating the shared prefix (:meth:`run_one`); the sampler
-    orders each unit's job pair so the second continues the first.
+    orders each unit's job pair so the second continues the first, and
+    a unit's run without it that equals the previous unit's run with it
+    continues that run and simulates nothing.
     """
 
     jobs: int = 1
@@ -203,23 +232,24 @@ class JobRunner:
 
         An inline-trace job *continues* the inline-trace job this runner
         simulated just before it when it has the same ``warmup`` object,
-        an equal effective config, and a trace that extends the previous
-        job's: it starts with the previous job's transactions (the same
-        objects, in the same order) and has more.  It then runs only its
+        an equal effective config, and a trace that starts with the
+        previous job's transactions (the same objects, in the same
+        order), with or without more after them.  It then runs only its
         remaining transactions on the previous job's machine: no build,
         no warm, no re-simulation of the shared prefix.  A machine
         accumulates every statistic over its ``Machine.run`` calls, so
-        the result equals a fresh run's; this is how the sampler's run
-        with a unit resumes its run without it.  Any other job drops the
-        kept machine before it builds a new one, and :meth:`run`
-        releases it when it returns, so at most one machine is alive.
+        the result equals a fresh run's, and a job equal to the previous
+        one runs nothing and gets the same statistics again.  This is how
+        the sampler's run with a unit resumes its run without it, and how
+        unit 1's run without it (``[t0]``, no warmup) reuses unit 0's
+        identical run.  Any other job drops the kept machine before it
+        builds a new one, and :meth:`run` releases it when it returns,
+        so at most one machine is alive.
         """
         trace = job.trace if job.trace is not None else self.trace_for(job.spec)
         config = self._effective_config(job.config)
         if self.tracer is None:
             return self._simulate(job, config, trace)
-        from .parallel import describe_job
-
         label = describe_job(job)
         with self.tracer.span("harness.job", job=label):
             stats = self._simulate(job, config, trace)
@@ -337,8 +367,6 @@ class JobRunner:
         if self.tracer is not None:
             # Deduped jobs still emit their per-job counters (the
             # report's per-mode sums must not depend on memo hits).
-            from .parallel import describe_job
-
             ran = {pending_slots[pi][0] for pi in range(len(pending))}
             for i, job in enumerate(sim_jobs):
                 if i not in ran:
@@ -361,7 +389,7 @@ class JobRunner:
 
             reporter = ProgressReporter(total=len(sim_jobs))
         if self.jobs > 1 and len(sim_jobs) > 1:
-            from .parallel import describe_job, run_jobs_parallel
+            from .parallel import run_jobs_parallel
 
             tracer = self.tracer
 

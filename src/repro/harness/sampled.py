@@ -159,7 +159,10 @@ def append_unit_jobs(
     trace one transaction longer, so :meth:`JobRunner.run_one` runs the
     second as a continuation of the first (the unit's transaction only,
     on the first run's warmed machine).  A unit with an empty tail gets
-    the second run only.
+    the second run only.  A run without its unit that equals the
+    previous unit's run with it (unit 1's ``[t0]`` after unit 0's, both
+    unwarmed) continues that run and simulates nothing; it stays in
+    the job list, so every unit keeps its pair and its record count.
 
     Job lists from several (benchmark, mode) combinations can share one
     ``jobs`` list — the returned indices are absolute — so a whole

@@ -527,15 +527,13 @@ class SpeculativeL2:
         ctx: Optional[int],
         words: int,
         store_pc: Optional[int] = None,
-        detect: bool = True,
     ) -> Tuple[bool, Optional[AccessResult]]:
         """Single-line twin of :meth:`store` with a precompiled word mask.
 
-        ``detect=False`` skips the violation scan; the machine passes it
-        for region-private lines, where only the storing epoch ever holds
-        bits on the line so the scan provably finds nothing.  Returns
-        ``(hit, result)`` with ``result`` None when the store hit an
-        existing version and raised no violations.
+        Like :meth:`store`, every store scans the line's versions for
+        logically-later loaders it violates.  Returns ``(hit, result)``
+        with ``result`` None when the store hit an existing version and
+        raised no violations.
         """
         # The version index holds exactly this line's on-chip versions;
         # the scan below never installs or drops, so the live list is
@@ -545,7 +543,7 @@ class SpeculativeL2:
         violations: Tuple[Violation, ...] = ()
         # No on-chip versions means no recorded load bits: the violation
         # scan provably finds nothing, so skip the call.
-        if detect and versions and self._ctx_lines:
+        if versions and self._ctx_lines:
             violations = self._detect_violations(
                 tag, versions, words, order, ctx, store_pc
             )

@@ -48,7 +48,6 @@ TOTAL_COUNTERS = (
     "compile.batched_records",
     "compile.fastpath_loads",
     "compile.fastpath_stores",
-    "compile.private_line_stores",
 )
 
 

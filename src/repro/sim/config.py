@@ -74,10 +74,9 @@ class MachineConfig:
     #: TLS-transformed trace with its software overheads, run sequentially.
     region_cpus: int = None
     #: Pre-lower traces once per region (repro.trace.compile): coalesced
-    #: super-records, interned per-line tuples, and the private/shared
-    #: line classification behind the conflict-aware memory fast path;
-    #: compiled regions also chain their events in the event loop
-    #: (repro.sim.engine_core).
+    #: super-records and interned per-line tuples, which the compiled
+    #: load and store arms walk; compiled regions also chain their
+    #: events in the event loop (repro.sim.engine_core).
     #: Byte-identical to interpreted replay — every cycle count and
     #: statistic matches; ``--no-compile-traces`` on the harness CLI (or
     #: False here) is the escape hatch / differential-testing axis.

@@ -10,9 +10,9 @@ calls back into ``Machine`` methods, which are cold.
 There is one dispatch loop.  A compiled region (the default) adds three
 optimizations to it:
 
-* loads and stores walk their precompiled line tuples with the L1 and
-  bank work inlined, and a store to a region-private line skips the
-  violation scan and the synchronized-load wakeup;
+* loads and stores walk their precompiled line tuples, and a load that
+  hits its L1 updates the L1 in-line; bank reservations, the L2 and a
+  store's own L1 fill are the same calls the reference path makes;
 * a compute run of a non-speculative epoch dispatches as one
   super-record (``Machine._do_batch``);
 * when a CPU's next event would be the very next heap pop anyway
@@ -109,7 +109,6 @@ def run_event_loop(machine):
         (observer, overlap, load_policies, spacing_cfg, slice_limit,
          max_subthreads, start_cost, banks_reserve, chan_reserve,
          l2_lat, mem_lat, l2_load, l2_store, sync_waiters, msys, vp,
-         banks, bank_shift, bank_mask, bank_free, bank_occ,
          pipeline, l1, width, penalty, other_l1s, elt_update,
          l1_resident, l1_sets, l1_shift, l1_mask,
          ) = cpu.hoist
@@ -190,8 +189,7 @@ def run_event_loop(machine):
                         )
                     machine._fast_loads += 1
                     stall = 0.0
-                    for (line, sub_addr, mask, load_bits,
-                         _private) in entry[1]:
+                    for line, sub_addr, mask, load_bits in entry[1]:
                         if line in l1_resident:
                             # l1.access hit, inlined: bump the counter
                             # and refresh LRU order.
@@ -253,20 +251,7 @@ def run_event_loop(machine):
                         if exposed:
                             elt_update(line, pc)
                         if hit:
-                            # banks.reserve + L2 latency, inlined (pow2
-                            # bank selection; the generic fallback keeps
-                            # the method call).
-                            if bank_mask is not None:
-                                bank = (line >> bank_shift) & bank_mask
-                                s = bank_free[bank]
-                                if now > s:
-                                    s = now
-                                else:
-                                    banks.contention_cycles += s - now
-                                bank_free[bank] = s + bank_occ
-                                ready = s + l2_lat
-                            else:
-                                ready = banks_reserve(line, now) + l2_lat
+                            ready = banks_reserve(line, now) + l2_lat
                         else:
                             ready = chan_reserve(
                                 banks_reserve(line, now) + l2_lat
@@ -309,14 +294,11 @@ def run_event_loop(machine):
                         )
                     machine._fast_stores += 1
                     self_rewound = False
-                    for (line, _sub_addr, words, _load_bits,
-                         private) in entry[1]:
+                    for line, _sub_addr, words, _load_bits in entry[1]:
                         if speculative:
                             sm[line] = sm.get(line, 0) | words
                             su[line] = su.get(line, 0) | words
-                        _hit, result = l2_store(
-                            line, order, ctx, words, pc, not private
-                        )
+                        _hit, result = l2_store(line, order, ctx, words, pc)
                         rewinds = None
                         if result is not None:
                             violations = result.violations
@@ -333,16 +315,7 @@ def run_event_loop(machine):
                                     )
                         # Write-through: the store reserves bandwidth
                         # but the CPU does not wait for it.
-                        if bank_mask is not None:
-                            bank = (line >> bank_shift) & bank_mask
-                            s = bank_free[bank]
-                            if now > s:
-                                s = now
-                            else:
-                                banks.contention_cycles += s - now
-                            bank_free[bank] = s + bank_occ
-                        else:
-                            banks_reserve(line, now)
+                        banks_reserve(line, now)
                         if result is not None:
                             if result.memory_accesses:
                                 for _ in range(result.memory_accesses):
@@ -354,27 +327,7 @@ def run_event_loop(machine):
                         for ol1 in other_l1s:
                             if line in ol1.resident:
                                 ol1.invalidate(line)
-                        if line in l1_resident:
-                            # l1.fill on a resident line, inlined
-                            # (the common store-after-load case):
-                            # LRU touch plus speculative marking.
-                            cset = l1_sets[
-                                (line >> l1_shift) & l1_mask
-                            ]
-                            order_l = cset._order
-                            if order_l[-1] != line:
-                                order_l.remove(line)
-                                order_l.append(line)
-                            if speculative:
-                                lobj = cset._by_tag[line]
-                                lobj.spec = True
-                                if subidx > lobj.subidx:
-                                    lobj.subidx = subidx
-                                l1._spec_tags.add(line)
-                        else:
-                            l1.fill(
-                                line, spec=speculative, subidx=subidx
-                            )
+                        l1.fill(line, spec=speculative, subidx=subidx)
                         if rewinds:
                             machine._apply_rewinds(rewinds, now)
                             if not self_rewound:
@@ -392,9 +345,7 @@ def run_event_loop(machine):
                                 su = epoch.store_union
                                 ctx = cp.ctx
                                 subidx = cp.index
-                        if private:
-                            machine._private_stores += 1
-                        elif sync_waiters:
+                        if sync_waiters:
                             machine._wake_sync_on_store(line, order, now)
                     if self_rewound:
                         # Squashed mid-record; the rewind already

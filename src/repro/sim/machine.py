@@ -202,8 +202,8 @@ class Machine:
         self._max_subthreads = tls.max_subthreads
         # Memory-timing fast path: the composed MemorySystemTiming calls
         # decompose into bank/channel reservations plus fixed latencies;
-        # binding the pieces here lets the per-line loops inline the
-        # arithmetic (see timing.py for the composed reference forms).
+        # the compiled per-line loops call these bound pieces directly
+        # (see timing.py for the composed reference forms).
         self._banks_reserve = self.msys.banks.reserve
         self._chan_reserve = self.msys.channel.reserve
         self._l2_lat = self.msys.l2_latency
@@ -235,7 +235,6 @@ class Machine:
         self._batched_records = 0
         self._fast_loads = 0
         self._fast_stores = 0
-        self._private_stores = 0
         #: Metrics snapshot taken after functional warming (see
         #: :meth:`functional_warm`), subtracted by ``_collect_stats`` so
         #: a warmed run reports only measured-phase counters.
@@ -416,12 +415,12 @@ class Machine:
                         per_epoch = compile_region(
                             epoch_traces, self.l2, self.config.pipeline,
                             batches=not self._overlap_loads,
-                        ).epochs
+                        )
                 else:
                     per_epoch = compile_region(
                         epoch_traces, self.l2, self.config.pipeline,
                         batches=not self._overlap_loads,
-                    ).epochs
+                    )
                 host_cache[self._compile_key] = per_epoch
             else:
                 self._compile_reuses += 1
@@ -451,7 +450,6 @@ class Machine:
         # and only mutated in place afterwards; the L1's _spec_tags set
         # *is* rebound by flash_invalidate_spec, so it is deliberately
         # absent — consumers reach it through the hoisted L1 object).
-        banks = self.msys.banks
         l2 = self.l2
         shared = (
             self.observer, self._overlap_loads, self._load_policies,
@@ -460,8 +458,6 @@ class Machine:
             self._banks_reserve, self._chan_reserve, self._l2_lat,
             self._mem_lat, l2.load_line, l2.store_line,
             self._sync_waiters, self.msys, self._value_predict,
-            banks, banks._line_shift, banks._bank_mask,
-            banks._next_free, banks.occupancy,
         )
         for c in self.cpus:
             c.hoist = shared + (
@@ -1089,7 +1085,6 @@ class Machine:
             "compile.batched_records": self._batched_records,
             "compile.fastpath_loads": self._fast_loads,
             "compile.fastpath_stores": self._fast_stores,
-            "compile.private_line_stores": self._private_stores,
             "compile.region_cache_reuses": self._compile_reuses,
         }
 

@@ -40,7 +40,6 @@ METRIC_SOURCES: Dict[str, str] = {
     "compile.batched_records": "compiled_batched_records",
     "compile.fastpath_loads": "compiled_fastpath_loads",
     "compile.fastpath_stores": "compiled_fastpath_stores",
-    "compile.private_line_stores": "private_line_stores",
     "compile.region_cache_reuses": "compiled_region_cache_reuses",
 }
 
@@ -81,8 +80,6 @@ class SimulationStats:
     #: Loads / stores dispatched through the precompiled line tuples.
     compiled_fastpath_loads: int = field(default=0, compare=False)
     compiled_fastpath_stores: int = field(default=0, compare=False)
-    #: Fast-path stores to region-private lines (violation scan skipped).
-    private_line_stores: int = field(default=0, compare=False)
     #: Regions whose lowered entry lists were served from the cache on
     #: their trace segment instead of being lowered again.
     compiled_region_cache_reuses: int = field(default=0, compare=False)

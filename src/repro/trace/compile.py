@@ -2,11 +2,10 @@
 
 The interpreted hot loop pays per-record costs that are invariant for the
 lifetime of a region: address-to-line slicing and word-mask arithmetic on
-every memory record, pipeline cost formulas on every compute record, and
-full speculative-coherence scans on lines that only one epoch ever
-touches.  This module lowers each :class:`~repro.trace.events.EpochTrace`
-once per region into a *compiled entry list* parallel to the record list,
-which the machine consults per record:
+every memory record, and pipeline cost formulas on every compute record.
+This module lowers each :class:`~repro.trace.events.EpochTrace` once per
+region into a *compiled entry list* parallel to the record list, which
+the machine consults per record:
 
 **Super-records (batches).**  Maximal runs of consecutive
 COMPUTE/OP/TLS_OVERHEAD/BRANCH records are coalesced into one entry
@@ -22,24 +21,13 @@ run record by record; the chained event loop keeps that cheap.
 
 **Pre-resolved line tuples.**  Every LOAD/STORE record is lowered to a
 ``(MEM, lines)`` entry whose ``lines`` is a tuple of per-line
-``(line, sub_addr, word_mask, load_bits, private)`` entries: the cache
-lines the access touches, the access clipped to each line, the word mask
-within the line, the mask the L2 would record for a speculative load
-(full-line under line-granularity tracking), and the region-privacy
-classification below.  These are pure functions of the immutable cache
-geometry, so they are exact in every execution mode.  Every record of a
-region that makes the same ``(addr, size)`` access shares one entry
-object.
-
-**Region-private line classification.**  A line touched by exactly one
-epoch of the region is *private*; a line touched by two or more is
-*shared*.  A store to a private line provably cannot violate anyone — a
-violation needs a speculative-load bit set by a logically-later epoch on
-that line, and only the storing epoch ever accesses it — so the machine
-skips the violation scan and the synchronized-load wakeup for private
-lines.  (Speculative *bits* are still set: they drive eviction
-spill-vs-drop decisions and are architecturally observable.)  Serial
-segments form single-epoch regions, so their lines are all private.
+``(line, sub_addr, word_mask, load_bits)`` entries: the cache lines the
+access touches, the access clipped to each line, the word mask within
+the line, and the mask the L2 would record for a speculative load
+(full-line under line-granularity tracking).  These are pure functions
+of the immutable cache geometry, so they are exact in every execution
+mode.  Every record of a region that makes the same ``(addr, size)``
+access shares one entry object.
 
 **One cache, on the trace.**  The machine keeps each region's entry
 lists on the segment it lowered (``_compile_cache``), keyed by a compile
@@ -58,8 +46,7 @@ replays every workload under both paths and asserts stats equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..cpu.pipeline import PipelineConfig
 from ..trace.events import EpochTrace, Op, Rec
@@ -70,9 +57,6 @@ MEM = 1
 
 #: Record kinds eligible for batching (no memory, no latches).
 _BATCHABLE = frozenset((Rec.COMPUTE, Rec.OP, Rec.BRANCH, Rec.TLS_OVERHEAD))
-
-#: Region-privacy sentinel: line touched by more than one epoch.
-_SHARED = -1
 
 
 def _op_latency_table(pipeline: PipelineConfig) -> Dict[int, float]:
@@ -87,42 +71,18 @@ def _op_latency_table(pipeline: PipelineConfig) -> Dict[int, float]:
     }
 
 
-@dataclass
-class RegionCompilation:
-    """Compiled form of one region (or one serial segment)."""
-
-    #: Per-epoch entry tuples, parallel to the region's epoch list.  Each
-    #: is parallel to the epoch's record list; ``None`` means "interpret
-    #: this record normally".  Tuples, so that once their entries are
-    #: untracked the cyclic GC stops tracking (and walking) them too.
-    epochs: List[Sequence] = field(default_factory=list)
-    #: Line classification census (tests / telemetry).
-    private_lines: int = 0
-    shared_lines: int = 0
-
-
-def classify_lines(epoch_traces: List[EpochTrace], geom) -> Dict[int, int]:
-    """line address -> owning epoch index, or ``-1`` when shared."""
-    owner: Dict[int, int] = {}
-    get = owner.get
-    for idx, trace in enumerate(epoch_traces):
-        for rec in trace.records:
-            kind = rec[0]
-            if kind != Rec.LOAD and kind != Rec.STORE:
-                continue
-            for line in geom.lines_touched(rec[1], rec[2]):
-                prev = get(line, idx)
-                owner[line] = idx if prev == idx else _SHARED
-    return owner
-
-
 def compile_region(
     epoch_traces: List[EpochTrace],
     l2,
     pipeline: PipelineConfig,
     batches: bool = True,
-) -> RegionCompilation:
-    """Lower every epoch of one region against a prebuilt line index.
+) -> List[tuple]:
+    """Lower every epoch of one region; returns its entry tuples.
+
+    The result is parallel to ``epoch_traces``, and each entry tuple is
+    parallel to its epoch's record list; ``None`` means "interpret this
+    record normally".  Tuples, so that once their entries are untracked
+    the cyclic GC stops tracking (and walking) them too.
 
     ``l2`` supplies the cache geometry and the load-bit granularity;
     ``pipeline`` supplies the static cost formulas.  ``batches=False``
@@ -130,11 +90,7 @@ def compile_region(
     mode, whose per-record MSHR stall evaluation cannot be batched).
     """
     geom = l2.geom
-    owner = classify_lines(epoch_traces, geom)
-    out = RegionCompilation()
-    out.shared_lines = sum(1 for o in owner.values() if o == _SHARED)
-    out.private_lines = len(owner) - out.shared_lines
-
+    out: List[tuple] = []
     line_size = geom.line_size
     full_line_mask = l2._full_line_mask
     line_granularity = l2.line_granularity_loads
@@ -143,8 +99,7 @@ def compile_region(
     op_latency = _op_latency_table(pipeline)
 
     #: (addr, size) -> ``(MEM, lines)``: one entry per distinct access,
-    #: shared by every record that makes it.  Privacy is a property of
-    #: the line within the region, so the sharing is region-wide.
+    #: shared by every record of the region that makes it.
     mem_cache: Dict[Tuple[int, int], tuple] = {}
 
     def lines_for(addr: int, size: int) -> tuple:
@@ -165,8 +120,7 @@ def compile_region(
                 sub_size = 1
             wmask = word_mask(sub_addr, sub_size)
             load_bits = full_line_mask if line_granularity else wmask
-            private = owner[line] != _SHARED
-            lines.append((line, sub_addr, wmask, load_bits, private))
+            lines.append((line, sub_addr, wmask, load_bits))
         entry = (MEM, tuple(lines))
         mem_cache[(addr, size)] = entry
         return entry
@@ -222,6 +176,6 @@ def compile_region(
                 i = j
             else:
                 i = j if j > i else i + 1
-        out.epochs.append(tuple(entries))
+        out.append(tuple(entries))
     return out
 

@@ -1,10 +1,9 @@
 """Trace pre-compilation (repro.trace.compile).
 
-Two halves: unit tests of the lowering pass itself (batch costs,
-per-line memory tuples, region-private line classification), and
-byte-identity tests asserting that a simulation with compiled traces
-produces exactly the same statistics, figure exports, and golden cycle
-counts as the fully-interpreted path.
+Two halves: unit tests of the lowering pass itself (batch costs and
+per-line memory tuples), and byte-identity tests asserting that a
+simulation with compiled traces produces exactly the same statistics,
+figure exports, and golden cycle counts as the fully-interpreted path.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ from repro.harness.runner import ExperimentContext, JobRunner
 from repro.harness.tracecache import materialize
 from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import BENCHMARKS, TPCCScale, generate_workload
-from repro.trace.compile import (
-    BATCH,
-    MEM,
-    classify_lines,
-    compile_region,
-)
+from repro.trace.compile import BATCH, MEM, compile_region
 from repro.trace.events import (
     EpochTrace,
     Op,
@@ -63,7 +57,7 @@ class TestBatches:
             (Rec.COMPUTE, 4),
         ]
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        entries = comp.epochs[0]
+        entries = comp[0]
         kind, end, busy, overhead, instrs, branches = entries[0][:6]
         assert kind == BATCH
         assert end == len(records)
@@ -86,7 +80,7 @@ class TestBatches:
     def test_tls_overhead_summed_separately(self):
         records = [(Rec.COMPUTE, 8), (Rec.TLS_OVERHEAD, 5)]
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        _, _, busy, overhead, instrs, _ = comp.epochs[0][0][:6]
+        _, _, busy, overhead, instrs, _ = comp[0][0][:6]
         pipeline = CorePipeline(PipelineConfig())
         assert busy == pipeline.compute_cycles(8)
         assert overhead == pipeline.compute_cycles(5)
@@ -102,7 +96,7 @@ class TestBatches:
             (Rec.BRANCH, 0x400020, False),
         ]
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        _, end, busy, _, instrs, branches = comp.epochs[0][0][:6]
+        _, end, busy, _, instrs, branches = comp[0][0][:6]
         assert end == 3
         assert busy == 1 + 2  # 4 instrs / width 4, plus 1 per branch
         assert instrs == 6
@@ -111,19 +105,19 @@ class TestBatches:
     def test_single_records_are_not_batched(self):
         records = [(Rec.COMPUTE, 4), (Rec.LOAD, 0x1000, 4, 0x400000)]
         comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        assert comp.epochs[0][0] is None  # run of one: interpret it
-        assert comp.epochs[0][1][0] == MEM
+        assert comp[0][0] is None  # run of one: interpret it
+        assert comp[0][1][0] == MEM
 
     def test_batches_suppressed_when_disabled(self):
         records = [(Rec.COMPUTE, 4), (Rec.COMPUTE, 4), (Rec.COMPUTE, 4)]
         comp = compile_region(
             [_epoch(records)], _l2(), PipelineConfig(), batches=False
         )
-        assert list(comp.epochs[0]) == [None, None, None]
+        assert list(comp[0]) == [None, None, None]
 
 
 # ----------------------------------------------------------------------
-# Memory lowering and line classification
+# Memory lowering
 # ----------------------------------------------------------------------
 
 
@@ -134,12 +128,12 @@ class TestMemoryLowering:
         addr = 3 * line_size + (line_size - 4)  # spans two lines
         records = [(Rec.LOAD, addr, 8, 0x400000)]
         comp = compile_region([_epoch(records)], l2, PipelineConfig())
-        kind, lines = comp.epochs[0][0]
+        kind, lines = comp[0][0]
         assert kind == MEM
         assert [ln for ln, *_ in lines] == list(
             l2.geom.lines_touched(addr, 8)
         )
-        (l0, sub0, mask0, _, _), (l1, sub1, mask1, _, _) = lines
+        (l0, sub0, mask0, _), (l1, sub1, mask1, _) = lines
         assert sub0 == addr and sub1 == l1
         assert mask0 == l2.word_mask(addr, l0 + line_size - addr)
         assert mask1 == l2.word_mask(l1, addr + 8 - l1)
@@ -148,8 +142,8 @@ class TestMemoryLowering:
         l2 = _l2()
         records = [(Rec.LOAD, 0x1000, 4, 0x400000)]
         comp = compile_region([_epoch(records)], l2, PipelineConfig())
-        _, lines = comp.epochs[0][0]
-        _, _, wmask, load_bits, _ = lines[0]
+        _, lines = comp[0][0]
+        _, _, wmask, load_bits = lines[0]
         if l2.line_granularity_loads:
             assert load_bits == l2._full_line_mask
         else:
@@ -166,58 +160,19 @@ class TestMemoryLowering:
         ])
         b = EpochTrace(epoch_id=1, records=[(Rec.LOAD, 0x1000, 4, 0x400020)])
         comp = compile_region([a, b], _l2(), PipelineConfig())
-        first = comp.epochs[0][0]
+        first = comp[0][0]
         assert first[0] == MEM
-        assert comp.epochs[0][2] is first
-        assert comp.epochs[1][0] is first
-        assert comp.epochs[0][3][0] == MEM
-        assert comp.epochs[0][3] is not first  # (addr, 8): another access
-
-    def test_private_vs_shared_classification(self):
-        l2 = _l2()
-        line_size = l2.geom.line_size
-        shared, private_a, private_b = 0, 4 * line_size, 8 * line_size
-        a = EpochTrace(epoch_id=0, records=[
-            (Rec.LOAD, shared, 4, 0x400000),
-            (Rec.STORE, private_a, 4, 0x400010),
-        ])
-        b = EpochTrace(epoch_id=1, records=[
-            (Rec.STORE, shared, 4, 0x400020),
-            (Rec.LOAD, private_b, 4, 0x400030),
-        ])
-        owner = classify_lines([a, b], l2.geom)
-        assert owner[shared] == -1
-        assert owner[private_a] == 0
-        assert owner[private_b] == 1
-        comp = compile_region([a, b], l2, PipelineConfig())
-        assert comp.shared_lines == 1
-        assert comp.private_lines == 2
-        for entries, addr in ((comp.epochs[0], private_a),
-                              (comp.epochs[1], private_b)):
-            flags = {line: private for entry in entries if entry
-                     for line, _, _, _, private in entry[1]}
-            assert flags[shared] is False
-            assert flags[addr] is True
-
-    def test_serial_segment_lines_all_private(self):
-        records = [(Rec.STORE, 0x1000, 4, 0x400000),
-                   (Rec.LOAD, 0x2000, 4, 0x400010)]
-        comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        assert comp.shared_lines == 0
-        assert comp.private_lines == 2
+        assert comp[0][2] is first
+        assert comp[1][0] is first
+        assert comp[0][3][0] == MEM
+        assert comp[0][3] is not first  # (addr, 8): another access
 
 
 def _reference_lowering(epoch_traces, l2, pipeline, batches):
     """Per-record lowering written for clarity, not speed: every record
     is lowered on its own, and batch costs come from CorePipeline.
-    Returns (per-epoch entries, private, shared)."""
+    Returns the per-epoch entries."""
     geom = l2.geom
-    owner = {}
-    for idx, trace in enumerate(epoch_traces):
-        for rec in trace.records:
-            if rec[0] in (Rec.LOAD, Rec.STORE):
-                for line in geom.lines_touched(rec[1], rec[2]):
-                    owner[line] = idx if owner.get(line, idx) == idx else -1
 
     def mem_entry(addr, size):
         end = addr + max(size, 1)
@@ -229,9 +184,7 @@ def _reference_lowering(epoch_traces, l2, pipeline, batches):
             load_bits = (
                 l2._full_line_mask if l2.line_granularity_loads else wmask
             )
-            lines.append(
-                (line, sub_addr, wmask, load_bits, owner[line] != -1)
-            )
+            lines.append((line, sub_addr, wmask, load_bits))
         return (MEM, tuple(lines))
 
     batchable = (Rec.COMPUTE, Rec.OP, Rec.BRANCH, Rec.TLS_OVERHEAD)
@@ -273,8 +226,7 @@ def _reference_lowering(epoch_traces, l2, pipeline, batches):
             )
             i = j
         epochs.append(tuple(entries))
-    shared = sum(1 for o in owner.values() if o == -1)
-    return epochs, len(owner) - shared, shared
+    return epochs
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +259,7 @@ def test_lowering_matches_per_record_reference(tiny_regions, batches):
     assert any(len(region) == 1 for region in tiny_regions)
     assert any(len(region) > 1 for region in tiny_regions)
     for region in tiny_regions:
-        comp = compile_region(region, l2, pipeline, batches=batches)
-        assert (comp.epochs, comp.private_lines, comp.shared_lines) == (
+        assert compile_region(region, l2, pipeline, batches=batches) == (
             _reference_lowering(region, l2, pipeline, batches)
         )
 
@@ -416,7 +367,6 @@ class TestCompiledInterpretedIdentity:
         assert stats.compiled_fastpath_loads > 0
         assert stats.compiled_fastpath_stores > 0
         assert stats.compiled_batched_records > 0
-        assert stats.private_line_stores > 0
 
     def test_figure5_export_byte_identical(self):
         on = run_figure5(_tiny_ctx(True), benchmarks=["new_order"])

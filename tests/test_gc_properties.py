@@ -107,4 +107,4 @@ def test_compiled_entries_are_untracked_tuples(new_order):
     compiled = compile_region(
         region.epochs, Machine(config).l2, config.pipeline
     )
-    _assert_untracked_tuples(compiled.epochs)
+    _assert_untracked_tuples(compiled)

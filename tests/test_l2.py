@@ -422,7 +422,7 @@ class TestIdentityBasedRemoval:
         assert [id(e) for e in cset.entries()] == [id(second), id(first)]
 
 
-class TestPrivateStoreRuns:
+class TestStoreRuns:
     """Runs of single-line stores through the chained compiled dispatch
     stay byte-identical to the interpreted path, and the L2 line-version
     index stays exact.  The first pass installs each line; later passes
@@ -443,13 +443,12 @@ class TestPrivateStoreRuns:
             self._workload()
         )
         assert comp.compiled_fastpath_stores == 24
-        assert comp.private_line_stores == 24
         assert comp == interp
         assert comp.total_cycles == interp.total_cycles
         check_cache_structures(machine)
 
     def test_speculative_epoch_store_runs_match_interpreted(self):
-        # Distinct per-epoch bases keep every line region-private.
+        # Distinct per-epoch bases: no epoch stores another's lines.
         base = self.BASE + 0x10000
         epochs = []
         for e in range(3):
@@ -464,14 +463,12 @@ class TestPrivateStoreRuns:
         comp, interp, machine = run_compiled_and_interpreted(
             one_txn_workload([region_of(*epochs)])
         )
-        assert comp.private_line_stores > 0
         assert comp == interp
         assert comp.total_cycles == interp.total_cycles
         check_cache_structures(machine)
 
-    def test_shared_line_stores_skip_private_path(self):
-        # Both epochs store the same lines: region classification marks
-        # them shared, so every store takes the violation-scanning path.
+    def test_shared_line_store_runs_match_interpreted(self):
+        # Both epochs store the same lines.
         base = self.BASE + 0x20000
         e0 = store_pass(base, 8) + [(Rec.COMPUTE, 10)]
         e1 = [(Rec.COMPUTE, 200)] + store_pass(base, 8)
@@ -479,14 +476,8 @@ class TestPrivateStoreRuns:
             one_txn_workload([region_of(e0, e1)])
         )
         assert comp.compiled_fastpath_stores == 16
-        assert comp.private_line_stores == 0
         assert comp == interp
         check_cache_structures(machine)
-
-    def test_private_store_counter_is_telemetry_only(self):
-        comp, interp, _ = run_compiled_and_interpreted(self._workload())
-        assert comp.private_line_stores != interp.private_line_stores
-        assert comp == interp
 
 
 class TestStoreRunSquash:

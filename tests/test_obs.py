@@ -18,13 +18,8 @@ from conftest import crashing_workload
 from repro.core.profiling import DependenceProfiler, ExposedLoadTable
 from repro.harness.__main__ import main as harness_main
 from repro.harness.export import export_json
-from repro.harness.parallel import (
-    JobFailure,
-    _run_job,
-    describe_job,
-    run_jobs_parallel,
-)
-from repro.harness.runner import JobRunner, SimJob
+from repro.harness.parallel import JobFailure, _run_job, run_jobs_parallel
+from repro.harness.runner import JobRunner, SimJob, describe_job
 from repro.harness.tracecache import TraceSpec
 from repro.obs import (
     ProgressReporter,

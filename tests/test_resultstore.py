@@ -113,7 +113,7 @@ class TestResultStore:
         # A version-1 entry still carries telemetry fields that
         # SimulationStats no longer has; it must read as a miss, never
         # raise.
-        assert STORE_VERSION == 4
+        assert STORE_VERSION == 5
         entry["version"] = 1
         entry["stats"]["retired_kernel_batches"] = 0
         path.write_text(json.dumps(entry))
@@ -132,6 +132,12 @@ class TestResultStore:
         del entry["stats"]["compiled_batch_squashes"]
         entry["version"] = 3
         entry["stats"]["failed_instruction_replays"] = 0
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        # And a version-4 entry with the region-private store counter.
+        del entry["stats"]["failed_instruction_replays"]
+        entry["version"] = 4
+        entry["stats"]["private_line_stores"] = 24
         path.write_text(json.dumps(entry))
         assert store.get_stats("k", config) is None
         # Even mislabeled as current, the retired fields cannot round-trip.

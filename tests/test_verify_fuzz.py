@@ -116,7 +116,7 @@ class TestCli:
 
 #: Slot of a CPU's hoist tuple (``Machine._run_region``) that holds the
 #: other CPUs' L1s, which the compiled store arm invalidates.
-HOIST_OTHER_L1S = 25
+HOIST_OTHER_L1S = 20
 
 
 class TestDifferentialKillsFastPathMutant:
