@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--sample-strata",
         type=int,
-        default=3,
+        default=None,
         metavar="K",
         help=(
             "dependence-density quantile buckets per transaction label "
@@ -133,14 +133,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--sample-seed",
         type=int,
-        default=0,
+        default=None,
         help="sampler RNG seed (default 0); estimates are deterministic "
              "for a fixed seed, independent of --jobs",
     )
     parser.add_argument(
         "--sample-warmup",
         type=int,
-        default=4,
+        default=None,
         metavar="K",
         help=(
             "detailed warmup tail per sampled transaction: K "
@@ -238,18 +238,24 @@ def main(argv=None) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = all CPUs)")
     # The --sample-* flags as one SamplerConfig, set one flag at a time
-    # so its validation names the flag at fault.  figure5 traces are
-    # small enough to warm functionally from the whole prefix
-    # (SamplerConfig's default, -1); the huge path must bound both
-    # windows, or each unit's warm cost grows with its position.
+    # so its validation names the flag at fault; an unset flag keeps
+    # SamplerConfig's default.  figure5 traces are small enough to warm
+    # functionally from the whole prefix (SamplerConfig's default, -1);
+    # the huge path must bound both windows, or each unit's warm cost
+    # grows with its position.
     sampler = None
-    if args.sample_rate is not None:
+    if args.sample_rate is None:
+        for field in ("strata", "seed", "warmup"):
+            if getattr(args, f"sample_{field}") is not None:
+                parser.error(f"--sample-{field} needs --sample-rate")
+    else:
         sampler = SamplerConfig()
         for field in ("rate", "strata", "seed", "warmup"):
+            value = getattr(args, f"sample_{field}")
+            if value is None:
+                continue
             try:
-                sampler = dataclasses.replace(
-                    sampler, **{field: getattr(args, f"sample_{field}")}
-                )
+                sampler = dataclasses.replace(sampler, **{field: value})
             except ValueError as exc:
                 parser.error(f"--sample-{field}: {exc}")
         if args.experiment == "huge":
@@ -412,12 +418,12 @@ def main(argv=None) -> int:
     }
     if result_store is not None:
         config["result_store"] = str(args.result_store)
-    if args.sample_rate is not None:
+    if sampler is not None:
         config["sampler"] = {
-            "rate": args.sample_rate,
-            "strata": args.sample_strata,
-            "seed": args.sample_seed,
-            "warmup": args.sample_warmup,
+            "rate": sampler.rate,
+            "strata": sampler.strata,
+            "seed": sampler.seed,
+            "warmup": sampler.warmup,
         }
     manifest = build_manifest(
         command=main_command(argv),

@@ -56,8 +56,9 @@ STORE_FORMAT = "repro-result-store"
 #: from the serialized stats; version 3 dropped the two speculative-batch
 #: journal counters; version 4 dropped the failed-instruction-replay
 #: counter, which no run ever set; version 5 dropped the region-private
-#: store counter with the shortcut it counted.
-STORE_VERSION = 5
+#: store counter with the shortcut it counted; version 6 dropped the
+#: super-record counter with the super-records it counted.
+STORE_VERSION = 6
 
 
 def stats_to_doc(stats: SimulationStats) -> Dict[str, Any]:

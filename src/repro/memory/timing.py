@@ -27,7 +27,6 @@ class BankedResource:
         self.occupancy = occupancy
         self.line_size = line_size
         self._next_free: List[int] = [0] * n_banks
-        self.contention_cycles = 0
         # With power-of-two line size and bank count (the paper's
         # configuration) bank selection is a shift and a mask; fall back
         # to the exact divide/modulo otherwise.
@@ -37,11 +36,6 @@ class BankedResource:
         else:
             self._line_shift = None
             self._bank_mask = None
-
-    def bank_of(self, addr: int) -> int:
-        if self._bank_mask is not None:
-            return (addr >> self._line_shift) & self._bank_mask
-        return (addr // self.line_size) % self.n_banks
 
     def reserve(self, addr: int, now: int) -> int:
         """Reserve the bank for one access; returns the service start time."""
@@ -53,13 +47,8 @@ class BankedResource:
         start = nf[bank]
         if now > start:
             start = now
-        else:
-            self.contention_cycles += start - now
         nf[bank] = start + self.occupancy
         return start
-
-    def reset(self) -> None:
-        self._next_free = [0] * self.n_banks
 
 
 class MemoryChannel:
@@ -68,11 +57,9 @@ class MemoryChannel:
     def __init__(self, gap: int):
         self.gap = gap
         self._next_free = 0
-        self.contention_cycles = 0
 
     def reserve(self, now: int) -> int:
         start = max(now, self._next_free)
-        self.contention_cycles += start - now
         self._next_free = start + self.gap
         return start
 

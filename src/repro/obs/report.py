@@ -45,7 +45,6 @@ TOTAL_COUNTERS = (
     "l2.misses",
     "l2.victim_spills",
     "l2.overflow_squashes",
-    "compile.batched_records",
     "compile.fastpath_loads",
     "compile.fastpath_stores",
 )

@@ -73,10 +73,10 @@ class MachineConfig:
     #: epochs on CPU 0, which is how the TLS-SEQ bar is produced: the
     #: TLS-transformed trace with its software overheads, run sequentially.
     region_cpus: int = None
-    #: Pre-lower traces once per region (repro.trace.compile): coalesced
-    #: super-records and interned per-line tuples, which the compiled
-    #: load and store arms walk; compiled regions also chain their
-    #: events in the event loop (repro.sim.engine_core).
+    #: Pre-lower traces once per region (repro.trace.compile): interned
+    #: per-line tuples, which the compiled load and store arms walk;
+    #: compiled regions also chain their events in the event loop
+    #: (repro.sim.engine_core).
     #: Byte-identical to interpreted replay — every cycle count and
     #: statistic matches; ``--no-compile-traces`` on the harness CLI (or
     #: False here) is the escape hatch / differential-testing axis.

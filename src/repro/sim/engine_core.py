@@ -7,14 +7,12 @@ hottest code in the simulator.  Shared state reaches it through
 builds; cross-object work (rewinds, latches, epoch finish and commit)
 calls back into ``Machine`` methods, which are cold.
 
-There is one dispatch loop.  A compiled region (the default) adds three
-optimizations to it:
+There is one dispatch loop, and one body per record kind.  A compiled
+region (the default) adds two optimizations to it:
 
 * loads and stores walk their precompiled line tuples, and a load that
   hits its L1 updates the L1 in-line; bank reservations, the L2 and a
   store's own L1 fill are the same calls the reference path makes;
-* a compute run of a non-speculative epoch dispatches as one
-  super-record (``Machine._do_batch``);
 * when a CPU's next event would be the very next heap pop anyway
   ((time, cpu) sorts before the heap top), the loop processes that
   record in-line instead of pushing and popping it (chaining).
@@ -23,10 +21,11 @@ Interpreted replay (``compile_traces=False``) runs the same loop with
 no compiled entries and no chaining: each load and store takes the
 reference memory path (``Machine._do_load``/``_do_store``, then
 ``TLSEngine.load``/``store`` and ``SpeculativeL2.load``/``store``), and
-every next event goes through the heap.  Every other record kind runs
-the same body either way.  The canonical event order is unchanged by
-construction, so both produce byte-identical statistics; the
-differential fuzzer and the CI ``cmp`` checks compare them.
+every next event goes through the heap.  Compute, op, branch and latch
+records run the same body either way, in every epoch.  The canonical
+event order is unchanged by construction, so both produce byte-identical
+statistics; the differential fuzzer and the CI ``cmp`` checks compare
+them.
 
 The per-event dispatch is merged into the loop rather than called as a
 method: one Python frame per heap event was measurable at this event
@@ -40,7 +39,6 @@ from heapq import heappush as _heappush
 
 from ..core.accounting import Category
 from ..core.epoch import EpochStatus
-from ..trace.compile import MEM as CK_MEM
 from ..trace.events import Rec
 from .timeline import STALL_BEGIN, SUBTHREAD_START
 
@@ -143,7 +141,7 @@ def run_event_loop(machine):
             kind = rec[0]
             entry = compiled[cursor]
             t_next = None
-            if entry is not None and entry[0] == CK_MEM:
+            if entry is not None:
                 if kind == Rec.LOAD:
                     # Machine._do_load over the precompiled line
                     # tuples, against the hoisted locals.
@@ -170,7 +168,7 @@ def run_event_loop(machine):
                             ctx = cp.ctx
                             subidx = cp.index
                         if engine.should_synchronize_load(epoch, pc):
-                            line = entry[1][0][0]
+                            line = entry[0][0]
                             cpu.sync_line = line
                             cpu.block_start = now
                             machine._emit(
@@ -189,7 +187,7 @@ def run_event_loop(machine):
                         )
                     machine._fast_loads += 1
                     stall = 0.0
-                    for line, sub_addr, mask, load_bits in entry[1]:
+                    for line, sub_addr, mask, load_bits in entry:
                         if line in l1_resident:
                             # l1.access hit, inlined: bump the counter
                             # and refresh LRU order.
@@ -294,7 +292,7 @@ def run_event_loop(machine):
                         )
                     machine._fast_stores += 1
                     self_rewound = False
-                    for line, _sub_addr, words, _load_bits in entry[1]:
+                    for line, _sub_addr, words, _load_bits in entry:
                         if speculative:
                             sm[line] = sm.get(line, 0) | words
                             su[line] = su.get(line, 0) | words
@@ -354,12 +352,6 @@ def run_event_loop(machine):
                     pending[_BUSY] += 1
                     epoch.cursor = cursor + 1
                     t_next = now + 1
-            elif entry is not None and not speculative and (
-                epoch.offset == 0
-            ):
-                # A compute run of a non-speculative epoch: nothing
-                # can interrupt it, so it runs as one super-record.
-                t_next = machine._do_batch(cpu, epoch, entry, now)
             elif kind == Rec.COMPUTE or kind == Rec.TLS_OVERHEAD:
                 # Retire (part of) a compute record.  Speculative slices
                 # stay bounded: sub-thread boundaries land exactly on

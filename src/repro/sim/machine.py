@@ -12,13 +12,12 @@ are processed in CPU-index order — a canonical tie-break independent of
 scheduling history.  One event loop (:mod:`repro.sim.engine_core`)
 dispatches every record.  With compiled traces
 (:mod:`repro.trace.compile`, the default) it walks precompiled line
-tuples, batches a non-speculative epoch's compute runs and chains a
-CPU's events in-line; interpreted replay (``compile_traces=False``)
-sends loads and stores through :meth:`Machine._do_load` /
-:meth:`Machine._do_store`, the reference memory path, and pushes every
-event through the heap.  Both interleave CPUs identically.  COMPUTE
-batches advance a CPU's clock many cycles at once without interacting
-with other CPUs.
+tuples and chains a CPU's events in-line; interpreted replay
+(``compile_traces=False``) sends loads and stores through
+:meth:`Machine._do_load` / :meth:`Machine._do_store`, the reference
+memory path, and pushes every event through the heap.  Compute, op and
+branch records take one per-record body either way.  Both interleave
+CPUs identically.
 
 Scheduling model: a parallel region's epochs are assigned to CPUs in
 logical order, round-robin; a CPU picks up the next unstarted epoch only
@@ -61,10 +60,6 @@ from .timeline import (
     VIOLATION,
     TimelineEvent,
 )
-
-# Category keys hoisted to module level for the per-record hot paths.
-_BUSY = Category.BUSY
-_OVERHEAD = Category.OVERHEAD
 
 
 class _CPU:
@@ -216,15 +211,14 @@ class Machine:
         # record of a region gets a None entry (interpreted replay).
         self._compile_enabled = self.config.compile_traces
         #: Everything the compiled entries depend on besides the records
-        #: themselves.  Compilations are cached on the segment objects so
-        #: repeated runs of the same trace (figure sweeps, benchmarks)
-        #: skip recompilation; a key mismatch forces a fresh compile.
+        #: themselves: the cache geometry.  Compilations are cached on the
+        #: segment objects so repeated runs of the same trace (figure
+        #: sweeps, benchmarks) skip recompilation, whatever their pipeline
+        #: or overlap-loads setting; a key mismatch forces a fresh compile.
         self._compile_key = (
             self.config.line_size,
             self.l2.word_size,
             self.l2.line_granularity_loads,
-            self.config.pipeline,
-            not self._overlap_loads,
         )
         #: The current region's entry tuples, keyed by the identity of
         #: the EpochTrace they are parallel to.
@@ -232,7 +226,6 @@ class Machine:
         #: Regions whose lowered entries came out of the segment's
         #: compile cache instead of being recompiled.
         self._compile_reuses = 0
-        self._batched_records = 0
         self._fast_loads = 0
         self._fast_stores = 0
         #: Metrics snapshot taken after functional warming (see
@@ -412,15 +405,9 @@ class Machine:
                     with self.tracer.span(
                         "machine.compile", epochs=len(epoch_traces)
                     ):
-                        per_epoch = compile_region(
-                            epoch_traces, self.l2, self.config.pipeline,
-                            batches=not self._overlap_loads,
-                        )
+                        per_epoch = compile_region(epoch_traces, self.l2)
                 else:
-                    per_epoch = compile_region(
-                        epoch_traces, self.l2, self.config.pipeline,
-                        batches=not self._overlap_loads,
-                    )
+                    per_epoch = compile_region(epoch_traces, self.l2)
                 host_cache[self._compile_key] = per_epoch
             else:
                 self._compile_reuses += 1
@@ -508,42 +495,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Per-record execution
     # ------------------------------------------------------------------
-
-    def _do_batch(self, cpu: _CPU, epoch: EpochExecution, entry,
-                  now: float) -> float:
-        """Execute a compiled super-record (non-speculative epochs only).
-
-        The static compute/op/overhead cycles were pre-summed at compile
-        time with the pipeline model's exact per-record rounding; branch
-        outcomes are replayed against the live predictor here because it
-        is stateful.  The total charged equals the sum the per-record
-        bodies of the event loop would charge, and because a non-speculative
-        epoch's intermediate events touch no cross-CPU state, collapsing
-        them into one event leaves the global interleaving unchanged.
-        """
-        end = entry[1]
-        busy = entry[2]
-        overhead = entry[3]
-        instrs = entry[4]
-        branches = entry[5]
-        pipeline = cpu.pipeline
-        if branches:
-            predict = pipeline.predictor.predict_and_update
-            penalty = pipeline.config.mispredict_penalty
-            for pc, taken in branches:
-                if not predict(pc, taken):
-                    busy += penalty
-        pipeline.instructions_retired += instrs
-        epoch.instrs_since_checkpoint += instrs
-        cp = epoch.subthreads[-1]
-        cp.instructions += instrs
-        self._batched_records += end - epoch.cursor
-        if busy:
-            cp.pending.cycles[_BUSY] += busy
-        if overhead:
-            cp.pending.cycles[_OVERHEAD] += overhead
-        epoch.cursor = end
-        return now + busy + overhead
 
     def _mlp_stall(self, cpu: _CPU, epoch: EpochExecution,
                    now: float) -> float:
@@ -1082,7 +1033,6 @@ class Machine:
             "l2.misses": l2.misses,
             "l2.victim_spills": l2.victim_spills,
             "l2.overflow_squashes": l2.overflow_squashes,
-            "compile.batched_records": self._batched_records,
             "compile.fastpath_loads": self._fast_loads,
             "compile.fastpath_stores": self._fast_stores,
             "compile.region_cache_reuses": self._compile_reuses,

@@ -37,7 +37,6 @@ METRIC_SOURCES: Dict[str, str] = {
     "l2.misses": "l2_misses",
     "l2.victim_spills": "victim_spills",
     "l2.overflow_squashes": "overflow_squashes",
-    "compile.batched_records": "compiled_batched_records",
     "compile.fastpath_loads": "compiled_fastpath_loads",
     "compile.fastpath_stores": "compiled_fastpath_stores",
     "compile.region_cache_reuses": "compiled_region_cache_reuses",
@@ -75,8 +74,6 @@ class SimulationStats:
     # these describe *how* the run executed, not what it computed, so a
     # compiled and an interpreted run of the same workload still compare
     # equal on every architectural statistic.
-    #: Records executed via coalesced super-records.
-    compiled_batched_records: int = field(default=0, compare=False)
     #: Loads / stores dispatched through the precompiled line tuples.
     compiled_fastpath_loads: int = field(default=0, compare=False)
     compiled_fastpath_stores: int = field(default=0, compare=False)

@@ -1,9 +1,10 @@
 """Trace pre-compilation (repro.trace.compile).
 
-Two halves: unit tests of the lowering pass itself (batch costs and
-per-line memory tuples), and byte-identity tests asserting that a
-simulation with compiled traces produces exactly the same statistics,
-figure exports, and golden cycle counts as the fully-interpreted path.
+Two halves: unit tests of the lowering pass itself (per-line memory
+tuples) and of the compiled-region cache, and byte-identity tests
+asserting that a simulation with compiled traces produces exactly the
+same statistics, figure exports, and golden cycle counts as the
+fully-interpreted path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cpu.pipeline import CorePipeline, PipelineConfig
+from repro.cpu.pipeline import PipelineConfig
 from repro.harness.export import result_to_dict
 from repro.harness.figure5 import run_figure5
 from repro.harness.figure6 import run_figure6
@@ -22,14 +23,8 @@ from repro.harness.runner import ExperimentContext, JobRunner
 from repro.harness.tracecache import materialize
 from repro.sim import ExecutionMode, Machine, MachineConfig
 from repro.tpcc import BENCHMARKS, TPCCScale, generate_workload
-from repro.trace.compile import BATCH, MEM, compile_region
-from repro.trace.events import (
-    EpochTrace,
-    Op,
-    Rec,
-    SerialSegment,
-    record_instruction_count,
-)
+from repro.trace.compile import compile_region
+from repro.trace.events import EpochTrace, Rec, SerialSegment
 
 GOLDEN = Path(__file__).parent / "golden" / "figure5_tiny.json"
 
@@ -43,80 +38,6 @@ def _epoch(records):
 
 
 # ----------------------------------------------------------------------
-# Super-record batches
-# ----------------------------------------------------------------------
-
-
-class TestBatches:
-    def test_batch_cost_matches_pipeline_model(self):
-        records = [
-            (Rec.COMPUTE, 13),
-            (Rec.OP, Op.INT_MUL, 3),
-            (Rec.COMPUTE, 1),
-            (Rec.OP, Op.FP, 2),
-            (Rec.COMPUTE, 4),
-        ]
-        comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        entries = comp[0]
-        kind, end, busy, overhead, instrs, branches = entries[0][:6]
-        assert kind == BATCH
-        assert end == len(records)
-        assert list(entries[1:]) == [None] * (len(records) - 1)
-        # The pre-summed static cost must equal dispatching every record
-        # through CorePipeline one at a time (same per-record rounding).
-        pipeline = CorePipeline(PipelineConfig())
-        want = (
-            pipeline.compute_cycles(13)
-            + pipeline.op_cycles(Op.INT_MUL, 3)
-            + pipeline.compute_cycles(1)
-            + pipeline.op_cycles(Op.FP, 2)
-            + pipeline.compute_cycles(4)
-        )
-        assert busy == want
-        assert overhead == 0
-        assert instrs == pipeline.instructions_retired
-        assert branches == ()
-
-    def test_tls_overhead_summed_separately(self):
-        records = [(Rec.COMPUTE, 8), (Rec.TLS_OVERHEAD, 5)]
-        comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        _, _, busy, overhead, instrs, _ = comp[0][0][:6]
-        pipeline = CorePipeline(PipelineConfig())
-        assert busy == pipeline.compute_cycles(8)
-        assert overhead == pipeline.compute_cycles(5)
-        assert instrs == 13
-
-    def test_branch_outcomes_stay_dynamic(self):
-        """A batch charges 1 base cycle per branch and carries the
-        (pc, taken) list; the misprediction penalty is applied at
-        dispatch time because the GShare predictor is stateful."""
-        records = [
-            (Rec.COMPUTE, 4),
-            (Rec.BRANCH, 0x400010, True),
-            (Rec.BRANCH, 0x400020, False),
-        ]
-        comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        _, end, busy, _, instrs, branches = comp[0][0][:6]
-        assert end == 3
-        assert busy == 1 + 2  # 4 instrs / width 4, plus 1 per branch
-        assert instrs == 6
-        assert branches == ((0x400010, True), (0x400020, False))
-
-    def test_single_records_are_not_batched(self):
-        records = [(Rec.COMPUTE, 4), (Rec.LOAD, 0x1000, 4, 0x400000)]
-        comp = compile_region([_epoch(records)], _l2(), PipelineConfig())
-        assert comp[0][0] is None  # run of one: interpret it
-        assert comp[0][1][0] == MEM
-
-    def test_batches_suppressed_when_disabled(self):
-        records = [(Rec.COMPUTE, 4), (Rec.COMPUTE, 4), (Rec.COMPUTE, 4)]
-        comp = compile_region(
-            [_epoch(records)], _l2(), PipelineConfig(), batches=False
-        )
-        assert list(comp[0]) == [None, None, None]
-
-
-# ----------------------------------------------------------------------
 # Memory lowering
 # ----------------------------------------------------------------------
 
@@ -127,9 +48,7 @@ class TestMemoryLowering:
         line_size = l2.geom.line_size
         addr = 3 * line_size + (line_size - 4)  # spans two lines
         records = [(Rec.LOAD, addr, 8, 0x400000)]
-        comp = compile_region([_epoch(records)], l2, PipelineConfig())
-        kind, lines = comp[0][0]
-        assert kind == MEM
+        lines = compile_region([_epoch(records)], l2)[0][0]
         assert [ln for ln, *_ in lines] == list(
             l2.geom.lines_touched(addr, 8)
         )
@@ -141,8 +60,7 @@ class TestMemoryLowering:
     def test_load_bits_follow_granularity(self):
         l2 = _l2()
         records = [(Rec.LOAD, 0x1000, 4, 0x400000)]
-        comp = compile_region([_epoch(records)], l2, PipelineConfig())
-        _, lines = comp[0][0]
+        lines = compile_region([_epoch(records)], l2)[0][0]
         _, _, wmask, load_bits = lines[0]
         if l2.line_granularity_loads:
             assert load_bits == l2._full_line_mask
@@ -159,19 +77,16 @@ class TestMemoryLowering:
             (Rec.LOAD, 0x1000, 8, 0x400000),
         ])
         b = EpochTrace(epoch_id=1, records=[(Rec.LOAD, 0x1000, 4, 0x400020)])
-        comp = compile_region([a, b], _l2(), PipelineConfig())
+        comp = compile_region([a, b], _l2())
         first = comp[0][0]
-        assert first[0] == MEM
         assert comp[0][2] is first
         assert comp[1][0] is first
-        assert comp[0][3][0] == MEM
         assert comp[0][3] is not first  # (addr, 8): another access
 
 
-def _reference_lowering(epoch_traces, l2, pipeline, batches):
-    """Per-record lowering written for clarity, not speed: every record
-    is lowered on its own, and batch costs come from CorePipeline.
-    Returns the per-epoch entries."""
+def _reference_lowering(epoch_traces, l2):
+    """Per-record lowering written for clarity, not speed: every memory
+    record is lowered on its own.  Returns the per-epoch entries."""
     geom = l2.geom
 
     def mem_entry(addr, size):
@@ -185,48 +100,16 @@ def _reference_lowering(epoch_traces, l2, pipeline, batches):
                 l2._full_line_mask if l2.line_granularity_loads else wmask
             )
             lines.append((line, sub_addr, wmask, load_bits))
-        return (MEM, tuple(lines))
+        return tuple(lines)
 
-    batchable = (Rec.COMPUTE, Rec.OP, Rec.BRANCH, Rec.TLS_OVERHEAD)
-    epochs = []
-    for trace in epoch_traces:
-        records = trace.records
-        entries = [None] * len(records)
-        i = 0
-        while i < len(records):
-            rec = records[i]
-            if rec[0] in (Rec.LOAD, Rec.STORE):
-                entries[i] = mem_entry(rec[1], rec[2])
-                i += 1
-                continue
-            j = i
-            while (batches and j < len(records)
-                   and records[j][0] in batchable):
-                j += 1
-            if j - i < 2:
-                i += 1
-                continue
-            run = records[i:j]
-            cpu = CorePipeline(pipeline)
-            busy = sum(
-                cpu.compute_cycles(r[1]) if r[0] == Rec.COMPUTE
-                else cpu.op_cycles(r[1], r[2]) if r[0] == Rec.OP
-                else 1 if r[0] == Rec.BRANCH
-                else 0
-                for r in run
-            )
-            overhead = sum(
-                cpu.compute_cycles(r[1])
-                for r in run if r[0] == Rec.TLS_OVERHEAD
-            )
-            entries[i] = (
-                BATCH, j, busy, overhead,
-                sum(map(record_instruction_count, run)),
-                tuple((r[1], r[2]) for r in run if r[0] == Rec.BRANCH),
-            )
-            i = j
-        epochs.append(tuple(entries))
-    return epochs
+    return [
+        tuple(
+            mem_entry(rec[1], rec[2])
+            if rec[0] in (Rec.LOAD, Rec.STORE) else None
+            for rec in trace.records
+        )
+        for trace in epoch_traces
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -251,17 +134,31 @@ def tiny_regions():
     return regions
 
 
-@pytest.mark.parametrize("batches", [True, False],
+@pytest.mark.parametrize("compute_batches", [True, False],
                          ids=["batches", "no-batches"])
-def test_lowering_matches_per_record_reference(tiny_regions, batches):
+def test_lowering_matches_per_record_reference(tiny_regions, compute_batches):
+    """Entries stay parallel to the records whether or not COMPUTE batch
+    records sit between the memory records: "no-batches" lowers the same
+    regions with every COMPUTE record taken out."""
     l2 = _l2()
-    pipeline = PipelineConfig()
-    assert any(len(region) == 1 for region in tiny_regions)
-    assert any(len(region) > 1 for region in tiny_regions)
-    for region in tiny_regions:
-        assert compile_region(region, l2, pipeline, batches=batches) == (
-            _reference_lowering(region, l2, pipeline, batches)
-        )
+    regions = tiny_regions if compute_batches else [
+        [
+            EpochTrace(
+                epoch_id=trace.epoch_id,
+                records=[r for r in trace.records if r[0] != Rec.COMPUTE],
+            )
+            for trace in region
+        ]
+        for region in tiny_regions
+    ]
+    assert any(len(region) == 1 for region in regions)
+    assert any(len(region) > 1 for region in regions)
+    assert compute_batches == any(
+        rec[0] == Rec.COMPUTE
+        for region in regions for trace in region for rec in trace.records
+    )
+    for region in regions:
+        assert compile_region(region, l2) == _reference_lowering(region, l2)
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +202,30 @@ class TestRegionCache:
         assert compiles == []
         assert second == first
 
+    def test_pipeline_and_overlap_loads_share_compiled_regions(self):
+        """The compile key is the cache geometry alone: a machine with
+        overlap loads on, or with another pipeline, replays the regions
+        a default machine lowered, and still computes exactly what the
+        interpreted path computes."""
+        ctx = ExperimentContext(
+            n_transactions=2, seed=42, scale=TPCCScale.tiny()
+        )
+        trace = materialize(ctx.spec("new_order", mode=ExecutionMode.BASELINE))
+        Machine(MachineConfig()).run(trace)
+        for config in (
+            MachineConfig(overlap_loads=True),
+            MachineConfig(
+                pipeline=PipelineConfig(issue_width=2, mispredict_penalty=9)
+            ),
+        ):
+            stats = Machine(config).run(trace)
+            assert stats.counters()["compile.region_cache_reuses"] > 0
+            interpreted = Machine(
+                dataclasses.replace(config, compile_traces=False)
+            ).run(trace)
+            assert stats == interpreted
+            assert stats.total_cycles == interpreted.total_cycles
+
 
 # ----------------------------------------------------------------------
 # Byte-identity of the compiled fast path
@@ -339,7 +260,7 @@ class TestCompiledInterpretedIdentity:
     @pytest.mark.parametrize("mode", ExecutionMode.ALL)
     def test_stats_identical_every_mode_overlap_loads(self, mode):
         """The chained loop's overlap-loads arm (MSHR list, ROB-window
-        stall, batching suppressed) matches the interpreted path."""
+        stall) matches the interpreted path."""
         ctx = ExperimentContext(
             n_transactions=2, seed=42, scale=TPCCScale.tiny()
         )
@@ -352,7 +273,6 @@ class TestCompiledInterpretedIdentity:
             dataclasses.replace(config, compile_traces=False)
         ).run(trace)
         assert compiled.compiled_fastpath_loads > 0
-        assert compiled.compiled_batched_records == 0
         assert compiled == interpreted
         assert compiled.total_cycles == interpreted.total_cycles
 
@@ -366,7 +286,6 @@ class TestCompiledInterpretedIdentity:
         ).run(trace)
         assert stats.compiled_fastpath_loads > 0
         assert stats.compiled_fastpath_stores > 0
-        assert stats.compiled_batched_records > 0
 
     def test_figure5_export_byte_identical(self):
         on = run_figure5(_tiny_ctx(True), benchmarks=["new_order"])

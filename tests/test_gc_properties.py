@@ -80,8 +80,8 @@ def _assert_untracked_tuples(containers: list) -> None:
     # CPython untracks a tuple once all its items are untracked, and a
     # pass may examine a tuple before the tuples inside it, so that can
     # take one pass per nesting level.  Compiled entries nest deepest:
-    # epoch -> entry -> line tuple -> line.
-    for _ in range(4):
+    # epoch -> line tuple -> line.
+    for _ in range(3):
         gc.collect()
     for container in containers:
         assert type(container) is tuple
@@ -103,8 +103,5 @@ def test_compiled_entries_are_untracked_tuples(new_order):
         seg for txn in new_order[True].transactions
         for seg in txn.segments if isinstance(seg, ParallelRegion)
     )
-    config = MachineConfig()
-    compiled = compile_region(
-        region.epochs, Machine(config).l2, config.pipeline
-    )
+    compiled = compile_region(region.epochs, Machine(MachineConfig()).l2)
     _assert_untracked_tuples(compiled)

@@ -113,7 +113,7 @@ class TestResultStore:
         # A version-1 entry still carries telemetry fields that
         # SimulationStats no longer has; it must read as a miss, never
         # raise.
-        assert STORE_VERSION == 5
+        assert STORE_VERSION == 6
         entry["version"] = 1
         entry["stats"]["retired_kernel_batches"] = 0
         path.write_text(json.dumps(entry))
@@ -138,6 +138,12 @@ class TestResultStore:
         del entry["stats"]["failed_instruction_replays"]
         entry["version"] = 4
         entry["stats"]["private_line_stores"] = 24
+        path.write_text(json.dumps(entry))
+        assert store.get_stats("k", config) is None
+        # And a version-5 entry with the super-record counter.
+        del entry["stats"]["private_line_stores"]
+        entry["version"] = 5
+        entry["stats"]["compiled_batched_records"] = 96
         path.write_text(json.dumps(entry))
         assert store.get_stats("k", config) is None
         # Even mislabeled as current, the retired fields cannot round-trip.

@@ -76,6 +76,15 @@ def test_figure5_sampled_bytes_pinned(regenerated, request):
     )
 
 
+def test_unset_sampler_flags_record_their_defaults(regenerated):
+    """The pinned command leaves --sample-strata and --sample-warmup
+    unset: the manifest records SamplerConfig's defaults for them."""
+    manifest = json.loads(
+        (regenerated / "figure5_sampled.manifest.json").read_text()
+    )
+    assert manifest["config"]["sampler"] == GOLDEN_PARAMS
+
+
 def test_golden_manifest_sampler_block():
     manifest = json.loads(GOLDEN_MANIFEST.read_text())
     assert manifest.get("artifact") == "figure5_sampled"

@@ -181,13 +181,19 @@ class TestHarnessCLI:
          "--sample-warmup"),
         (["huge", "--sample-rate", "0.1", "--sample-warmup", "-1"],
          "--sample-warmup"),
+        # A --sample-* knob without --sample-rate would be ignored.
+        (["table1", "--sample-warmup", "8", "--sample-strata", "5"],
+         "--sample-strata"),
+        (["figure5", "--sample-warmup", "8"], "--sample-warmup"),
+        (["huge", "--sample-seed", "1"], "--sample-seed"),
         (["table1", "--tiny", "--scale", "huge"], "--tiny"),
         (["table1", "--trace-cache", "unused-cache-dir", "--no-trace-cache"],
          "--trace-cache"),
     ], ids=["transactions-0", "transactions-neg", "jobs-neg",
             "sample-rate-0", "sample-rate-neg", "sample-strata-0",
             "sample-warmup-neg", "huge-sample-warmup-unbounded",
-            "tiny-with-scale",
+            "sample-strata-without-rate", "sample-warmup-without-rate",
+            "sample-seed-without-rate", "tiny-with-scale",
             "trace-cache-with-no-trace-cache"])
     def test_out_of_range_flag_rejected_before_running(self, capsys,
                                                        argv, flag):

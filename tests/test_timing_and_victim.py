@@ -82,7 +82,6 @@ class TestBankedResource:
         banks.reserve(0x000, now=0)
         start = banks.reserve(0x000, now=1)
         assert start == 4
-        assert banks.contention_cycles == 3
 
     def test_different_banks_independent(self):
         banks = BankedResource(n_banks=2, occupancy=4, line_size=32)
@@ -91,14 +90,18 @@ class TestBankedResource:
         assert start == 0
 
     def test_bank_of_wraps(self):
+        """Addresses four lines apart queue on one of four banks."""
         banks = BankedResource(n_banks=4, occupancy=4, line_size=32)
-        assert banks.bank_of(0x00) == banks.bank_of(4 * 32)
+        banks.reserve(0x00, now=0)
+        assert banks.reserve(4 * 32, now=0) == 4
 
-    def test_reset(self):
-        banks = BankedResource(n_banks=1, occupancy=10, line_size=32)
-        banks.reserve(0, now=0)
-        banks.reset()
-        assert banks.reserve(0, now=0) == 0
+    def test_non_power_of_two_banks_wrap(self):
+        """Three banks (``MachineConfig.l2_banks`` may be 3) take the
+        divide/modulo bank selection."""
+        banks = BankedResource(n_banks=3, occupancy=4, line_size=32)
+        banks.reserve(0x00, now=0)
+        assert banks.reserve(3 * 32, now=0) == 4
+        assert banks.reserve(4 * 32, now=0) == 0
 
     def test_requires_a_bank(self):
         with pytest.raises(ValueError):
@@ -110,7 +113,6 @@ class TestMemoryChannel:
         ch = MemoryChannel(gap=20)
         assert ch.reserve(0) == 0
         assert ch.reserve(5) == 20
-        assert ch.contention_cycles == 15
 
 
 class TestMemorySystemTiming:
