@@ -8,7 +8,7 @@ own implementation, but reuses the geometry helpers here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 def _is_pow2(x: int) -> bool:
@@ -78,7 +78,9 @@ class LRUSet:
     """One cache set with true-LRU replacement.
 
     Entries are arbitrary objects keyed by tag; most-recently-used order is
-    maintained by list position (index 0 = LRU, last = MRU).
+    maintained by list position (index 0 = LRU, last = MRU).  The owning
+    cache inserts and evicts through ``_order``/``_by_tag`` directly
+    (``L1Cache.fill``).
     """
 
     __slots__ = ("assoc", "_order", "_by_tag")
@@ -87,12 +89,6 @@ class LRUSet:
         self.assoc = assoc
         self._order: List[int] = []  # tags, LRU first
         self._by_tag: Dict[int, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_tag)
-
-    def __contains__(self, tag: int) -> bool:
-        return tag in self._by_tag
 
     def get(self, tag: int, touch: bool = True):
         """Return the entry for ``tag`` (None if absent), updating LRU."""
@@ -110,34 +106,9 @@ class LRUSet:
     def entries(self) -> List[object]:
         return list(self._by_tag.values())
 
-    def tags(self) -> List[int]:
-        return list(self._order)
-
-    def put(self, tag: int, entry: object) -> None:
-        """Insert/replace ``tag`` as MRU.  Caller must have made room."""
-        if tag in self._by_tag:
-            self._order.remove(tag)
-        elif len(self._by_tag) >= self.assoc:
-            raise RuntimeError("set full; evict first")
-        self._by_tag[tag] = entry
-        self._order.append(tag)
-
     def remove(self, tag: int):
         """Remove and return the entry for ``tag`` (None if absent)."""
         entry = self._by_tag.pop(tag, None)
         if entry is not None:
             self._order.remove(tag)
         return entry
-
-    def victim_tag(self, protect=None) -> Optional[int]:
-        """LRU tag to evict, skipping tags for which ``protect`` is true.
-
-        Returns None if every entry is protected.
-        """
-        for tag in self._order:
-            if protect is None or not protect(self._by_tag[tag]):
-                return tag
-        return None
-
-    def is_full(self) -> bool:
-        return len(self._by_tag) >= self.assoc

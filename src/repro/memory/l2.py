@@ -34,7 +34,7 @@ qualifying load bit: that is the sub-thread the epoch rewinds to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .cache import CacheGeometry
 from .victim import VictimCache
@@ -168,13 +168,9 @@ class L2Set:
     def is_full(self) -> bool:
         return len(self._entries) >= self.assoc
 
-    def lru_victim(
-        self, protect: Callable[[L2Entry], bool]
-    ) -> Optional[L2Entry]:
-        for entry in self._entries:
-            if not protect(entry):
-                return entry
-        return None
+    def lru_victim(self) -> L2Entry:
+        """The least-recently-used entry of a non-empty set."""
+        return self._entries[0]
 
 
 class AccessResult:
@@ -187,13 +183,11 @@ class AccessResult:
     containers support.
     """
 
-    __slots__ = ("hit", "entry", "violations", "invalidated_lines",
+    __slots__ = ("hit", "violations", "invalidated_lines",
                  "overflow_squash", "memory_accesses")
 
-    def __init__(self, hit: bool, entry: Optional[L2Entry] = None):
+    def __init__(self, hit: bool):
         self.hit = hit
-        #: Entry the access resolved to (None if a pure miss with no fill).
-        self.entry = entry
         #: Violations raised by this access (stores only).
         self.violations: List[Violation] = []
         #: Committed lines dropped from the chip (machine invalidates L1s).
@@ -354,7 +348,6 @@ class SpeculativeL2:
                     continue
             else:
                 self._promote(entry)
-            result.entry = entry
             if ctx is not None and exposed:
                 mask = (
                     self._full_line_mask
@@ -446,7 +439,6 @@ class SpeculativeL2:
             else:
                 target.spec_mod[ctx] = target.spec_mod.get(ctx, 0) | words
                 self._note_ctx_line(ctx, tag)
-            result.entry = target
         if result.hit:
             self.hits += 1
         else:
@@ -672,8 +664,7 @@ class SpeculativeL2:
         """
         cset = self._set_for(entry.tag)
         while cset.is_full():
-            victim = cset.lru_victim(protect=lambda e: False)
-            assert victim is not None
+            victim = cset.lru_victim()
             cset.remove(victim)
             if victim.is_speculative():
                 self.victim_spills += 1

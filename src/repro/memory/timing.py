@@ -65,14 +65,15 @@ class MemoryChannel:
 
 
 class MemorySystemTiming:
-    """Composed timing path: L1 miss -> crossbar/L2 bank -> memory.
+    """Timing resources of the path L1 miss -> crossbar/L2 bank -> memory.
 
-    ``l2_access(addr, now)`` returns the cycle at which data returns from
-    the L2 on an L2 hit; ``memory_access`` the return cycle when the access
-    must also go to DRAM.  Stores are modeled as non-blocking (write
-    buffer) but still reserve bank/channel slots, so they create
-    contention that delays loads — the first-order effect of write-through
-    L1s in the paper's design.
+    The machine composes a load miss's latency from these pieces.  With
+    ``start = banks.reserve(line, now)``, an L2 hit returns data at
+    ``start + l2_latency`` and an L2 miss at
+    ``channel.reserve(start + l2_latency) + memory_latency``.  Stores are
+    modeled as non-blocking (write buffer) but still reserve bank/channel
+    slots, so they create contention that delays loads — the first-order
+    effect of write-through L1s in the paper's design.
     """
 
     def __init__(
@@ -88,15 +89,6 @@ class MemorySystemTiming:
         self.memory_latency = memory_latency
         self.banks = BankedResource(l2_banks, l2_bank_occupancy, line_size)
         self.channel = MemoryChannel(memory_gap)
-
-    def l2_access(self, addr: int, now: int) -> int:
-        start = self.banks.reserve(addr, now)
-        return start + self.l2_latency
-
-    def memory_access(self, addr: int, now: int) -> int:
-        start = self.banks.reserve(addr, now)
-        mem_start = self.channel.reserve(start + self.l2_latency)
-        return mem_start + self.memory_latency
 
     def extra_memory_transfer(self, now: int) -> int:
         """A background DRAM transfer (writeback / fill side effects)."""

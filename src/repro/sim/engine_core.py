@@ -7,8 +7,11 @@ hottest code in the simulator.  Shared state reaches it through
 builds; cross-object work (rewinds, latches, epoch finish and commit)
 calls back into ``Machine`` methods, which are cold.
 
-There is one dispatch loop, and one body per record kind.  A compiled
-region (the default) adds two optimizations to it:
+There is one dispatch loop, and one body per record kind.  Every body
+returns its next-event cycle to one tail, which pushes it or chains it;
+only a sub-thread checkpoint pause, the end-of-epoch miss drain and a
+rewind schedule a CPU anywhere else.  A compiled region (the default)
+adds two optimizations to the loop:
 
 * loads and stores walk their precompiled line tuples, and a load that
   hits its L1 updates the L1 in-line; bank reservations, the L2 and a
@@ -18,14 +21,14 @@ region (the default) adds two optimizations to it:
   record in-line instead of pushing and popping it (chaining).
 
 Interpreted replay (``compile_traces=False``) runs the same loop with
-no compiled entries and no chaining: each load and store takes the
+an empty entry for each LOAD/STORE record and no chaining.  Loads and
+stores enter the same arms and share their prelude, retirement,
+observer call, accounting and tail; only their per-line work takes the
 reference memory path (``Machine._do_load``/``_do_store``, then
 ``TLSEngine.load``/``store`` and ``SpeculativeL2.load``/``store``), and
-every next event goes through the heap.  Compute, op, branch and latch
-records run the same body either way, in every epoch.  The canonical
-event order is unchanged by construction, so both produce byte-identical
-statistics; the differential fuzzer and the CI ``cmp`` checks compare
-them.
+every next event goes through the heap.  The canonical event order is
+unchanged by construction, so both produce byte-identical statistics;
+the differential fuzzer and the CI ``cmp`` checks compare them.
 
 The per-event dispatch is merged into the loop rather than called as a
 method: one Python frame per heap event was measurable at this event
@@ -54,8 +57,9 @@ def run_event_loop(machine):
 
     ``machine`` is the owning :class:`repro.sim.machine.Machine`;
     ``_run_region`` has already scheduled the region's first epochs,
-    given each its entry tuple (all ``None`` under interpreted replay)
-    and built the per-CPU hoist tuples.  Reads
+    given each its entry tuple (under interpreted replay, ``()`` for a
+    LOAD/STORE and ``None`` otherwise) and built the per-CPU hoist
+    tuples.  Reads
     ``machine._region_remaining`` fresh each iteration — epoch commits
     mutate it through ``_finish_epoch``.
     """
@@ -86,8 +90,7 @@ def run_event_loop(machine):
         # event and stays live across the chain; the two mutation
         # points that can invalidate a binding rebind (sub-thread
         # checkpoints) or break the chain (rewinds of this epoch)
-        # explicitly.  The compiled load and store bodies charge
-        # exactly what Machine._do_load / _do_store charge.
+        # explicitly.
         records = epoch.records
         n_records = epoch.n_records
         compiled = epoch.compiled
@@ -140,15 +143,20 @@ def run_event_loop(machine):
             rec = records[cursor]
             kind = rec[0]
             entry = compiled[cursor]
-            t_next = None
             if entry is not None:
+                # A LOAD or STORE: one prelude, retirement, observer
+                # call, accounting and tail for both replay paths; only
+                # the per-line memory work branches.  A compiled entry
+                # walks its precompiled line tuples in-line; interpreted
+                # replay's empty entry takes the reference memory path.
+                pc = rec[3]
                 if kind == Rec.LOAD:
-                    # Machine._do_load over the precompiled line
-                    # tuples, against the hoisted locals.
-                    pc = rec[3]
                     if cpu.sync_skip:
                         cpu.sync_skip = False
                     elif load_policies:
+                        # Section 5.1 policy: checkpoint right before a
+                        # predicted-violating load (zero-cost by default;
+                        # a nonzero cost delays the load by one event).
                         if engine.maybe_start_predictor_subthread(
                             epoch, pc, now
                         ):
@@ -167,8 +175,10 @@ def run_event_loop(machine):
                             sm = cp.store_mask
                             ctx = cp.ctx
                             subidx = cp.index
+                        # Moshovos-style policy: synchronize instead of
+                        # speculating.
                         if engine.should_synchronize_load(epoch, pc):
-                            line = entry[0][0]
+                            line = rec[1] & machine.l2.geom.line_mask
                             cpu.sync_line = line
                             cpu.block_start = now
                             machine._emit(
@@ -185,8 +195,13 @@ def run_event_loop(machine):
                         observer.on_op(
                             epoch, Rec.LOAD, rec[1], rec[2], pc
                         )
-                    machine._fast_loads += 1
-                    stall = 0.0
+                    if entry:
+                        machine._fast_loads += 1
+                        stall = 0.0
+                    else:
+                        # The reference per-line work; the empty entry
+                        # leaves the line-tuple loop below no lines.
+                        stall = machine._do_load(cpu, epoch, rec, now)
                     for line, sub_addr, mask, load_bits in entry:
                         if line in l1_resident:
                             # l1.access hit, inlined: bump the counter
@@ -281,17 +296,19 @@ def run_event_loop(machine):
                     epoch.cursor = cursor + 1
                     t_next = now + 1 + stall
                 else:
-                    # Machine._do_store over the precompiled line
-                    # tuples, against the hoisted locals.
-                    pc = rec[3]
                     epoch.instrs_since_checkpoint += 1
                     cp.instructions += 1
                     if observer is not None:
                         observer.on_op(
                             epoch, Rec.STORE, rec[1], rec[2], pc
                         )
-                    machine._fast_stores += 1
-                    self_rewound = False
+                    if entry:
+                        machine._fast_stores += 1
+                        self_rewound = False
+                    else:
+                        self_rewound = machine._do_store(
+                            cpu, epoch, rec, now
+                        )
                     for line, _sub_addr, words, _load_bits in entry:
                         if speculative:
                             sm[line] = sm.get(line, 0) | words
@@ -412,24 +429,14 @@ def run_event_loop(machine):
                 pending[_BUSY] += cycles
                 epoch.cursor = cursor + 1
                 t_next = now + cycles
-            elif kind == Rec.LOAD:
-                # No compiled entry (interpreted replay): the reference
-                # memory path, which schedules this CPU's next event.
-                machine._do_load(cpu, epoch, rec, now)
-                break
-            elif kind == Rec.STORE:
-                machine._do_store(cpu, epoch, rec, now)
-                break
             elif kind == Rec.LATCH_ACQ:
-                machine._do_latch_acquire(cpu, epoch, rec, now)
-                break
+                t_next = machine._do_latch_acquire(cpu, epoch, rec, now)
             elif kind == Rec.LATCH_REL:
-                machine._do_latch_release(cpu, epoch, rec, now)
-                break
+                t_next = machine._do_latch_release(cpu, epoch, rec, now)
             else:
                 raise ValueError(f"unknown record kind {kind}")
             if t_next is None:
-                break  # blocked, squashed, or rescheduled elsewhere
+                break  # blocked on a latch
             # Interpreted replay never chains: one record per heap event.
             if not chained or heap and (
                 t_next > heap[0][0]

@@ -10,14 +10,15 @@ record" events by cycle, so every memory reference, latch operation, and
 violation is processed in global time order.  Events at the same cycle
 are processed in CPU-index order — a canonical tie-break independent of
 scheduling history.  One event loop (:mod:`repro.sim.engine_core`)
-dispatches every record.  With compiled traces
-(:mod:`repro.trace.compile`, the default) it walks precompiled line
-tuples and chains a CPU's events in-line; interpreted replay
-(``compile_traces=False``) sends loads and stores through
-:meth:`Machine._do_load` / :meth:`Machine._do_store`, the reference
-memory path, and pushes every event through the heap.  Compute, op and
-branch records take one per-record body either way.  Both interleave
-CPUs identically.
+dispatches every record and schedules each CPU's next event.  With
+compiled traces (:mod:`repro.trace.compile`, the default) it walks
+precompiled line tuples and chains a CPU's events in-line; interpreted
+replay (``compile_traces=False``) does the per-line work of loads and
+stores in :meth:`Machine._do_load` / :meth:`Machine._do_store`, the
+reference memory path, and pushes every event through the heap.
+Everything else about a record, the load prelude, retirement, the
+observer call and the accounting included, has one copy in the loop.
+Both interleave CPUs identically.
 
 Scheduling model: a parallel region's epochs are assigned to CPUs in
 logical order, round-robin; a CPU picks up the next unstarted epoch only
@@ -56,10 +57,25 @@ from .timeline import (
     FINISH,
     STALL_BEGIN,
     STALL_END,
-    SUBTHREAD_START,
     VIOLATION,
     TimelineEvent,
 )
+
+
+def _clip_lines(geom, addr: int, size: int):
+    """Yield ``(line, sub_addr, sub_size)`` for each line an access
+    touches: the access clipped to that line."""
+    line_size = geom.line_size
+    access_end = addr + (size if size > 1 else 1)
+    for line in geom.lines_touched(addr, size):
+        sub_addr = addr if addr >= line else line
+        sub_end = line + line_size
+        if access_end < sub_end:
+            sub_end = access_end
+        sub_size = sub_end - sub_addr
+        if sub_size < 1:
+            sub_size = 1
+        yield line, sub_addr, sub_size
 
 
 class _CPU:
@@ -77,7 +93,6 @@ class _CPU:
         "sync_skip",
         "totals",
         "outstanding",
-        "retired_at_oldest_miss",
         "hoist",
     )
 
@@ -99,7 +114,6 @@ class _CPU:
         #: oldest first, paired with the retired-instruction count when
         #: each miss was issued.
         self.outstanding: List[Tuple[float, int]] = []
-        self.retired_at_oldest_miss = 0
         #: Per-region tuple of hot dispatch bindings; rebuilt by
         #: _run_region, unpacked by the event loop once per heap event.
         self.hoist: Optional[tuple] = None
@@ -195,14 +209,6 @@ class Machine:
         self._value_predict = tls.value_predict_loads
         self._spec_slice_limit = tls.spec_slice_limit
         self._max_subthreads = tls.max_subthreads
-        # Memory-timing fast path: the composed MemorySystemTiming calls
-        # decompose into bank/channel reservations plus fixed latencies;
-        # the compiled per-line loops call these bound pieces directly
-        # (see timing.py for the composed reference forms).
-        self._banks_reserve = self.msys.banks.reserve
-        self._chan_reserve = self.msys.channel.reserve
-        self._l2_lat = self.msys.l2_latency
-        self._mem_lat = self.msys.memory_latency
         #: The other CPUs' L1s, per CPU (write-invalidate walk).
         self._other_l1s = [
             [o.l1 for o in self.cpus if o is not c] for c in self.cpus
@@ -412,9 +418,17 @@ class Machine:
             else:
                 self._compile_reuses += 1
         else:
-            # Interpreted replay: no compiled entries, so loads and
-            # stores take the reference memory path.
-            per_epoch = [(None,) * len(t.records) for t in epoch_traces]
+            # Interpreted replay: every LOAD/STORE gets an empty entry,
+            # so it takes the event loop's memory arms with the
+            # reference per-line work instead of a line tuple.
+            per_epoch = [
+                tuple([
+                    () if rec[0] == Rec.LOAD or rec[0] == Rec.STORE
+                    else None
+                    for rec in t.records
+                ])
+                for t in epoch_traces
+            ]
         self._region_compiled = {
             id(t): entries for t, entries in zip(epoch_traces, per_epoch)
         }
@@ -438,13 +452,14 @@ class Machine:
         # *is* rebound by flash_invalidate_spec, so it is deliberately
         # absent — consumers reach it through the hoisted L1 object).
         l2 = self.l2
+        msys = self.msys
         shared = (
             self.observer, self._overlap_loads, self._load_policies,
             self._subthread_spacing, self._spec_slice_limit,
             self._max_subthreads, self._subthread_start_cost,
-            self._banks_reserve, self._chan_reserve, self._l2_lat,
-            self._mem_lat, l2.load_line, l2.store_line,
-            self._sync_waiters, self.msys, self._value_predict,
+            msys.banks.reserve, msys.channel.reserve, msys.l2_latency,
+            msys.memory_latency, l2.load_line, l2.store_line,
+            self._sync_waiters, msys, self._value_predict,
         )
         for c in self.cpus:
             c.hoist = shared + (
@@ -523,51 +538,24 @@ class Machine:
     # Memory references
     # ------------------------------------------------------------------
 
-    def _do_load(self, cpu: _CPU, epoch: EpochExecution, rec, now: float):
+    def _do_load(self, cpu: _CPU, epoch: EpochExecution, rec,
+                 now: float) -> float:
+        """A LOAD's per-line work on the reference memory path.
+
+        Interpreted replay's counterpart of the event loop's line-tuple
+        loop: clips the access to each line, runs the protocol through
+        ``TLSEngine.load`` and charges L1, bank, L2 and memory timing.
+        Returns the load's stall; the loop runs the prelude, retires
+        the record, charges Busy/Miss and schedules the next event.
+        """
         _, addr, size, pc = rec
-        geom = self.l2.geom
-        if cpu.sync_skip:
-            cpu.sync_skip = False
-        elif self._load_policies:
-            # Section 5.1 policy: checkpoint right before a predicted-
-            # violating load (zero-cost by default; a nonzero cost delays
-            # the load by one event).
-            if self.engine.maybe_start_predictor_subthread(epoch, pc, now):
-                self._emit(now, SUBTHREAD_START, epoch, detail="predictor")
-                cost = self._subthread_start_cost
-                if cost:
-                    epoch.accrue(Category.OVERHEAD, cost)
-                    self._schedule(cpu, now + cost)
-                    return
-            # Moshovos-style policy: synchronize instead of speculating.
-            if self.engine.should_synchronize_load(epoch, pc):
-                line = geom.line_addr(addr)
-                cpu.sync_line = line
-                cpu.block_start = now
-                self._emit(now, STALL_BEGIN, epoch, detail="sync")
-                cpu.event_version += 1
-                self._sync_waiters.setdefault(line, []).append(cpu.index)
-                return
-        epoch.retire(1)
-        if self.observer is not None:
-            self.observer.on_op(epoch, Rec.LOAD, addr, size, pc)
         l1 = cpu.l1
         l2 = self.l2
         engine = self.engine
         msys = self.msys
-        line_size = geom.line_size
         speculative = epoch.speculative
-        access_end = addr + (size if size > 1 else 1)
         stall = 0.0
-        for line in geom.lines_touched(addr, size):
-            # Clip the access to this line.
-            sub_addr = addr if addr >= line else line
-            sub_end = line + line_size
-            if access_end < sub_end:
-                sub_end = access_end
-            sub_size = sub_end - sub_addr
-            if sub_size < 1:
-                sub_size = 1
+        for line, sub_addr, sub_size in _clip_lines(l2.geom, addr, size):
             if l1.access(line):
                 if speculative and not l1.is_notified(line):
                     mask = l2.word_mask(sub_addr, sub_size)
@@ -589,10 +577,11 @@ class Machine:
                             )
                 continue
             result, exposed = engine.load(epoch, sub_addr, sub_size, pc)
-            if result.hit:
-                ready = msys.l2_access(line, now)
-            else:
-                ready = msys.memory_access(line, now)
+            # The crossbar bank, then the L2; a miss also waits for the
+            # memory channel.
+            ready = msys.banks.reserve(line, now) + msys.l2_latency
+            if not result.hit:
+                ready = msys.channel.reserve(ready) + msys.memory_latency
             extra = result.memory_accesses - (0 if result.hit else 1)
             for _ in range(max(0, extra)):
                 msys.extra_memory_transfer(now)
@@ -617,35 +606,30 @@ class Machine:
             l1.fill(line, spec=speculative, subidx=subidx)
             if speculative and exposed:
                 l1.mark_spec(line, notified=True, subidx=subidx)
-        epoch.accrue(Category.BUSY, 1)
-        if stall > 0:
-            epoch.accrue(Category.MISS, stall)
-        epoch.cursor += 1
-        self._schedule(cpu, now + 1 + stall)
+        return stall
 
-    def _do_store(self, cpu: _CPU, epoch: EpochExecution, rec, now: float):
+    def _do_store(self, cpu: _CPU, epoch: EpochExecution, rec,
+                  now: float) -> bool:
+        """A STORE's per-line work on the reference memory path.
+
+        Clips the access to each line, runs the protocol through
+        ``TLSEngine.store``, reserves its bank, keeps inclusion,
+        invalidates the other L1s' copies, applies the rewinds the store
+        caused and wakes loads synchronized on the line.  Returns True
+        if the store squashed its own epoch (the rewind has rescheduled
+        this CPU); otherwise the event loop charges the record and
+        schedules the next event.
+        """
         _, addr, size, pc = rec
-        epoch.retire(1)
-        if self.observer is not None:
-            self.observer.on_op(epoch, Rec.STORE, addr, size, pc)
-        geom = self.l2.geom
         engine = self.engine
         msys = self.msys
         other_l1s = self._other_l1s[cpu.index]
         l1 = cpu.l1
-        line_size = geom.line_size
         speculative = epoch.speculative
-        access_end = addr + (size if size > 1 else 1)
         self_rewound = False
-        for line in geom.lines_touched(addr, size):
-            # Clip the access to this line.
-            sub_addr = addr if addr >= line else line
-            sub_end = line + line_size
-            if access_end < sub_end:
-                sub_end = access_end
-            sub_size = sub_end - sub_addr
-            if sub_size < 1:
-                sub_size = 1
+        for line, sub_addr, sub_size in _clip_lines(
+            self.l2.geom, addr, size
+        ):
             result, rewinds = engine.store(epoch, sub_addr, sub_size, pc)
             # Write-through: the store reserves bandwidth but the CPU does
             # not wait for it (store buffer).
@@ -677,13 +661,7 @@ class Machine:
                     r.epoch is epoch for r in rewinds
                 )
             self._wake_sync_on_store(line, epoch.order, now)
-        if self_rewound:
-            # Our own state overflowed and we were squashed mid-record;
-            # the rewind already rescheduled us.
-            return
-        epoch.accrue(Category.BUSY, 1)
-        epoch.cursor += 1
-        self._schedule(cpu, now + 1)
+        return self_rewound
 
     def _apply_inclusion(self, lines: List[int]) -> None:
         """L2 evictions invalidate any L1 copies (inclusion)."""
@@ -696,22 +674,28 @@ class Machine:
     # Latches (escaped speculation)
     # ------------------------------------------------------------------
 
-    def _do_latch_acquire(self, cpu, epoch, rec, now: float):
+    def _do_latch_acquire(self, cpu, epoch, rec,
+                          now: float) -> Optional[float]:
+        """Take the latch; returns the CPU's next-event cycle for the
+        event loop to push or chain, or None when the CPU blocks."""
         _, latch_id, _pc = rec
         epoch.retire(1)
         if self.latches.try_acquire(latch_id, epoch):
             epoch.current_subthread.latches.append(latch_id)
             epoch.accrue(Category.BUSY, 1)
             epoch.cursor += 1
-            self._schedule(cpu, now + 1)
-        else:
-            # Block; woken by the holder's release (or a rewind).
-            cpu.blocked_latch = latch_id
-            cpu.block_start = now
-            self._emit(now, STALL_BEGIN, epoch, detail=f"latch {latch_id}")
-            cpu.event_version += 1  # invalidate any queued event
+            return now + 1
+        # Block; woken by the holder's release (or a rewind).
+        cpu.blocked_latch = latch_id
+        cpu.block_start = now
+        self._emit(now, STALL_BEGIN, epoch, detail=f"latch {latch_id}")
+        cpu.event_version += 1  # invalidate any queued event
+        return None
 
-    def _do_latch_release(self, cpu, epoch, rec, now: float):
+    def _do_latch_release(self, cpu, epoch, rec, now: float) -> float:
+        """Release the latch; returns the CPU's next-event cycle for the
+        event loop to push or chain.  A waiter granted the latch is
+        scheduled on its own CPU first, so the chain condition sees it."""
         _, latch_id = rec
         epoch.retire(1)
         granted = self.latches.release(latch_id, epoch)
@@ -719,7 +703,7 @@ class Machine:
             self._grant_latch(granted, now)
         epoch.accrue(Category.BUSY, 1)
         epoch.cursor += 1
-        self._schedule(cpu, now + 1)
+        return now + 1
 
     def _grant_latch(self, winner: EpochExecution, now: float) -> None:
         """A blocked epoch was granted the latch it was waiting for."""

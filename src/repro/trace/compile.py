@@ -72,7 +72,7 @@ def compile_region(epoch_traces: List[EpochTrace], l2) -> List[tuple]:
         lines = []
         for line in geom.lines_touched(addr, size):
             # Clip the access to this line (same arithmetic as the
-            # machine's interpreted _do_load/_do_store).
+            # reference memory path's clip in repro.sim.machine).
             sub_addr = addr if addr >= line else line
             sub_end = line + line_size
             if access_end < sub_end:

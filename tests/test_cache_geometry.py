@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import CacheGeometry, LRUSet
+from repro.memory.cache import CacheGeometry
+from repro.memory.l1 import L1Cache
 
 
 class TestCacheGeometry:
@@ -62,66 +63,60 @@ class TestCacheGeometry:
         assert all(l % geom.line_size == 0 for l in lines)
 
 
+def _l1(assoc):
+    """An L1 of exactly one ``assoc``-way set of 32-byte lines."""
+    return L1Cache(
+        CacheGeometry(size_bytes=32 * assoc, assoc=assoc, line_size=32)
+    )
+
+
 class TestLRUSet:
-    def test_put_get(self):
-        s = LRUSet(assoc=2)
-        s.put(1, "a")
-        assert s.get(1) == "a"
-        assert 1 in s
+    """True-LRU replacement of an L1 set: ``L1Cache.fill`` inserts and
+    evicts, ``access`` refreshes the order."""
 
     def test_victim_is_lru(self):
-        s = LRUSet(assoc=2)
-        s.put(1, "a")
-        s.put(2, "b")
-        s.get(1)  # touch 1 -> 2 becomes LRU
-        assert s.victim_tag() == 2
-
-    def test_put_full_raises(self):
-        s = LRUSet(assoc=1)
-        s.put(1, "a")
-        with pytest.raises(RuntimeError):
-            s.put(2, "b")
+        l1 = _l1(assoc=2)
+        l1.fill(0x20, spec=False)
+        l1.fill(0x40, spec=False)
+        assert l1.access(0x20)  # touch 0x20 -> 0x40 becomes LRU
+        assert l1.fill(0x60, spec=False).tag == 0x40
 
     def test_replace_same_tag_ok_when_full(self):
-        s = LRUSet(assoc=1)
-        s.put(1, "a")
-        s.put(1, "b")
-        assert s.get(1) == "b"
+        l1 = _l1(assoc=1)
+        l1.fill(0x20, spec=False)
+        assert l1.fill(0x20, spec=True) is None
+        assert l1.resident == {0x20}
+        assert l1.lookup(0x20).spec
 
     def test_remove(self):
-        s = LRUSet(assoc=2)
-        s.put(1, "a")
-        assert s.remove(1) == "a"
-        assert s.remove(1) is None
-        assert len(s) == 0
-
-    def test_victim_respects_protect(self):
-        s = LRUSet(assoc=2)
-        s.put(1, "keep")
-        s.put(2, "evictable")
-        victim = s.victim_tag(protect=lambda e: e == "keep")
-        assert victim == 2
-
-    def test_victim_none_when_all_protected(self):
-        s = LRUSet(assoc=1)
-        s.put(1, "keep")
-        assert s.victim_tag(protect=lambda e: True) is None
+        l1 = _l1(assoc=2)
+        l1.fill(0x20, spec=False)
+        line = l1.lookup(0x20)
+        cset = l1._sets[0]
+        assert cset.remove(0x20) is line
+        assert cset.remove(0x20) is None
+        assert cset._order == [] and cset._by_tag == {}
 
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=60))
     @settings(max_examples=50)
     def test_lru_order_matches_reference(self, refs):
-        """The set behaves exactly like an ideal LRU of capacity 4."""
-        s = LRUSet(assoc=4)
+        """A 4-way L1 set behaves exactly like an ideal LRU of capacity
+        4: the same hits, the same victims, the same order."""
+        l1 = _l1(assoc=4)
         reference = []  # LRU first
-        for tag in refs:
-            if s.get(tag) is not None:
+        for i in refs:
+            tag = 32 * i
+            if l1.access(tag):
+                assert tag in reference
                 reference.remove(tag)
                 reference.append(tag)
                 continue
-            if s.is_full():
-                victim = s.victim_tag()
-                assert victim == reference.pop(0)
-                s.remove(victim)
-            s.put(tag, tag)
+            assert tag not in reference
+            evicted = l1.fill(tag, spec=False)
+            if len(reference) == 4:
+                assert evicted.tag == reference.pop(0)
+            else:
+                assert evicted is None
             reference.append(tag)
-        assert s.tags() == reference
+        order = l1._sets[0]._order if reference else []
+        assert order == reference

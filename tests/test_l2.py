@@ -22,6 +22,13 @@ A = 0x1000  # a line-aligned address
 B = 0x2000
 
 
+def loaded_owners(l2, addr, ctx):
+    """Owners of the versions of ``addr``'s line carrying ``ctx``'s
+    speculative-load bit: the versions its exposed loads read."""
+    return [e.owner for e in l2.versions_of_line(addr)
+            if e.spec_loaded.get(ctx)]
+
+
 def make_l2(directory, assoc=4, victim=8, line_gran=True, sets_bytes=None):
     geom = CacheGeometry(
         size_bytes=sets_bytes or 32 * 1024, assoc=assoc, line_size=32
@@ -38,7 +45,7 @@ class TestLoads:
         res = l2.load(A, 4, order=0, ctx=None, exposed=False)
         assert not res.hit
         assert res.memory_accesses == 1
-        assert res.entry.owner == COMMITTED
+        assert [e.owner for e in l2.versions_of_line(A)] == [COMMITTED]
 
     def test_second_load_hits(self, directory):
         l2 = make_l2(directory)
@@ -49,14 +56,14 @@ class TestLoads:
     def test_exposed_load_sets_spec_bit(self, directory):
         l2 = make_l2(directory)
         ctx = directory.bind(7, order=3, subidx=0)
-        res = l2.load(A, 4, order=3, ctx=ctx, exposed=True)
-        assert ctx in res.entry.spec_loaded
+        l2.load(A, 4, order=3, ctx=ctx, exposed=True)
+        assert loaded_owners(l2, A, ctx) == [COMMITTED]
 
     def test_unexposed_load_sets_no_bit(self, directory):
         l2 = make_l2(directory)
         ctx = directory.bind(7, order=3, subidx=0)
-        res = l2.load(A, 4, order=3, ctx=ctx, exposed=False)
-        assert ctx not in res.entry.spec_loaded
+        l2.load(A, 4, order=3, ctx=ctx, exposed=False)
+        assert loaded_owners(l2, A, ctx) == []
 
     def test_load_reads_newest_version_not_after_reader(self, directory):
         l2 = make_l2(directory)
@@ -66,13 +73,13 @@ class TestLoads:
         l2.store(A, 4, order=1, ctx=c1)   # version owned by epoch 1
         l2.store(A, 4, order=3, ctx=c3)   # version owned by epoch 3
         # Epoch 2 must read epoch 1's version (newest <= 2).
-        res = l2.load(A, 4, order=2, ctx=directory.bind(2, order=2),
-                      exposed=True)
-        assert res.entry.owner == 1
+        c2 = directory.bind(2, order=2)
+        l2.load(A, 4, order=2, ctx=c2, exposed=True)
+        assert loaded_owners(l2, A, c2) == [1]
         # Epoch 4 reads epoch 3's version.
-        res = l2.load(A, 4, order=4, ctx=directory.bind(4, order=4),
-                      exposed=True)
-        assert res.entry.owner == 3
+        c4 = directory.bind(4, order=4)
+        l2.load(A, 4, order=4, ctx=c4, exposed=True)
+        assert loaded_owners(l2, A, c4) == [3]
 
 
 class TestStoresAndViolations:
@@ -322,9 +329,9 @@ class TestVersionIsolationProperty:
             for op, order, line_idx in ops:
                 addr = 0x1000 + 32 * line_idx
                 if op == "load":
-                    res = l2.load(addr, 4, order=order, ctx=order,
-                                  exposed=True)
-                    assert res.entry.owner <= order, (
+                    l2.load(addr, 4, order=order, ctx=order, exposed=True)
+                    read = loaded_owners(l2, addr, order)
+                    assert read and max(read) <= order, (
                         "read a logically-later version"
                     )
                 else:
@@ -345,8 +352,8 @@ class TestSquashPreservesForeignLoadBits:
         writer = directory.bind(1, order=10)
         reader = directory.bind(2, order=20)
         l2.store(A, 4, order=10, ctx=writer)            # spec version, 10
-        res = l2.load(A, 4, order=20, ctx=reader, exposed=True)
-        assert res.entry.owner == 10                    # forwarded read
+        l2.load(A, 4, order=20, ctx=reader, exposed=True)
+        assert loaded_owners(l2, A, reader) == [10]     # forwarded read
         l2.squash_ctxs(10, [writer])
         committed = [e for e in l2.versions_of_line(A)
                      if e.owner == COMMITTED]

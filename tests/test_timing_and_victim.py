@@ -1,7 +1,9 @@
-"""Tests for the victim cache and the banked timing resources."""
+"""Tests for the victim cache, the banked timing resources and the load
+latency the machine composes from them."""
 
 import pytest
 
+from repro.core.accounting import Category
 from repro.memory.l2 import L2Entry
 from repro.memory.timing import (
     BankedResource,
@@ -9,6 +11,12 @@ from repro.memory.timing import (
     MemorySystemTiming,
 )
 from repro.memory.victim import VictimCache
+from repro.sim import Machine, MachineConfig
+from repro.trace.events import Rec, SerialSegment
+
+from conftest import PC, one_txn_workload
+
+A = 0x1000  # a line-aligned address
 
 
 class TestVictimCache:
@@ -115,17 +123,38 @@ class TestMemoryChannel:
         assert ch.reserve(5) == 20
 
 
-class TestMemorySystemTiming:
-    def test_l2_hit_latency(self):
-        msys = MemorySystemTiming(l2_latency=10)
-        assert msys.l2_access(0x0, now=0) == 10
+def _serial_loads(addrs):
+    records = [
+        (Rec.LOAD, addr, 4, PC + 8 * i) for i, addr in enumerate(addrs)
+    ]
+    return one_txn_workload([SerialSegment(records=records)])
 
-    def test_memory_latency_path(self):
-        msys = MemorySystemTiming(
-            l2_latency=10, memory_latency=75, memory_gap=20
+
+class TestMemorySystemTiming:
+    @pytest.mark.parametrize("compile_traces", [True, False])
+    def test_load_latency_composition(self, compile_traces):
+        """The machine composes a load's latency from the bank, the L2
+        and the memory channel, identically on both replay paths."""
+        # One 4-way L1 set: every line below maps to it.
+        config = MachineConfig(
+            l1_size=128, l1_assoc=4, compile_traces=compile_traces
         )
-        # bank start 0 -> l2 at 10 -> memory start 10 -> data at 85.
-        assert msys.memory_access(0x0, now=0) == 85
+        # A cold line: bank start 0 -> L2 at 10 -> memory start 10 ->
+        # data at 85, plus the load's own Busy cycle.
+        stats = Machine(config).run(_serial_loads([A]))
+        assert stats.total_cycles == 86
+        assert stats.breakdown().get(Category.BUSY) == 1
+        assert stats.breakdown().get(Category.MISS) == 85
+        # Five lines evict the first from the 4-way set; reloading it
+        # misses the L1 and hits the L2 (10 cycles).
+        stats = Machine(config).run(
+            _serial_loads([A + 32 * i for i in range(5)] + [A])
+        )
+        assert stats.total_cycles == 441
+        assert stats.breakdown().get(Category.MISS) == 5 * 85 + 10
+        assert (stats.l1_misses, stats.l2_hits, stats.l2_misses) == (
+            6, 1, 5
+        )
 
     def test_memory_bandwidth_serializes(self):
         msys = MemorySystemTiming(memory_gap=20, memory_latency=75)
