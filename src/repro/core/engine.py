@@ -158,6 +158,14 @@ class TLSEngine:
         self.subthreads_started = 0
         self.epochs_committed = 0
         self.value_predictions_used = 0
+        #: Whether the sub-thread budget ever bound: an epoch holding
+        #: all ``max_subthreads`` contexts ended a checkpoint interval
+        #: at or past its spacing (see :meth:`_end_interval`).  Adaptive
+        #: spacing and predictor-placed checkpoints read the budget in
+        #: other ways, so under either it always counts as bound.
+        self.budget_bound = (
+            self.config.adaptive_spacing or self.config.predictor_subthreads
+        )
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -287,8 +295,24 @@ class TLSEngine:
         return self.load_predictor.predicts_violation(load_pc)
 
     def finish_epoch(self, epoch: EpochExecution, now: float) -> None:
+        self._end_interval(epoch)
         epoch.status = EpochStatus.FINISHED
         epoch.finish_cycle = now
+
+    def _end_interval(self, epoch: EpochExecution) -> None:
+        """Note the end of ``epoch``'s checkpoint interval (its finish,
+        or a rewind).
+
+        With every context live, a larger budget would have opened
+        another sub-thread, or cut a compute slice short, once the
+        interval reached its spacing.  Instruction counts only grow
+        within an interval, so its end sees that it did.
+        """
+        if (
+            len(epoch.subthreads) >= self.config.max_subthreads
+            and epoch.instrs_since_checkpoint >= self.config.subthread_spacing
+        ):
+            self.budget_bound = True
 
     def try_commit(self) -> List[EpochExecution]:
         """Commit finished epochs at the head of the logical order.
@@ -462,6 +486,7 @@ class TLSEngine:
         self, epoch: EpochExecution, subthread_idx: int, secondary: bool
     ) -> RewindAction:
         """Apply a rewind to protocol state; timing is left to the machine."""
+        self._end_interval(epoch)
         squashed_ctxs, latches, failed = epoch.rewind_to(subthread_idx, 0.0)
         self.l2.squash_ctxs(epoch.order, squashed_ctxs)
         # Free contexts above the rewind point for reuse; the target

@@ -51,8 +51,6 @@ class SubThreadCheckpoint:
     #: Cycles accrued while executing this sub-thread, pending
     #: classification at commit (good) or rewind (Failed).
     pending: CycleCounters = field(default_factory=CycleCounters)
-    #: Dynamic instructions retired in this sub-thread so far.
-    instructions: int = 0
 
 
 class EpochExecution:
@@ -195,7 +193,6 @@ class EpochExecution:
         self.store_union = su
         target.latches.clear()
         target.pending = CycleCounters()
-        target.instructions = 0
         self.instrs_since_checkpoint = 0
         self.violations_suffered += 1
         if subthread_idx == 0:
@@ -233,8 +230,6 @@ class EpochExecution:
 
     def retire(self, instructions: int) -> None:
         self.instrs_since_checkpoint += instructions
-        if self.subthreads:
-            self.current_subthread.instructions += instructions
 
     def accrue(self, category: str, cycles: float) -> None:
         if self.subthreads:

@@ -496,6 +496,7 @@ def main(argv=None) -> int:
                 wall_seconds=round(time.perf_counter() - run_t0, 3),
                 experiments=wanted,
                 traces=len(runner.trace_spec_keys()),
+                derived=runner.derived,
             )
             tracer.close()
     return 0

@@ -31,10 +31,12 @@ Nothing is retried: the simulator is deterministic, so a job that
 raised raises again, and a killed run is resumed by rerunning it over
 the same ``--result-store``.
 
-Workers return ``(result, tracecache delta)`` pairs: each process
+Workers return each result with its tracecache delta: each process
 counts its own :data:`repro.harness.tracecache.STATS` movement per job
 and the parent folds the deltas back in, so traced parallel runs report
-the same disk-hit/generation totals a serial run would.
+the same disk-hit/generation totals a serial run would.  A job's result
+also says whether the worker's runner derived it from an earlier job
+(``JobRunner.derived``), which the parent adds to its own count.
 
 With a :class:`~repro.obs.progress.ProgressReporter` (harness
 ``--progress``), workers stamp per-process heartbeats into a shared
@@ -165,14 +167,18 @@ def _warm_spec(spec: TraceSpec):
 
 def _run_job(job: SimJob):
     """Simulate one job; returns ``(SimulationStats, tracecache delta,
-    seconds)``, where ``seconds`` is the wall time ``run_one`` took."""
+    seconds, derived)``, where ``seconds`` is the wall time ``run_one``
+    took and ``derived`` is 1 when the worker answered the job from an
+    earlier one (``JobRunner.derived``), else 0."""
     label = describe_job(job)
     _beat(label)
     before = dict(TRACECACHE_STATS)
+    derived = _worker_runner.derived
     try:
         start = time.perf_counter()
         stats = _worker_runner.run_one(job)
-        return stats, _stats_delta(before), time.perf_counter() - start
+        return (stats, _stats_delta(before), time.perf_counter() - start,
+                _worker_runner.derived - derived)
     except Exception:
         raise JobFailure(
             f"job {label} failed in worker {os.getpid()}:\n"
@@ -221,13 +227,16 @@ def run_jobs_parallel(
     trace_cache=None,
     config_overrides=None,
     progress: Optional["ProgressReporter"] = None,
-    on_done: Optional[Callable[[int, SimulationStats, float], None]] = None,
+    on_done: Optional[
+        Callable[[int, SimulationStats, float, int], None]
+    ] = None,
 ) -> List[SimulationStats]:
     """Run a job list over ``n_workers`` processes, results in job order.
 
-    ``on_done(index, stats, seconds)`` is called in this process as each
-    job completes, in completion order; ``seconds`` is the wall time the
-    job took in its worker.
+    ``on_done(index, stats, seconds, derived)`` is called in this
+    process as each job completes, in completion order; ``seconds`` is
+    the wall time the job took in its worker, and ``derived`` is 1 when
+    the worker answered it from an earlier job without a simulation.
     """
     jobs = list(jobs)
     n_workers = max(1, min(n_workers, len(jobs)))
@@ -259,13 +268,13 @@ def run_jobs_parallel(
             for _, (_, delta) in _drain(warm, None, None):
                 merge_tracecache_stats(delta)
         futures = [pool.submit(_run_job, job) for job in jobs]
-        for i, (stats, delta, seconds) in _drain(
+        for i, (stats, delta, seconds, derived) in _drain(
             futures, progress, heartbeats
         ):
             merge_tracecache_stats(delta)
             results[i] = stats
             if on_done is not None:
-                on_done(i, stats, seconds)
+                on_done(i, stats, seconds, derived)
         return results
     except BrokenProcessPool as exc:
         unfinished = [

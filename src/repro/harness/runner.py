@@ -168,6 +168,10 @@ class JobRunner:
     dispatched: int = field(default=0, compare=False)
     #: Jobs answered from the persistent result store.
     store_hits: int = field(default=0, compare=False)
+    #: Dispatched jobs answered, without a simulation, from an earlier
+    #: job whose smaller sub-thread budget never bound (see
+    #: :meth:`_simulate`), in this process or in its pool workers.
+    derived: int = field(default=0, compare=False)
     _memo: Dict[str, WorkloadTrace] = field(
         default_factory=dict, repr=False
     )
@@ -187,6 +191,12 @@ class JobRunner:
     #: last inline-trace job :meth:`run_one` simulated, which the next
     #: job may continue; None when there is nothing to continue.
     _kept: Optional[Tuple] = field(default=None, repr=False, compare=False)
+    #: (trace spec key, effective config with its budget set to 1) →
+    #: (budget, stats) of the smallest-budget spec job simulated so far
+    #: whose budget never bound.
+    _unbound: Dict[Tuple, Tuple[int, SimulationStats]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def trace_for(self, spec: TraceSpec) -> WorkloadTrace:
         key = spec_key(spec)
@@ -259,8 +269,37 @@ class JobRunner:
     def _simulate(self, job: SimJob, config: MachineConfig,
                   trace: WorkloadTrace) -> SimulationStats:
         """Run ``trace`` on the kept machine when ``job`` continues it
-        (see :meth:`run_one`), else on a new, warmed machine."""
+        (see :meth:`run_one`), else on a new, warmed machine; or answer
+        a spec job from a smaller sub-thread budget that never bound.
+
+        A spec job with no warmup gets an earlier spec job's stats,
+        building no machine, when both replay the same trace, their
+        effective configs differ only in a larger
+        ``tls.max_subthreads``, and the earlier run's budget never bound
+        (``TLSEngine.budget_bound``).  This is exact.  The budget is
+        read in five places: the event loop's sub-thread start guard,
+        its compute-slice guard, ``maybe_start_subthread`` and
+        ``maybe_start_predictor_subthread``, adaptive ``spacing_for``,
+        and the context pool, which is empty exactly when every context
+        is live.  Adaptive spacing and predictor-placed checkpoints
+        count as bound.  With fixed spacing, the other places act
+        differently under a larger budget only once an epoch holding
+        every context reaches its spacing, and the engine sees that when
+        the interval ends.  Until then both runs allocate the same
+        context slots, so the only difference is the contexts' numbers,
+        which the L2 uses as dictionary keys and never orders by.
+        """
         kept, self._kept = self._kept, None
+        budget = config.tls.max_subthreads
+        unbound_key = smaller = None
+        if job.spec is not None and job.warmup is None:
+            unbound_key = (
+                spec_key(job.spec), config.with_tls(max_subthreads=1)
+            )
+            smaller = self._unbound.get(unbound_key)
+            if smaller is not None and smaller[0] < budget:
+                self.derived += 1
+                return smaller[1]
         if kept is not None and _continues(kept, job, config):
             machine, done = kept[0], len(kept[3])
             trace = WorkloadTrace(
@@ -274,6 +313,9 @@ class JobRunner:
         stats = machine.run(trace)
         if job.trace is not None:
             self._kept = (machine, job.warmup, config, job.trace.transactions)
+        elif unbound_key is not None and not machine.engine.budget_bound:
+            if smaller is None or budget < smaller[0]:
+                self._unbound[unbound_key] = (budget, stats)
         return stats
 
     def _result_key(self, job: SimJob) -> Optional[Tuple]:
@@ -393,7 +435,9 @@ class JobRunner:
 
             tracer = self.tracer
 
-            def done(i: int, stats: SimulationStats, seconds: float) -> None:
+            def done(i: int, stats: SimulationStats, seconds: float,
+                     derived: int) -> None:
+                self.derived += derived
                 if tracer is not None:
                     # Workers can't share the tracer: as each result
                     # arrives, write the job's span, ending now and

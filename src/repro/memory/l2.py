@@ -343,9 +343,6 @@ class SpeculativeL2:
                 entry = self._install(
                     L2Entry(tag=tag, owner=COMMITTED), result
                 )
-                if entry is None:
-                    # Pathological set pressure; treat as uncached access.
-                    continue
             else:
                 self._promote(entry)
             if ctx is not None and exposed:
@@ -431,8 +428,6 @@ class SpeculativeL2:
                     result.memory_accesses += 1
                     self._install(L2Entry(tag=tag, owner=COMMITTED), result)
                 target = self._install(L2Entry(tag=tag, owner=order), result)
-            if target is None:
-                continue
             self._promote(target)
             if ctx is None:
                 target.dirty = True
@@ -483,8 +478,6 @@ class SpeculativeL2:
             result.memory_accesses = 1
             entry = self._install(L2Entry(tag=tag, owner=COMMITTED), result)
             self.misses += 1
-            if entry is None:
-                return False, result
             hit = False
         else:
             # _promote, inlined for the common in-set case.
@@ -577,8 +570,6 @@ class SpeculativeL2:
             self.hits += 1
         else:
             self.misses += 1
-        if target is None:
-            return hit, result
         # _promote, inlined for the common in-set case (a freshly
         # installed target always lands in this same set).
         if target.in_victim:
@@ -649,10 +640,8 @@ class SpeculativeL2:
     # Allocation / eviction
     # ------------------------------------------------------------------
 
-    def _install(
-        self, entry: L2Entry, result: AccessResult
-    ) -> Optional[L2Entry]:
-        """Place a new entry in its set, evicting as needed.
+    def _install(self, entry: L2Entry, result: AccessResult) -> L2Entry:
+        """Place a new entry in its set, evicting as needed; returns it.
 
         Committed victims are written back (if dirty) and dropped — the
         machine must invalidate L1 copies to preserve inclusion.

@@ -3,8 +3,9 @@
 ``python -m repro.harness report run.jsonl`` renders, from a traced run:
 
 * the manifest header (who/what/when produced the run), and the wall
-  time and the number of traces the run used, from the closing
-  ``run.finish`` event;
+  time, the number of traces the run used and the number of jobs
+  answered from a smaller sub-thread budget that never bound, from the
+  closing ``run.finish`` event;
 * the top wall-clock spans, grouped by name — where the harness spent
   its time (trace generation vs compilation vs simulation);
 * a Figure-5-style cycle breakdown aggregated over every simulated job's
@@ -263,6 +264,10 @@ def render_report(path, top_spans: int = 12, top_pairs: int = 10) -> str:
     header.append(
         f"wall time: {wall if wall is not None else '?'}s"
         f"  traces: {_trace_count(records, finish)}"
+    )
+    header.append(
+        f"derived jobs: {finish.get('derived', '?')} (answered from a"
+        " smaller sub-thread budget that never bound)"
     )
     sections.append("\n".join(header))
 

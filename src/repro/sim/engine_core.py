@@ -190,7 +190,6 @@ def run_event_loop(machine):
                             )
                             break
                     epoch.instrs_since_checkpoint += 1
-                    cp.instructions += 1
                     if observer is not None:
                         observer.on_op(
                             epoch, Rec.LOAD, rec[1], rec[2], pc
@@ -297,7 +296,6 @@ def run_event_loop(machine):
                     t_next = now + 1 + stall
                 else:
                     epoch.instrs_since_checkpoint += 1
-                    cp.instructions += 1
                     if observer is not None:
                         observer.on_op(
                             epoch, Rec.STORE, rec[1], rec[2], pc
@@ -396,7 +394,6 @@ def run_event_loop(machine):
                     if overlap else 0.0
                 )
                 epoch.instrs_since_checkpoint += chunk
-                cp.instructions += chunk
                 if kind == Rec.COMPUTE:
                     pending[_BUSY] += cycles
                 else:
@@ -413,7 +410,6 @@ def run_event_loop(machine):
             elif kind == Rec.OP:
                 cycles = pipeline.op_cycles(rec[1], rec[2])
                 epoch.instrs_since_checkpoint += rec[2]
-                cp.instructions += rec[2]
                 pending[_BUSY] += cycles
                 epoch.cursor = cursor + 1
                 t_next = now + cycles
@@ -425,7 +421,6 @@ def run_event_loop(machine):
                 else:
                     cycles = 1 + penalty
                 epoch.instrs_since_checkpoint += 1
-                cp.instructions += 1
                 pending[_BUSY] += cycles
                 epoch.cursor = cursor + 1
                 t_next = now + cycles
